@@ -32,7 +32,6 @@ from .levy_core import (
     bdlp_density_from_stationary,
     cts_cumulants,
     cts_log_chf,
-    cts_log_laplace,
     lk_log_chf,
     ou_cumulants_from_bdlp,
     ou_cumulants_from_stationary,

@@ -16,11 +16,14 @@ command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .harness import (
+    METHODS,
+    PROCESS_KINDS,
     ExperimentConfig,
     export_trajectories,
     run_experiment,
@@ -29,10 +32,18 @@ from .harness import (
 
 _CONFIG_ENV = "TSOUSIM_CONFIG"
 
-_INT_KEYS = {"steps", "paths", "seed", "batches", "workers"}
-_FLOAT_KEYS = {"alpha", "beta", "c", "b", "T", "x0", "dt", "target_g"}
-_STR_KEYS = {"process", "method", "out"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# Flag and config-file key (``--target-g``, ``target_g``) of each
+# ExperimentConfig field; their types and defaults come from the fields.
+_FIELDS = {
+    ("target_g" if f.name == "target_G" else f.name): f
+    for f in dataclasses.fields(ExperimentConfig)
+}
+_HINTS = get_type_hints(ExperimentConfig)
+_TYPES = {
+    key: _HINTS[f.name] if _HINTS[f.name] in (int, float) else str
+    for key, f in _FIELDS.items()
+}
+_CHOICES = {"process": PROCESS_KINDS, "method": METHODS}
 
 
 def load_config_file(path: str) -> dict:
@@ -48,14 +59,9 @@ def load_config_file(path: str) -> dict:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in _ALL_KEYS:
+                if key not in _FIELDS:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                else:
-                    values[key] = value
+                values[key] = _TYPES[key](value)
     except OSError as exc:
         raise OSError(f"cannot read config file {path!r}: {exc}") from exc
     return values
@@ -63,22 +69,10 @@ def load_config_file(path: str) -> dict:
 
 def _experiment_parser(sub, name: str, help_: str) -> None:
     p = sub.add_parser(name, help=help_)
-    p.add_argument("--process", choices=("cts-ou", "ou-cts"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--T", type=float, dest="T")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=("exact", "x1-only", "scaled-bdlp"))
-    p.add_argument("--target-g", type=float, dest="target_g")
-    p.add_argument("--batches", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
+    for key in _FIELDS:
+        p.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=_TYPES[key], choices=_CHOICES.get(key)
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,48 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "T": 1.0,
-    "x0": 0.0,
-    "steps": 1,
-    "method": "exact",
-    "target_g": 1.01,
-    "batches": 100,
-    "workers": 1,
-    "out": None,
-}
-
-_REQUIRED = ("process", "alpha", "beta", "c", "b", "dt", "paths", "seed")
-
-
 def _build_config(args: argparse.Namespace, file_values: dict) -> ExperimentConfig:
-    merged = dict(_DEFAULTS)
-    merged.update(file_values)
-    for key in _ALL_KEYS:
+    """Config from the file values, overridden by flags; unset fields keep
+    their ExperimentConfig defaults."""
+    merged = dict(file_values)
+    for key in _FIELDS:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = cli_val
-    missing = [k for k in _REQUIRED if merged.get(k) is None]
+    missing = [
+        key for key, f in _FIELDS.items() if f.default is dataclasses.MISSING and key not in merged
+    ]
     if missing:
         raise SystemExit(f"missing required parameters: {', '.join(missing)}")
     try:
         return ExperimentConfig(
-            process=merged["process"],
-            alpha=merged["alpha"],
-            beta=merged["beta"],
-            c=merged["c"],
-            b=merged["b"],
-            dt=merged["dt"],
-            paths=merged["paths"],
-            seed=merged["seed"],
-            T=merged["T"],
-            x0=merged["x0"],
-            steps=merged["steps"],
-            method=merged["method"],
-            target_G=merged["target_g"],
-            batches=merged["batches"],
-            workers=merged["workers"],
-            out=merged["out"],
+            **{_FIELDS[key].name: value for key, value in merged.items()}
         ).validate(check_batches=args.command == "cumulants")
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from exc

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from ._util import segment_sums
+from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
 from .rand_core import (
     CtsParams,
     RngStream,
+    _compound_poisson,
     _gamma_shape_rate,
+    _squeeze,
     sample_cts,
-    sample_poisson,
 )
 
 __all__ = [
@@ -73,22 +74,14 @@ class CtsOuStepLaw:
             raise ValueError(f"jump rate must be positive, got {self.lambda_a}")
 
 
-def _one_minus_pow(a: float, alpha: float) -> float:
-    # 1 - a**alpha without cancellation as a -> 1; a may underflow to 0
-    with np.errstate(divide="ignore"):
-        return float(-np.expm1(alpha * np.log(a)))
-
-
 def step_law(p: CtsOuProcess, dt: float) -> CtsOuStepLaw:
     """Transition decomposition over a step of length ``dt`` (alpha > 0)."""
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    a = decay(p.b, dt)
     alpha, beta, c = p.stationary.alpha, p.stationary.beta, p.stationary.c
     if alpha == 0.0:
         raise ValueError(
             "alpha = 0 has a compound-Poisson driving process; use gamma_ou_step"
         )
-    a = float(np.exp(-p.b * dt))
     shrink = _one_minus_pow(a, alpha)
     lam = c * gamma_fn(1.0 - alpha) * beta**alpha / alpha * shrink
     return CtsOuStepLaw(a, CtsParams(alpha, beta, c * shrink), lam)
@@ -106,28 +99,10 @@ def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size=None):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     u = stream.gen.random(1 if size is None else size)
     v = (1.0 + (a ** -alpha - 1.0) * u) ** (1.0 / alpha)
-    return float(v[0]) if size is None else v
+    return _squeeze(v, size)
 
 
-def _compound_jumps(law: CtsOuStepLaw, stream: RngStream, n: int) -> np.ndarray:
-    """Vector of compound-Poisson components for n independent transitions.
-
-    Counts are drawn first, then the per-jump uniforms and gamma variates,
-    so the stream consumption is a deterministic function of the counts.
-    """
-    alpha, beta = law.x1_params.alpha, law.x1_params.beta
-    counts = sample_poisson(law.lambda_a, stream, size=n)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(n)
-    v = sample_v_ctsou(law.a, alpha, stream, size=total)
-    jumps = _gamma_shape_rate(stream, 1.0 - alpha, beta * v, size=total)
-    return segment_sums(jumps, counts)
-
-
-def sample_transition_ctsou(
-    p: CtsOuProcess, x0, dt: float, stream: RngStream, size=None, cts_method: str = "auto"
-):
+def sample_transition_ctsou(p: CtsOuProcess, x0, dt: float, stream: RngStream, size=None):
     """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``).
 
     ``x0`` may be a scalar or an array of shape ``size``.  The alpha = 0
@@ -136,11 +111,17 @@ def sample_transition_ctsou(
     if p.stationary.alpha == 0.0:
         return gamma_ou_step(p, x0, dt, stream, size)
     law = step_law(p, dt)
+    alpha, beta = law.x1_params.alpha, law.x1_params.beta
     n = 1 if size is None else size
-    x1 = sample_cts(law.x1_params, stream, size=n, method=cts_method)
-    x2 = _compound_jumps(law, stream, n)
-    out = law.a * np.asarray(x0, dtype=float) + x1 + x2
-    return float(out[0]) if size is None else out
+    x1 = sample_cts(law.x1_params, stream, size=n)
+
+    def jumps(m):
+        # gamma(1-alpha, beta*V) with V on [1, 1/a]
+        v = sample_v_ctsou(law.a, alpha, stream, size=m)
+        return _gamma_shape_rate(stream, 1.0 - alpha, beta * v, size=m)
+
+    x2 = _compound_poisson(law.lambda_a, jumps, stream, n)
+    return _squeeze(law.a * np.asarray(x0, dtype=float) + x1 + x2, size)
 
 
 def gamma_ou_step(p: CtsOuProcess, x0, dt: float, stream: RngStream, size=None):
@@ -152,44 +133,27 @@ def gamma_ou_step(p: CtsOuProcess, x0, dt: float, stream: RngStream, size=None):
     """
     if p.stationary.alpha != 0.0:
         raise ValueError("gamma_ou_step requires a stationary law with alpha = 0")
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    a = decay(p.b, dt)
     beta, c = p.stationary.beta, p.stationary.c
-    a = float(np.exp(-p.b * dt))
     n = 1 if size is None else size
-    counts = sample_poisson(c * p.b * dt, stream, size=n)
-    total = int(counts.sum())
-    if total:
-        u = stream.gen.random(total)
-        jumps = stream.gen.standard_exponential(total) / beta
-        x2 = segment_sums(jumps * np.exp(-p.b * dt * u), counts)
-    else:
-        x2 = np.zeros(n)
-    out = a * np.asarray(x0, dtype=float) + x2
-    return float(out[0]) if size is None else out
+
+    def jumps(m):
+        u = stream.gen.random(m)
+        return stream.gen.standard_exponential(m) / beta * np.exp(-p.b * dt * u)
+
+    x2 = _compound_poisson(c * p.b * dt, jumps, stream, n)
+    return _squeeze(a * np.asarray(x0, dtype=float) + x2, size)
 
 
-def simulate_skeleton_ctsou(
-    p: CtsOuProcess, x0, grid, stream: RngStream, size=None, cts_method: str = "auto"
-):
+def simulate_skeleton_ctsou(p: CtsOuProcess, x0, grid, stream: RngStream, size=None):
     """Exact skeleton X(t_1), ..., X(t_M) from X(0) = x0 on an increasing grid.
 
     Returns an array of shape (M,) for scalar use or (M, size) when
     ``size`` paths are drawn in lockstep from one stream.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-D array of times")
-    steps = np.diff(np.concatenate(([0.0], grid)))
-    if np.any(steps <= 0.0):
-        raise ValueError("grid times must be strictly increasing and positive")
-    shape = (grid.size,) if size is None else (grid.size, size)
-    out = np.empty(shape)
-    x = x0
-    for i, dt in enumerate(steps):
-        x = sample_transition_ctsou(p, x, float(dt), stream, size, cts_method)
-        out[i] = x
-    return out
+    return simulate_skeleton(
+        lambda x, dt: sample_transition_ctsou(p, x, dt, stream, size), x0, grid, size
+    )
 
 
 def cumulants_ctsou(p: CtsOuProcess, x0: float, dt: float, k: int) -> float:
@@ -204,19 +168,9 @@ def cumulants_ctsou(p: CtsOuProcess, x0: float, dt: float, k: int) -> float:
     return float(val)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
 def jump_moment_ctsou(a: float, alpha: float, beta: float, k: int) -> float:
-    """k-th moment of one compound-Poisson jump, by quadrature over the mixing law.
-
-    E[J^k] = int_1^{1/a} Gamma(1-alpha+k) / (Gamma(1-alpha) (beta v)^k)
-             * f_V(v) dv with f_V(v) = alpha v^(alpha-1) / (a^-alpha - 1),
-    evaluated with 64-node Gauss-Legendre on [1, 1/a].  Deliberately
-    independent of the closed-form cumulant path it is used to check.
-    """
-    lo, hi = 1.0, 1.0 / a
-    v = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
-    f_v = alpha * v ** (alpha - 1.0) / (a ** -alpha - 1.0)
-    cond = gamma_fn(1.0 - alpha + k) / (gamma_fn(1.0 - alpha) * (beta * v) ** k)
-    return float(0.5 * (hi - lo) * np.sum(_GL_WEIGHTS * cond * f_v))
+    """k-th moment of one compound-Poisson jump, by quadrature over the
+    mixing law f_V(v) = alpha v^(alpha-1) / (a^-alpha - 1) on [1, 1/a]."""
+    return gamma_mixture_moment(
+        a, alpha, beta, k, lambda v: alpha * v ** (alpha - 1.0) / (a ** -alpha - 1.0)
+    )

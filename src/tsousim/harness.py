@@ -13,6 +13,7 @@ bit-identical for any worker count and any run.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -73,8 +74,10 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.method != "exact" and self.process != "ou-cts":
             raise ValueError(f"method {self.method!r} is only defined for ou-cts")
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         if self.batches < 2:
@@ -410,7 +413,9 @@ def _check_envelopes(
             gap = float(np.max(ou_cts.f_w_density(grid, a, alpha) - env.value(grid)))
             w = ou_cts.sample_w(env, a, alpha, stream, size=proposals)
             in_range = bool(np.all((w >= 0.0) & (w <= 1.0)))
-            accept = proposals / _count_proposals(env, a, alpha, seed, proposals)
+            # the proposal count is taken on a stream of its own
+            made = ou_cts._sample_w(env, a, alpha, RngStream(seed, 902), proposals)[1]
+            accept = proposals / made
             ok = (
                 env.total_mass <= 1.01
                 and gap <= 0.0
@@ -431,31 +436,6 @@ def _check_envelopes(
             False,
             f"domination gap={gap:.2e} (holds) but G_1={env.total_mass:.6f} > 1.001",
         )
-
-
-def _count_proposals(env, a, alpha, seed, n) -> int:
-    """Total proposals consumed to accept n draws (for acceptance-rate measurement)."""
-    stream = RngStream(seed, 902)
-    g = stream.gen
-    made = 0
-    remaining = n
-    while remaining:
-        seg = np.clip(
-            np.searchsorted(env.cum_probabilities, g.random(remaining), side="right"),
-            0,
-            env.segment_count - 1,
-        )
-        y0 = env.f_values[seg]
-        q = env.masses[seg]
-        sl = env.slopes[seg]
-        u = g.random(remaining)
-        s = 2.0 * u * q / (y0 + np.sqrt(y0 * y0 + 2.0 * sl * u * q))
-        w = env.breakpoints[seg] + s
-        g_val = y0 + sl * s
-        accept = g.random(remaining) * g_val <= ou_cts.f_w_density(w, a, alpha)
-        made += remaining
-        remaining = int((~accept).sum())
-    return made
 
 
 def _check_additivity(report: ValidationReport) -> None:

@@ -32,6 +32,7 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
+from ._util import _one_minus_pow
 from .rand_core import CtsParams
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "bdlp_density_from_stationary",
     "cts_cumulants",
     "cts_log_chf",
-    "cts_log_laplace",
     "ou_cumulants_from_stationary",
     "ou_cumulants_from_bdlp",
 ]
@@ -244,14 +244,6 @@ class LevyTriplet:
         drift = c * b ** (a - 1.0) * gamma_fn(1.0 - a) * gammainc(1.0 - a, b)
         return cls(drift, 0.0, nu, subordinator=True, self_decomposable=True)
 
-    @classmethod
-    def from_subordinator_density(
-        cls, nu: Callable, *, self_decomposable: bool = True
-    ) -> "LevyTriplet":
-        """Triplet of a driftless subordinator given its Levy density."""
-        drift = _quad_positive(lambda x: x * nu(x), x_hi=1.0, name="subordinator drift")
-        return cls(drift, 0.0, nu, subordinator=True, self_decomposable=self_decomposable)
-
 
 @dataclass(frozen=True)
 class ARemainderTriplet:
@@ -365,11 +357,6 @@ def lk_log_chf(t: Union[LevyTriplet, ARemainderTriplet], u: float) -> complex:
     )
     total_im = im_inner + im_outer + u * t.gamma_drift
     return complex(re - 0.5 * t.sigma**2 * u * u, total_im)
-
-
-def _one_minus_pow(a: float, alpha: float) -> float:
-    # 1 - a**alpha, stable when a -> 1 or alpha -> 0
-    return -np.expm1(alpha * np.log(a))
 
 
 def ts_remainder_decompose(
@@ -508,14 +495,6 @@ def cts_log_chf(p: CtsParams, u: float) -> complex:
         return -p.c * np.log(1.0 - 1j * u / p.beta)
     g = p.c * gamma_fn(1.0 - p.alpha) / p.alpha
     return g * (p.beta**p.alpha - (p.beta - 1j * u) ** p.alpha)
-
-
-def cts_log_laplace(p: CtsParams, u: float) -> float:
-    """Closed-form log Laplace transform log E[exp(-u X)] for u >= 0."""
-    if p.alpha == 0.0:
-        return -p.c * np.log1p(u / p.beta)
-    g = p.c * gamma_fn(1.0 - p.alpha) / p.alpha
-    return g * (p.beta**p.alpha - (p.beta + u) ** p.alpha)
 
 
 def _cumulant_at(cumulants, k: int) -> float:

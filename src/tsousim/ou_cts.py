@@ -30,18 +30,21 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from ._util import round_sig, segment_sums
+from ._util import _one_minus_pow, decay, gamma_mixture_moment, round_sig, simulate_skeleton
 from .levy_core import cts_cumulants
 from .rand_core import (
     CtsParams,
     RngStream,
+    _compound_poisson,
     _gamma_shape_rate,
+    _rejection_loop,
+    _squeeze,
     sample_cts,
-    sample_poisson,
 )
 
 __all__ = [
@@ -67,7 +70,10 @@ __all__ = [
 
 DEFAULT_TARGET_G = 1.01
 
-_MAX_PROPOSAL_ROUNDS = 10**6
+# Envelopes kept per process before the cache is emptied; far more than
+# the distinct step lengths of any fixed or daily grid, so only long
+# irregular grids ever refill it.
+_ENVELOPE_CACHE_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -204,12 +210,6 @@ class OuCtsStepLaw:
             raise ValueError(f"jump rate must be nonnegative, got {self.lambda_a}")
 
 
-def _one_minus_pow(a: float, alpha: float) -> float:
-    # 1 - a**alpha without cancellation as a -> 1; a may underflow to 0
-    with np.errstate(divide="ignore"):
-        return float(-np.expm1(alpha * np.log(a)))
-
-
 def _lambda_a(p: OuCtsProcess, a: float) -> float:
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
     th = _theta(a, alpha)
@@ -228,17 +228,24 @@ def step_law_oucts(
     p: OuCtsProcess, dt: float, target_G: float = DEFAULT_TARGET_G
 ) -> OuCtsStepLaw:
     """Transition decomposition over a step of length ``dt`` (alpha > 0)."""
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
+    a = decay(p.b, dt)
+    alpha = p.bdlp.alpha
     if alpha == 0.0:
         raise ValueError(
             "alpha = 0 must use the limiting mixing law; see sample_v_alpha0 "
             "and sample_transition_oucts, which handle it directly"
         )
-    a = float(np.exp(-p.b * dt))
-    x1 = CtsParams(alpha, beta / a, c * _one_minus_pow(a, alpha) / (p.T * alpha * p.b))
+    x1 = _x1_params(p, dt, a)
     return OuCtsStepLaw(a, x1, _lambda_a(p, a), _envelope_cached(alpha, a, target_G))
+
+
+def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
+    """CTS part of the increment: CTS(alpha, beta/a, c (1 - a^alpha) / (T alpha b)),
+    whose alpha -> 0 limit is the gamma law with shape c dt / T and rate beta/a."""
+    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
+    if alpha == 0.0:
+        return CtsParams(0.0, beta / a, c * dt / p.T)
+    return CtsParams(alpha, beta / a, c * _one_minus_pow(a, alpha) / (p.T * alpha * p.b))
 
 
 _ENVELOPE_CACHE: dict = {}
@@ -251,8 +258,9 @@ def _envelope_cached(alpha: float, a: float, target_G: float) -> Envelope:
     if env is None:
         env = build_envelope(alpha, a, target_G)
         with _ENVELOPE_LOCK:
-            _ENVELOPE_CACHE.setdefault(key, env)
-        env = _ENVELOPE_CACHE[key]
+            if len(_ENVELOPE_CACHE) >= _ENVELOPE_CACHE_MAX:
+                _ENVELOPE_CACHE.clear()
+            env = _ENVELOPE_CACHE.setdefault(key, env)
     return env
 
 
@@ -263,15 +271,17 @@ def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size
     the chord's quadratic CDF in closed form, accept with probability
     f_W / g_L.  Acceptance rate is exactly 1/G_L.
     """
+    w, _ = _sample_w(envelope, a, alpha, stream, 1 if size is None else size)
+    return _squeeze(w, size)
+
+
+def _sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, n: int):
+    """n draws of W from :func:`sample_w`'s sampler and the number of proposals they took."""
     g = stream.gen
-    n = 1 if size is None else size
-    out = np.empty(n)
-    pending = np.arange(n)
-    rounds = 0
     bp, fv, slopes = envelope.breakpoints, envelope.f_values, envelope.slopes
     masses, cum = envelope.masses, envelope.cum_probabilities
-    while pending.size:
-        m = pending.size
+
+    def propose(m):
         seg = np.searchsorted(cum, g.random(m), side="right")
         seg = np.clip(seg, 0, envelope.segment_count - 1)
         y0 = fv[seg]
@@ -283,13 +293,9 @@ def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size
         s = 2.0 * u * q / (y0 + np.sqrt(y0 * y0 + 2.0 * sl * u * q))
         w = bp[seg] + s
         g_val = y0 + sl * s
-        accept = g.random(m) * g_val <= f_w_density(w, a, alpha)
-        out[pending[accept]] = w[accept]
-        pending = pending[~accept]
-        rounds += 1
-        if rounds > _MAX_PROPOSAL_ROUNDS:
-            raise RuntimeError("envelope rejection did not terminate")
-    return float(out[0]) if size is None else out
+        return w, g.random(m) * g_val <= f_w_density(w, a, alpha)
+
+    return _rejection_loop(propose, n, "envelope rejection")
 
 
 def sample_v_oucts(law: OuCtsStepLaw, stream: RngStream, size=None):
@@ -307,19 +313,7 @@ def sample_v_alpha0(a: float, stream: RngStream, size=None):
         raise ValueError(f"a must be in (0, 1), got {a}")
     u = stream.gen.random(1 if size is None else size)
     v = np.exp(-np.sqrt(u) * np.log(a))
-    return float(v[0]) if size is None else v
-
-
-def _compound_jumps_oucts(law: OuCtsStepLaw, stream: RngStream, n: int) -> np.ndarray:
-    alpha, beta_over_a = law.x1_params.alpha, law.x1_params.beta
-    beta = beta_over_a * law.a
-    counts = sample_poisson(law.lambda_a, stream, size=n)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(n)
-    v = sample_v_oucts(law, stream, size=total)
-    jumps = _gamma_shape_rate(stream, 1.0 - alpha, beta * v, size=total)
-    return segment_sums(jumps, counts)
+    return _squeeze(v, size)
 
 
 def sample_transition_oucts(
@@ -329,7 +323,6 @@ def sample_transition_oucts(
     stream: RngStream,
     size=None,
     target_G: float = DEFAULT_TARGET_G,
-    cts_method: str = "auto",
 ):
     """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``).
 
@@ -337,28 +330,26 @@ def sample_transition_oucts(
     rate c*log(a)^2/(2*T*b) with exponential(beta*V) jumps for the compound
     part, V drawn by :func:`sample_v_alpha0`.
     """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
+    a = decay(p.b, dt)
+    alpha = p.bdlp.alpha
     n = 1 if size is None else size
-    a = float(np.exp(-p.b * dt))
     if alpha == 0.0:
-        x1 = _gamma_shape_rate(stream, c * dt / p.T, beta / a, size=n)
-        lam = c * np.log(a) ** 2 / (2.0 * p.T * p.b)
-        counts = sample_poisson(lam, stream, size=n)
-        total = int(counts.sum())
-        if total:
-            v = sample_v_alpha0(a, stream, size=total)
-            jumps = _gamma_shape_rate(stream, 1.0, beta * v, size=total)
-            x2 = segment_sums(jumps, counts)
-        else:
-            x2 = np.zeros(n)
+        x1_params, beta = _x1_params(p, dt, a), p.bdlp.beta
+        rate = p.bdlp.c * np.log(a) ** 2 / (2.0 * p.T * p.b)
+        mixing = partial(sample_v_alpha0, a)
     else:
         law = step_law_oucts(p, dt, target_G)
-        x1 = sample_cts(law.x1_params, stream, size=n, method=cts_method)
-        x2 = _compound_jumps_oucts(law, stream, n)
-    out = a * np.asarray(x0, dtype=float) + x1 + x2
-    return float(out[0]) if size is None else out
+        # (beta/a)*a can differ from beta in the last bit; the golden hashes pin this form
+        x1_params, beta, rate = law.x1_params, law.x1_params.beta * law.a, law.lambda_a
+        mixing = partial(sample_v_oucts, law)
+    x1 = sample_cts(x1_params, stream, size=n)
+
+    def jumps(m):
+        # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
+        return _gamma_shape_rate(stream, 1.0 - alpha, beta * mixing(stream, size=m), size=m)
+
+    x2 = _compound_poisson(rate, jumps, stream, n)
+    return _squeeze(a * np.asarray(x0, dtype=float) + x1 + x2, size)
 
 
 def simulate_skeleton_oucts(
@@ -368,23 +359,12 @@ def simulate_skeleton_oucts(
     stream: RngStream,
     size=None,
     target_G: float = DEFAULT_TARGET_G,
-    cts_method: str = "auto",
 ):
     """Exact skeleton on an increasing grid; envelopes are cached per
     distinct step length, so mixed-step grids pay each envelope once."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-D array of times")
-    steps = np.diff(np.concatenate(([0.0], grid)))
-    if np.any(steps <= 0.0):
-        raise ValueError("grid times must be strictly increasing and positive")
-    shape = (grid.size,) if size is None else (grid.size, size)
-    out = np.empty(shape)
-    x = x0
-    for i, dt in enumerate(steps):
-        x = sample_transition_oucts(p, x, float(dt), stream, size, target_G, cts_method)
-        out[i] = x
-    return out
+    return simulate_skeleton(
+        lambda x, dt: sample_transition_oucts(p, x, dt, stream, size, target_G), x0, grid, size
+    )
 
 
 def cumulants_oucts(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
@@ -404,55 +384,29 @@ def cumulants_oucts(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     return float(val)
 
 
-def approx_x1_only(
-    p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None, cts_method: str = "auto"
-):
+def approx_x1_only(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None):
     """Approximate step dropping the compound-Poisson part of the increment."""
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    n = 1 if size is None else size
-    a = float(np.exp(-p.b * dt))
-    if alpha == 0.0:
-        x1 = _gamma_shape_rate(stream, c * dt / p.T, beta / a, size=n)
-    else:
-        x1 = sample_cts(
-            CtsParams(alpha, beta / a, c * _one_minus_pow(a, alpha) / (p.T * alpha * p.b)),
-            stream,
-            size=n,
-            method=cts_method,
-        )
-    out = a * np.asarray(x0, dtype=float) + x1
-    return float(out[0]) if size is None else out
+    a = decay(p.b, dt)
+    x1 = sample_cts(_x1_params(p, dt, a), stream, size=1 if size is None else size)
+    return _squeeze(a * np.asarray(x0, dtype=float) + x1, size)
 
 
 def x1_only_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     """Analytic cumulants of the x1-only approximation (its own target law)."""
-    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
     a = float(np.exp(-p.b * dt))
-    if alpha == 0.0:
-        val = c * dt / p.T * gamma_fn(float(k)) / (beta / a) ** k
-    else:
-        x1 = CtsParams(alpha, beta / a, c * _one_minus_pow(a, alpha) / (p.T * alpha * p.b))
-        val = cts_cumulants(x1, k)
+    val = cts_cumulants(_x1_params(p, dt, a), k)
     if k == 1:
         val += a * x0
     return float(val)
 
 
-def approx_scaled_bdlp(
-    p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None, cts_method: str = "auto"
-):
+def approx_scaled_bdlp(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None):
     """Approximate step replacing the increment with a decayed driving
     increment: a * L(dt) with L(dt) ~ CTS(alpha, beta, c*dt/T)."""
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    a = decay(p.b, dt)
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    n = 1 if size is None else size
-    a = float(np.exp(-p.b * dt))
-    incr = sample_cts(CtsParams(alpha, beta, c * dt / p.T), stream, size=n, method=cts_method)
-    out = a * (np.asarray(x0, dtype=float) + incr)
-    return float(out[0]) if size is None else out
+    incr = sample_cts(CtsParams(alpha, beta, c * dt / p.T), stream, size=1 if size is None else size)
+    return _squeeze(a * (np.asarray(x0, dtype=float) + incr), size)
 
 
 def scaled_bdlp_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
@@ -465,23 +419,15 @@ def scaled_bdlp_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> floa
     return float(val)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
 def jump_moment_oucts(a: float, alpha: float, beta: float, k: int) -> float:
     """k-th moment of one compound-Poisson jump, by quadrature over the
     mixing density (v^alpha - 1)/v scaled to integrate to one on [1, 1/a].
 
     The alpha = 0 limit uses density 2 log v / (v log^2 a).
     """
-    lo, hi = 1.0, 1.0 / a
-    v = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
     if alpha == 0.0:
-        f_v = 2.0 * np.log(v) / (v * np.log(a) ** 2)
-        cond = gamma_fn(1.0 + k) / (beta * v) ** k
+        f_v = lambda v: 2.0 * np.log(v) / (v * np.log(a) ** 2)
     else:
-        th = _theta(a, alpha)
-        norm = a**alpha * _expm1_minus_x(th)  # 1 - a^alpha + a^alpha log a^alpha
-        f_v = alpha * a**alpha * (v**alpha - 1.0) / (norm * v)
-        cond = gamma_fn(1.0 - alpha + k) / (gamma_fn(1.0 - alpha) * (beta * v) ** k)
-    return float(0.5 * (hi - lo) * np.sum(_GL_WEIGHTS * cond * f_v))
+        norm = a**alpha * _expm1_minus_x(_theta(a, alpha))  # 1 - a^alpha + a^alpha log a^alpha
+        f_v = lambda v: alpha * a**alpha * (v**alpha - 1.0) / (norm * v)
+    return gamma_mixture_moment(a, alpha, beta, k, f_v)

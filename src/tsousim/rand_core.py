@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from ._util import segment_sums
+
 __all__ = [
     "RngStream",
     "GammaLaw",
@@ -60,10 +62,6 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self.gen = np.random.Generator(self._bitgen)
-
-    def substream(self, stream_id: int) -> "RngStream":
-        """Fresh independent stream with the same seed and a new id."""
-        return RngStream(self.seed, stream_id)
 
     def clone(self) -> "RngStream":
         """Copy of this stream frozen at the current counter position."""
@@ -159,6 +157,41 @@ def sample_poisson(mean: float, stream: RngStream, size=None):
     return x
 
 
+def _compound_poisson(rate: float, draw_jumps, stream: RngStream, n: int) -> np.ndarray:
+    """Compound-Poisson sums for n independent transitions.
+
+    Counts are drawn first, then ``draw_jumps(total)`` draws every jump at
+    once, so the stream consumption is a deterministic function of the
+    counts.
+    """
+    counts = sample_poisson(rate, stream, size=n)
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(n)
+    return segment_sums(draw_jumps(total), counts)
+
+
+def _rejection_loop(propose, n: int, what: str):
+    """Vectorised rejection: ``propose(m)`` returns m candidates and their
+    accept mask; rejected slots are proposed again until all n are filled.
+
+    Returns the draws and the total number of proposals made.
+    """
+    out = np.empty(n)
+    pending = np.arange(n)
+    proposals = rounds = 0
+    while pending.size:
+        m = pending.size
+        x, accept = propose(m)
+        out[pending[accept]] = x[accept]
+        pending = pending[~accept]
+        proposals += m
+        rounds += 1
+        if rounds > _MAX_REJECTION_ROUNDS:
+            raise RuntimeError(f"{what} did not terminate in {_MAX_REJECTION_ROUNDS} rounds")
+    return out, proposals
+
+
 def _redraw_zeros(g: np.random.Generator, x: np.ndarray, draw) -> np.ndarray:
     # Measure-zero endpoints would produce log(0) below; redraw them.
     bad = x == 0.0
@@ -244,23 +277,12 @@ def sample_cts(params: CtsParams, stream: RngStream, size=None, method: str = "a
 
 def _cts_tilting(alpha: float, beta: float, sigma: float, stream: RngStream, n: int):
     """Tilting rejection: scaled stable proposals accepted with prob exp(-beta*x)."""
-    g = stream.gen
-    out = np.empty(n)
-    pending = np.arange(n)
-    rounds = 0
-    while pending.size:
-        m = pending.size
+
+    def propose(m):
         x = sigma * sample_stable_subordinator(alpha, stream, size=m)
-        accept = g.random(m) <= np.exp(-beta * x)
-        out[pending[accept]] = x[accept]
-        pending = pending[~accept]
-        rounds += 1
-        if rounds > _MAX_REJECTION_ROUNDS:
-            raise RuntimeError(
-                "tilting rejection did not terminate; acceptance probability "
-                "is too small for this route, use method='double-rejection'"
-            )
-    return out
+        return x, stream.gen.random(m) <= np.exp(-beta * x)
+
+    return _rejection_loop(propose, n, "tilting rejection")[0]
 
 
 def _sinc(x):
@@ -320,11 +342,7 @@ def _tilted_stable_double_rejection(
     w2 = 2.0 * math.sqrt(math.pi) * psi
     w3 = xi * math.pi
 
-    out = np.empty(n)
-    pending = np.arange(n)
-    rounds = 0
-    while pending.size:
-        m = pending.size
+    def propose(m):
         v = g.random(m)
         w = g.random(m)
         nrm = g.standard_normal(m)
@@ -373,12 +391,9 @@ def _tilted_stable_double_rejection(
             log_accept = log_accept - np.where(x > mm + delta, e1, 0.0)
             accept = stage1 & (x > 0.0) & (log_accept <= e2)
 
-        out[pending[accept]] = x[accept] ** (-b)
-        pending = pending[~accept]
-        rounds += 1
-        if rounds > _MAX_REJECTION_ROUNDS:
-            raise RuntimeError("double rejection did not terminate")
-    return out
+        return x, accept
+
+    return _rejection_loop(propose, n, "double rejection")[0] ** (-b)
 
 
 def sample_inverse_gaussian(mu: float, lambda_ig: float, stream: RngStream, size=None):

@@ -6,6 +6,7 @@ import numpy as np
 from scipy import stats
 
 from tsousim.harness import estimate_cumulants
+from tsousim.ou_cts import _sample_w
 
 
 def z_score(samples, truth: float, order: int, batches: int = 100) -> float:
@@ -43,24 +44,4 @@ def chi2_pvalue(draws, cdf, lo: float, hi: float, bins: int = 50) -> float:
 
 def envelope_acceptance(env, a: float, alpha: float, stream, n: int) -> float:
     """Measured acceptance rate of the chord-envelope rejection sampler."""
-    from tsousim.ou_cts import f_w_density
-
-    g = stream.gen
-    made = 0
-    remaining = n
-    while remaining:
-        seg = np.clip(
-            np.searchsorted(env.cum_probabilities, g.random(remaining), side="right"),
-            0,
-            env.segment_count - 1,
-        )
-        y0 = env.f_values[seg]
-        q = env.masses[seg]
-        sl = env.slopes[seg]
-        u = g.random(remaining)
-        s = 2.0 * u * q / (y0 + np.sqrt(y0 * y0 + 2.0 * sl * u * q))
-        w = env.breakpoints[seg] + s
-        accept = g.random(remaining) * (y0 + sl * s) <= f_w_density(w, a, alpha)
-        made += remaining
-        remaining = int((~accept).sum())
-    return n / made
+    return n / _sample_w(env, a, alpha, stream, n)[1]

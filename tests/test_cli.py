@@ -47,6 +47,14 @@ def test_missing_required_parameter():
         main(["cumulants", "--process", "cts-ou", "--alpha", "0.5"])
 
 
+@pytest.mark.parametrize("flag, value", [("--x0", "nan"), ("--x0", "inf"), ("--dt", "inf")])
+def test_non_finite_parameter_rejected(tmp_path, flag, value):
+    out = tmp_path / "traj.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(["simulate", *BASE, "--steps", "2", "--paths", "2", flag, value, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_validate_report(tmp_path, capsys):
     out = tmp_path / "report.txt"
     rc = main(["validate", "--out", str(out)])

@@ -100,6 +100,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             make_cfg(method="x1-only").validate()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(x0=float("nan")), dict(x0=float("inf")), dict(dt=float("inf")), dict(dt=float("nan"))],
+    )
+    def test_non_finite_x0_and_dt_rejected(self, bad):
+        with pytest.raises(ValueError):
+            make_cfg(**bad).validate()
+
     def test_approx_target_differs_from_truth(self):
         cfg = make_cfg(process="ou-cts", method="scaled-bdlp", dt=30.0 / 365.0)
         assert harness.target_cumulant(cfg, 2) < harness.true_cumulant(cfg, 2)

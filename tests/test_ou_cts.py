@@ -269,6 +269,14 @@ class TestSkeleton:
         assert np.array_equal(cold, warm)
         assert len(ou_cts._ENVELOPE_CACHE) == 2
 
+    def test_envelope_cache_is_bounded(self):
+        # every step length distinct: more envelopes than the cache keeps
+        steps = np.linspace(1e-3, 2e-3, ou_cts._ENVELOPE_CACHE_MAX + 50)
+        ou_cts._ENVELOPE_CACHE.clear()
+        path = simulate_skeleton_oucts(PROC, 0.0, np.cumsum(steps), RngStream(34, 4))
+        assert np.all(np.isfinite(path))
+        assert 0 < len(ou_cts._ENVELOPE_CACHE) <= ou_cts._ENVELOPE_CACHE_MAX
+
 
 class TestCumulants:
     def test_long_horizon_second_cumulant(self):

@@ -7,7 +7,7 @@ from scipy import stats
 from scipy.special import erfc, gamma as gamma_fn
 
 from _helpers import z_score
-from tsousim import cts_ou
+from tsousim import cts_ou, rand_core
 from tsousim.rand_core import (
     CtsParams,
     GammaLaw,
@@ -166,6 +166,29 @@ class TestCts:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             sample_cts(CtsParams(0.5, 1.0, 1.0), RngStream(5, 8), method="magic")
+
+
+class TestRejectionLoop:
+    def test_counts_every_proposal(self):
+        # accepts the first half (rounded up) of each round: 8 + 4 + 2 + 1
+        def propose(m):
+            return np.full(m, float(m)), np.arange(m) < (m + 1) // 2
+
+        draws, proposals = rand_core._rejection_loop(propose, 8, "halving")
+        assert proposals == 15
+        assert sorted(draws) == [1.0, 2.0, 4.0, 4.0, 8.0, 8.0, 8.0, 8.0]
+
+    def test_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 3)
+
+        def never(m):
+            return np.zeros(m), np.zeros(m, dtype=bool)
+
+        with pytest.raises(RuntimeError, match="did not terminate"):
+            rand_core._rejection_loop(never, 4, "never-accepting proposal")
+        # tilting acceptance ~1e-5: four rounds of four proposals accept nothing
+        with pytest.raises(RuntimeError, match="tilting rejection"):
+            sample_cts(CtsParams(0.9, 1.4, 0.8), RngStream(5, 9), size=4, method="tilting")
 
 
 class TestInverseGaussian:
