@@ -106,13 +106,17 @@ def sample_transition_ctsou(p: CtsOuProcess, x0, dt: float, stream: RngStream, s
     """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``).
 
     ``x0`` may be a scalar or an array of shape ``size``.  The alpha = 0
-    case is routed to :func:`gamma_ou_step`.
+    case is routed to :func:`gamma_ou_step`.  When a = exp(-b*dt)
+    underflows to 0.0 the transition law equals the stationary law up to
+    O(a), so the draw comes from the stationary CTS law.
     """
     if p.stationary.alpha == 0.0:
         return gamma_ou_step(p, x0, dt, stream, size)
     law = step_law(p, dt)
-    alpha, beta = law.x1_params.alpha, law.x1_params.beta
     n = 1 if size is None else size
+    if law.a == 0.0:
+        return _squeeze(sample_cts(p.stationary, stream, size=n), size)
+    alpha, beta = law.x1_params.alpha, law.x1_params.beta
     x1 = sample_cts(law.x1_params, stream, size=n)
 
     def jumps(m):

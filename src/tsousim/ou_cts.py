@@ -242,6 +242,11 @@ def step_law_oucts(
 def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
     """CTS part of the increment: CTS(alpha, beta/a, c (1 - a^alpha) / (T alpha b)),
     whose alpha -> 0 limit is the gamma law with shape c dt / T and rate beta/a."""
+    if a == 0.0:
+        raise ValueError(
+            f"b*dt = {p.b * dt!r} is too large: exp(-b*dt) underflows to 0.0, "
+            "so the CTS part's rate beta/a is infinite"
+        )
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
     if alpha == 0.0:
         return CtsParams(0.0, beta / a, c * dt / p.T)

@@ -145,6 +145,14 @@ class TestTransition:
             )
             assert abs(np.mean(np.exp(1j * u * x)) - target) < 4.0 / np.sqrt(n)
 
+    def test_underflowed_decay_draws_the_stationary_law(self):
+        # b*dt = 800: exp(-b*dt) is 0.0 in double precision, and the
+        # transition law is the stationary law up to O(a)
+        x = sample_transition_ctsou(PROC, 5.0, 80.0, RngStream(27, 1), size=1000)
+        assert np.array_equal(x, sample_cts(PROC.stationary, RngStream(27, 1), size=1000))
+        x = sample_transition_ctsou(PROC, 5.0, 80.0, RngStream(27, 2))
+        assert x == sample_cts(PROC.stationary, RngStream(27, 2))
+
     def test_x1_law_matches_inverse_gaussian_at_alpha_half(self):
         law = step_law(PROC, 30.0 / 365.0)
         c_eff, beta = law.x1_params.c, law.x1_params.beta

@@ -58,6 +58,31 @@ class TestEstimateCumulants:
         assert cv.k3 == pytest.approx(m3, abs=1e-12)
         assert cv.k4 == pytest.approx(m4 - 3 * m2**2, abs=1e-12)
 
+    def test_read_only_input_left_unchanged(self):
+        x = RngStream(505).gen.standard_normal(1000)
+        x.setflags(write=False)
+        before = x.copy()
+        estimate_cumulants(x, 10)
+        assert np.array_equal(x, before)
+
+    def test_matches_pow_reference_on_shifted_sample(self):
+        # a sample with a negative mean shift, so most centred values and
+        # all raw values carry either sign; reference moments via d**k
+        x = RngStream(506).gen.standard_exponential(10**5) - 3.0
+        cv = estimate_cumulants(x, 10)
+
+        def reference(y, axis=None):
+            m = np.mean(y, axis=axis, keepdims=axis is not None)
+            d = y - m
+            m2, m3, m4 = (np.mean(d**k, axis=axis) for k in (2, 3, 4))
+            return np.squeeze(m), m2, m3, m4 - 3.0 * m2 * m2
+
+        full = reference(x)
+        ses = [np.std(col, ddof=1) / np.sqrt(10) for col in reference(x.reshape(10, -1), axis=1)]
+        for k in (1, 2, 3, 4):
+            assert cv.k(k) == pytest.approx(full[k - 1], rel=1e-13)
+            assert cv.se(k) == pytest.approx(ses[k - 1], rel=1e-13)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             estimate_cumulants(np.ones(100), 1)

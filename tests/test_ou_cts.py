@@ -238,6 +238,13 @@ class TestTransition:
             empirical = np.mean(np.exp(1j * u * x))
             assert abs(empirical - target) < 4.0 / np.sqrt(n)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_underflowed_decay_is_rejected(self, alpha):
+        # b*dt = 800: exp(-b*dt) is 0.0 and the CTS part's rate beta/a is infinite
+        proc = OuCtsProcess(CtsParams(alpha, BETA, C), B)
+        with pytest.raises(ValueError, match=r"b\*dt = 800.0 .*underflows"):
+            sample_transition_oucts(proc, 0.0, 80.0, RngStream(33, 5), size=4)
+
     def test_alpha0_transition_cumulants(self):
         proc = OuCtsProcess(CtsParams(0.0, BETA, C), B)
         dt = 30.0 / 365.0
