@@ -11,6 +11,11 @@ jumps), both approximate methods and the validation report, whose
 acceptance values come from the proposal counter of the envelope
 sampler.
 
+The cumulant CSV hashes also pin the estimator's arithmetic: how the
+central moments are formed decides the last bits of the estimates and
+their standard errors.  The ``validate-report`` hash pins the proposal
+counts of the envelope draws on stream 901.
+
 The hashes assume numpy 2.4.6: they pin its Philox bit stream and the
 ziggurat normal, exponential and gamma generators built on it.  Another
 numpy version may legitimately produce different bytes.
@@ -108,7 +113,7 @@ CASES = {
     ),
     "cumulants-scaled-bdlp": (
         _cumulants("scaled-bdlp", "0.5", 18),
-        "249e3e3bfeffd0027976348f576001bd8a8083a44007f663ec1f986f40b89c99",
+        "ae8bf1d725861da7eb850bae080a48f44b28f9ebc0ccdd617f3daff93b3044e4",
     ),
     "skeleton-ctsou": (
         _skeleton("cts-ou", None),
@@ -120,7 +125,7 @@ CASES = {
     ),
     "validate-report": (
         _validate,
-        "6cdd76503d9269247e0e97edb1ad1e8f82a34b01cdaf51d1a8e09a050a9eb651",
+        "a71454dbc5f1ec329927bf91c076faebbe605ffc4f9919a27e32d8a0fd1f915c",
     ),
 }
 
