@@ -66,8 +66,8 @@ class TestEstimateCumulants:
         assert np.array_equal(x, before)
 
     def test_matches_pow_reference_on_shifted_sample(self):
-        # a sample with a negative mean shift, so most centred values and
-        # all raw values carry either sign; reference moments via d**k
+        # shifted so most raw values are negative and the centred values
+        # take both signs; the reference forms the moments with d**k
         x = RngStream(506).gen.standard_exponential(10**5) - 3.0
         cv = estimate_cumulants(x, 10)
 
