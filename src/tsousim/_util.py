@@ -16,11 +16,6 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return prefix[offsets[1:]] - prefix[offsets[:-1]]
 
 
-def round_sig(x: float, digits: int = 12) -> float:
-    """Round to a number of significant digits (cache-key normalisation)."""
-    return float(f"{x:.{digits}g}")
-
-
 def decay(b: float, dt: float) -> float:
     """OU scale a = exp(-b*dt) over a step; dt must be positive."""
     if not (dt > 0.0):

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cts_ou, levy_core, ou_cts
+from ._util import decay
 from .rand_core import CtsParams, RngStream
 
 __all__ = [
@@ -207,9 +208,7 @@ def _step_function(cfg: ExperimentConfig) -> Callable:
             proc, x, cfg.dt, stream, size=n
         )
     if cfg.method == "exact":
-        return lambda x, stream, n: ou_cts.sample_transition_oucts(
-            proc, x, cfg.dt, stream, size=n, target_G=cfg.target_G
-        )
+        return ou_cts.step_law_oucts(proc, cfg.dt, cfg.target_G).sample
     if cfg.method == "x1-only":
         return lambda x, stream, n: ou_cts.approx_x1_only(proc, x, cfg.dt, stream, size=n)
     return lambda x, stream, n: ou_cts.approx_scaled_bdlp(proc, x, cfg.dt, stream, size=n)
@@ -265,7 +264,7 @@ def target_cumulant(cfg: ExperimentConfig, k: int) -> float:
     proc = cfg.process_object()
     fn = ou_cts.x1_only_cumulants if cfg.method == "x1-only" else ou_cts.scaled_bdlp_cumulants
     z_k = fn(proc, 0.0, cfg.dt, k)
-    a = float(np.exp(-cfg.b * cfg.dt))
+    a = decay(cfg.b, cfg.dt)
     m = cfg.steps
     geom = m if a == 1.0 else (1.0 - a ** (k * m)) / (1.0 - a**k)
     val = z_k * geom

@@ -28,14 +28,12 @@ and badly biased for coarse steps.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from ._util import _one_minus_pow, decay, gamma_mixture_moment, round_sig, simulate_skeleton
+from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
 from .levy_core import cts_cumulants
 from .rand_core import (
     CtsParams,
@@ -69,11 +67,6 @@ __all__ = [
 ]
 
 DEFAULT_TARGET_G = 1.01
-
-# Envelopes kept per process before the cache is emptied; far more than
-# the distinct step lengths of any fixed or daily grid, so only long
-# irregular grids ever refill it.
-_ENVELOPE_CACHE_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -194,13 +187,19 @@ def build_envelope(
 
 @dataclass(frozen=True)
 class OuCtsStepLaw:
-    """Per-step transition decomposition: scale a, CTS component with
-    retempered rate beta/a, jump rate lambda_a, and the f_W envelope."""
+    """Transition law over one step: scale a, CTS component with retempered
+    rate beta/a, jump rate lambda_a, the jumps' tempering ``jump_beta`` and
+    the f_W envelope (None at alpha = 0, whose mixing law needs none).
+
+    Build it once per step length with :func:`step_law_oucts` and call
+    :meth:`sample` for every step of that length.
+    """
 
     a: float
     x1_params: CtsParams
     lambda_a: float
-    envelope: Envelope
+    jump_beta: float
+    envelope: Envelope | None
 
     def __post_init__(self):
         # a = exp(-b dt) underflows to 0.0 for very large steps; allow it
@@ -208,6 +207,20 @@ class OuCtsStepLaw:
             raise ValueError(f"scale a must be in [0, 1), got {self.a}")
         if not (self.lambda_a >= 0.0):
             raise ValueError(f"jump rate must be nonnegative, got {self.lambda_a}")
+
+    def sample(self, x0, stream: RngStream, size=None):
+        """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``)."""
+        alpha = self.x1_params.alpha
+        n = 1 if size is None else size
+        x1 = sample_cts(self.x1_params, stream, size=n)
+
+        def jumps(m):
+            # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
+            v = sample_v_oucts(self, stream, size=m)
+            return _gamma_shape_rate(stream, 1.0 - alpha, self.jump_beta * v, size=m)
+
+        x2 = _compound_poisson(self.lambda_a, jumps, stream, n)
+        return _squeeze(self.a * np.asarray(x0, dtype=float) + x1 + x2, size)
 
 
 def _lambda_a(p: OuCtsProcess, a: float) -> float:
@@ -227,16 +240,20 @@ def _lambda_a(p: OuCtsProcess, a: float) -> float:
 def step_law_oucts(
     p: OuCtsProcess, dt: float, target_G: float = DEFAULT_TARGET_G
 ) -> OuCtsStepLaw:
-    """Transition decomposition over a step of length ``dt`` (alpha > 0)."""
+    """Transition law over a step of length ``dt``.
+
+    alpha = 0 gives the limiting law: gamma(c*dt/T, beta/a) for the CTS
+    part, rate c*log(a)^2/(2*T*b) with exponential(beta*V) jumps for the
+    compound part, V drawn by :func:`sample_v_alpha0` (no envelope).
+    """
     a = decay(p.b, dt)
-    alpha = p.bdlp.alpha
-    if alpha == 0.0:
-        raise ValueError(
-            "alpha = 0 must use the limiting mixing law; see sample_v_alpha0 "
-            "and sample_transition_oucts, which handle it directly"
-        )
     x1 = _x1_params(p, dt, a)
-    return OuCtsStepLaw(a, x1, _lambda_a(p, a), _envelope_cached(alpha, a, target_G))
+    if p.bdlp.alpha == 0.0:
+        rate = p.bdlp.c * np.log(a) ** 2 / (2.0 * p.T * p.b)
+        return OuCtsStepLaw(a, x1, rate, p.bdlp.beta, None)
+    # (beta/a)*a can differ from beta in the last bit; the golden hashes pin this form
+    envelope = build_envelope(p.bdlp.alpha, a, target_G)
+    return OuCtsStepLaw(a, x1, _lambda_a(p, a), x1.beta * a, envelope)
 
 
 def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
@@ -251,22 +268,6 @@ def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
     if alpha == 0.0:
         return CtsParams(0.0, beta / a, c * dt / p.T)
     return CtsParams(alpha, beta / a, c * _one_minus_pow(a, alpha) / (p.T * alpha * p.b))
-
-
-_ENVELOPE_CACHE: dict = {}
-_ENVELOPE_LOCK = threading.Lock()
-
-
-def _envelope_cached(alpha: float, a: float, target_G: float) -> Envelope:
-    key = (round_sig(alpha), round_sig(a), round_sig(target_G))
-    env = _ENVELOPE_CACHE.get(key)
-    if env is None:
-        env = build_envelope(alpha, a, target_G)
-        with _ENVELOPE_LOCK:
-            if len(_ENVELOPE_CACHE) >= _ENVELOPE_CACHE_MAX:
-                _ENVELOPE_CACHE.clear()
-            env = _ENVELOPE_CACHE.setdefault(key, env)
-    return env
 
 
 def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size=None):
@@ -305,7 +306,10 @@ def _sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, n: 
 
 def sample_v_oucts(law: OuCtsStepLaw, stream: RngStream, size=None):
     """Mixing factor V = a^-W on [1, 1/a], density
-    alpha a^alpha (v^alpha - 1) / ((1 - a^alpha + a^alpha log a^alpha) v)."""
+    alpha a^alpha (v^alpha - 1) / ((1 - a^alpha + a^alpha log a^alpha) v);
+    at alpha = 0 (no envelope) the limiting law of :func:`sample_v_alpha0`."""
+    if law.envelope is None:
+        return sample_v_alpha0(law.a, stream, size)
     w = sample_w(law.envelope, law.a, law.x1_params.alpha, stream, size)
     v = np.exp(-np.asarray(w, dtype=float) * np.log(law.a))
     return float(v) if size is None else v
@@ -329,32 +333,9 @@ def sample_transition_oucts(
     size=None,
     target_G: float = DEFAULT_TARGET_G,
 ):
-    """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``).
-
-    alpha = 0 uses the limiting law: gamma(c*dt/T, beta/a) for the CTS part,
-    rate c*log(a)^2/(2*T*b) with exponential(beta*V) jumps for the compound
-    part, V drawn by :func:`sample_v_alpha0`.
-    """
-    a = decay(p.b, dt)
-    alpha = p.bdlp.alpha
-    n = 1 if size is None else size
-    if alpha == 0.0:
-        x1_params, beta = _x1_params(p, dt, a), p.bdlp.beta
-        rate = p.bdlp.c * np.log(a) ** 2 / (2.0 * p.T * p.b)
-        mixing = partial(sample_v_alpha0, a)
-    else:
-        law = step_law_oucts(p, dt, target_G)
-        # (beta/a)*a can differ from beta in the last bit; the golden hashes pin this form
-        x1_params, beta, rate = law.x1_params, law.x1_params.beta * law.a, law.lambda_a
-        mixing = partial(sample_v_oucts, law)
-    x1 = sample_cts(x1_params, stream, size=n)
-
-    def jumps(m):
-        # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
-        return _gamma_shape_rate(stream, 1.0 - alpha, beta * mixing(stream, size=m), size=m)
-
-    x2 = _compound_poisson(rate, jumps, stream, n)
-    return _squeeze(a * np.asarray(x0, dtype=float) + x1 + x2, size)
+    """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``);
+    see :func:`step_law_oucts` for the law and its alpha = 0 limit."""
+    return step_law_oucts(p, dt, target_G).sample(x0, stream, size)
 
 
 def simulate_skeleton_oucts(
@@ -365,8 +346,7 @@ def simulate_skeleton_oucts(
     size=None,
     target_G: float = DEFAULT_TARGET_G,
 ):
-    """Exact skeleton on an increasing grid; envelopes are cached per
-    distinct step length, so mixed-step grids pay each envelope once."""
+    """Exact skeleton on an increasing grid, one step law per step."""
     return simulate_skeleton(
         lambda x, dt: sample_transition_oucts(p, x, dt, stream, size, target_G), x0, grid, size
     )
@@ -398,7 +378,7 @@ def approx_x1_only(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None)
 
 def x1_only_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     """Analytic cumulants of the x1-only approximation (its own target law)."""
-    a = float(np.exp(-p.b * dt))
+    a = decay(p.b, dt)
     val = cts_cumulants(_x1_params(p, dt, a), k)
     if k == 1:
         val += a * x0
@@ -417,7 +397,7 @@ def approx_scaled_bdlp(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=N
 def scaled_bdlp_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     """Analytic cumulants of the scaled-driving approximation."""
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    a = float(np.exp(-p.b * dt))
+    a = decay(p.b, dt)
     val = a**k * cts_cumulants(CtsParams(alpha, beta, c * dt / p.T), k)
     if k == 1:
         val += a * x0

@@ -261,7 +261,14 @@ def sample_cts(params: CtsParams, stream: RngStream, size=None, method: str = "a
 
     # CTS(alpha, beta, c) = sigma * (standard stable tilted by lam), with
     # sigma**alpha = c * Gamma(1-alpha) / alpha and lam = beta * sigma.
-    sigma = (c * gamma_fn(1.0 - a) / a) ** (1.0 / a)
+    with np.errstate(over="ignore"):
+        sigma = (c * gamma_fn(1.0 - a) / a) ** (1.0 / a)
+    if math.isinf(sigma):
+        # both routes would reject every proposal until the round cap
+        raise ValueError(
+            f"CTS scale (c*Gamma(1-alpha)/alpha)^(1/alpha) overflows for alpha = {a!r}, "
+            f"c = {c!r}; alpha is too small for this c"
+        )
     lam = b * sigma
     if method == "auto":
         accept = cts_tilting_acceptance(params)

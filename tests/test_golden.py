@@ -19,10 +19,6 @@ counts of the envelope draws on stream 901.
 The hashes assume numpy 2.4.6: they pin its Philox bit stream and the
 ziggurat normal, exponential and gamma generators built on it.  Another
 numpy version may legitimately produce different bytes.
-
-The chord-envelope cache is keyed on 12 significant digits of ``a``, so
-the first step length that builds an envelope decides its last bits;
-every case therefore starts from an empty cache.
 """
 
 import hashlib
@@ -30,7 +26,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from tsousim import ou_cts
 from tsousim.cli import main
 from tsousim.cts_ou import CtsOuProcess, simulate_skeleton_ctsou
 from tsousim.ou_cts import OuCtsProcess, simulate_skeleton_oucts
@@ -133,6 +128,5 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_hash(name, tmp_path):
     produce, want = CASES[name]
-    ou_cts._ENVELOPE_CACHE.clear()
     got = hashlib.sha256(produce(tmp_path)).hexdigest()
     assert got == want, f"{name}: output bytes changed (sha256 {got})"

@@ -189,6 +189,19 @@ class TestTrajectories:
         with pytest.raises(ValueError):
             export_trajectories(make_cfg(out=None), count=1)
 
+    def test_one_envelope_per_experiment(self, tmp_path, monkeypatch):
+        builds = []
+        build = harness.ou_cts.build_envelope
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(harness.ou_cts, "build_envelope", counted)
+        cfg = make_cfg(process="ou-cts", steps=200, out=str(tmp_path / "t.csv"), paths=4)
+        export_trajectories(cfg, count=4)
+        assert len(builds) == 1
+
 
 class TestValidateSuite:
     def test_fresh_suite_passes(self):

@@ -7,7 +7,7 @@ from scipy import integrate, stats
 from scipy.special import gamma as gamma_fn
 
 from _helpers import chi2_pvalue, envelope_acceptance, z_score
-from tsousim import ou_cts
+from tsousim import ou_cts, rand_core
 from tsousim.levy_core import cts_cumulants, ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
@@ -80,9 +80,12 @@ class TestStepLaw:
             C * (1.0 - law.a**0.5) / (PROC.T * 0.5 * B), rel=1e-12
         )
 
-    def test_alpha0_is_redirected(self):
-        with pytest.raises(ValueError, match="sample_v_alpha0"):
-            step_law_oucts(OuCtsProcess(CtsParams(0.0, BETA, C), B), 0.1)
+    def test_alpha0_limiting_law(self):
+        law = step_law_oucts(OuCtsProcess(CtsParams(0.0, BETA, C), B), 0.1)
+        assert law.envelope is None
+        assert law.lambda_a == pytest.approx(
+            C * np.log(law.a) ** 2 / (2.0 * PROC.T * B), rel=1e-15
+        )
 
 
 class TestMixingDensityW:
@@ -245,6 +248,12 @@ class TestTransition:
         with pytest.raises(ValueError, match=r"b\*dt = 800.0 .*underflows"):
             sample_transition_oucts(proc, 0.0, 80.0, RngStream(33, 5), size=4)
 
+    def test_overflowing_cts_scale_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
+        proc = OuCtsProcess(CtsParams(0.002, BETA, C), B)
+        with pytest.raises(ValueError, match=r"overflows for alpha = 0\.002"):
+            sample_transition_oucts(proc, 0.0, 30.0 / 365.0, RngStream(33, 6), size=4)
+
     def test_alpha0_transition_cumulants(self):
         proc = OuCtsProcess(CtsParams(0.0, BETA, C), B)
         dt = 30.0 / 365.0
@@ -268,21 +277,22 @@ class TestSkeleton:
         for k in (1, 2, 3, 4):
             assert abs(z_score(x, cumulants_oucts(PROC, 0.0, dt, k), k)) < 4.0
 
-    def test_envelope_cache_is_transparent(self):
-        grid = [0.02, 0.1, 0.12, 0.2]  # two distinct step lengths
-        ou_cts._ENVELOPE_CACHE.clear()
-        cold = simulate_skeleton_oucts(PROC, 0.3, grid, RngStream(34, 3), size=8)
-        warm = simulate_skeleton_oucts(PROC, 0.3, grid, RngStream(34, 3), size=8)
-        assert np.array_equal(cold, warm)
-        assert len(ou_cts._ENVELOPE_CACHE) == 2
-
-    def test_envelope_cache_is_bounded(self):
-        # every step length distinct: more envelopes than the cache keeps
-        steps = np.linspace(1e-3, 2e-3, ou_cts._ENVELOPE_CACHE_MAX + 50)
-        ou_cts._ENVELOPE_CACHE.clear()
-        path = simulate_skeleton_oucts(PROC, 0.0, np.cumsum(steps), RngStream(34, 4))
-        assert np.all(np.isfinite(path))
-        assert 0 < len(ou_cts._ENVELOPE_CACHE) <= ou_cts._ENVELOPE_CACHE_MAX
+    def test_draws_do_not_depend_on_earlier_calls(self):
+        p = OuCtsProcess(CtsParams(0.9, BETA, C), B)
+        grid = 0.3 * np.arange(1, 201)
+        # rounding gives the uniform grid 9 step lengths that differ only in their last bits
+        steps = np.unique(np.diff(np.concatenate(([0.0], grid))))
+        assert steps.size == 9
+        before = simulate_skeleton_oucts(p, 0.0, grid, RngStream(42, 0), size=8)
+        for dt in steps:
+            sample_transition_oucts(p, 0.0, float(dt), RngStream(42, 1), size=2)
+        after = simulate_skeleton_oucts(p, 0.0, grid, RngStream(42, 0), size=8)
+        assert before.tobytes() == after.tobytes()
+        # every step law carries the envelope of its own a, whatever ran before
+        for dt in steps:
+            law = step_law_oucts(p, float(dt))
+            own = build_envelope(0.9, law.a)
+            assert law.envelope.f_values.tobytes() == own.f_values.tobytes()
 
 
 class TestCumulants:

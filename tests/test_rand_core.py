@@ -167,6 +167,14 @@ class TestCts:
         with pytest.raises(ValueError):
             sample_cts(CtsParams(0.5, 1.0, 1.0), RngStream(5, 8), method="magic")
 
+    @pytest.mark.parametrize("method", ["tilting", "double-rejection"])
+    def test_overflowing_scale_rejected(self, method, monkeypatch):
+        # sigma = (c Gamma(1-alpha)/alpha)^(1/alpha) is inf: no proposal could be
+        # accepted; a small round cap makes a missing check fail fast, not spin
+        monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
+        with pytest.raises(ValueError, match=r"alpha = 0\.002, c = 0\.8"):
+            sample_cts(CtsParams(0.002, 1.4, 0.8), RngStream(5, 10), size=4, method=method)
+
 
 class TestRejectionLoop:
     def test_counts_every_proposal(self):
