@@ -12,6 +12,7 @@ from .rand_core import (
     CtsParams,
     GammaLaw,
     RngStream,
+    StepLaw,
     cts_tilting_acceptance,
     sample_cts,
     sample_gamma,
@@ -42,7 +43,6 @@ from .cts_ou import (
     CtsOuProcess,
     CtsOuStepLaw,
     cumulants_ctsou,
-    gamma_ou_step,
     sample_transition_ctsou,
     sample_v_ctsou,
     simulate_skeleton_ctsou,
@@ -52,8 +52,6 @@ from .ou_cts import (
     Envelope,
     OuCtsProcess,
     OuCtsStepLaw,
-    approx_scaled_bdlp,
-    approx_x1_only,
     build_envelope,
     cumulants_oucts,
     f_w_density,
@@ -61,8 +59,10 @@ from .ou_cts import (
     sample_v_alpha0,
     sample_v_oucts,
     sample_w,
+    scaled_bdlp_law,
     simulate_skeleton_oucts,
     step_law_oucts,
+    x1_only_law,
 )
 from .harness import (
     CumulantVector,

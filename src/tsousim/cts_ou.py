@@ -11,9 +11,11 @@ CTS(alpha, beta, c) splits into two independent parts:
   drawn on [1, 1/a] by plain inverse transform.
 
 No acceptance-rejection loop appears anywhere in this step besides the
-one inside the CTS sampler itself.  The alpha = 0 case (gamma stationary
-law) is handled separately: there the driving process is compound Poisson
-and the step is a decayed-jump sum, see :func:`gamma_ou_step`.
+one inside the CTS sampler itself.  At alpha = 0 (gamma stationary law,
+gamma-OU) the driving process is compound Poisson and there is no CTS
+part: N ~ Poisson(c*b*dt) exponential(beta) jumps, each decayed by
+exp(-b*dt*U) at a uniform arrival time U.  :func:`step_law` returns both
+as one :class:`CtsOuStepLaw`, whose ``sample`` draws the transition.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleto
 from .rand_core import (
     CtsParams,
     RngStream,
-    _compound_poisson,
+    StepLaw,
     _gamma_shape_rate,
     _squeeze,
-    sample_cts,
 )
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "step_law",
     "sample_v_ctsou",
     "sample_transition_ctsou",
-    "gamma_ou_step",
     "simulate_skeleton_ctsou",
     "cumulants_ctsou",
     "jump_moment_ctsou",
@@ -59,32 +59,43 @@ class CtsOuProcess:
 
 
 @dataclass(frozen=True)
-class CtsOuStepLaw:
-    """Per-step transition decomposition: scale a, CTS component, jump rate."""
+class CtsOuStepLaw(StepLaw):
+    """Transition law over one step: scale a, CTS part ``x1_params`` (None
+    at alpha = 0), jump rate lambda_a, the stationary tempering ``beta``
+    and ``b_dt = b*dt``, which decays the alpha = 0 jumps."""
 
-    a: float
-    x1_params: CtsParams
-    lambda_a: float
+    beta: float
+    b_dt: float
 
-    def __post_init__(self):
-        # a = exp(-b dt) underflows to 0.0 for very large steps; allow it
-        if not (0.0 <= self.a < 1.0):
-            raise ValueError(f"scale a must be in [0, 1), got {self.a}")
-        if not (self.lambda_a > 0.0):
-            raise ValueError(f"jump rate must be positive, got {self.lambda_a}")
+    def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
+        if self.x1_params is None:
+            # exponential(beta) jumps decayed over uniform arrival times; the
+            # uniform time trick replaces the ordered Poisson arrival times
+            u = stream.gen.random(m)
+            return stream.gen.standard_exponential(m) / self.beta * np.exp(-self.b_dt * u)
+        # gamma(1-alpha, beta*V) with V on [1, 1/a]
+        alpha = self.x1_params.alpha
+        v = sample_v_ctsou(self.a, alpha, stream, size=m)
+        return _gamma_shape_rate(stream, 1.0 - alpha, self.beta * v, size=m)
+
+    def sample(self, x0, stream: RngStream, size=None):
+        """As :meth:`StepLaw.sample`; when a underflows to 0.0 (alpha > 0) the
+        transition law is the stationary law ``x1_params`` up to O(a), so the
+        jumps are dropped."""
+        if self.a == 0.0 and self.x1_params is not None:
+            return StepLaw(0.0, self.x1_params, 0.0).sample(x0, stream, size)
+        return super().sample(x0, stream, size)
 
 
 def step_law(p: CtsOuProcess, dt: float) -> CtsOuStepLaw:
-    """Transition decomposition over a step of length ``dt`` (alpha > 0)."""
+    """Transition law over a step of length ``dt``, for every alpha."""
     a = decay(p.b, dt)
     alpha, beta, c = p.stationary.alpha, p.stationary.beta, p.stationary.c
     if alpha == 0.0:
-        raise ValueError(
-            "alpha = 0 has a compound-Poisson driving process; use gamma_ou_step"
-        )
+        return CtsOuStepLaw(a, None, c * p.b * dt, beta, p.b * dt)
     shrink = _one_minus_pow(a, alpha)
     lam = c * gamma_fn(1.0 - alpha) * beta**alpha / alpha * shrink
-    return CtsOuStepLaw(a, CtsParams(alpha, beta, c * shrink), lam)
+    return CtsOuStepLaw(a, CtsParams(alpha, beta, c * shrink), lam, beta, p.b * dt)
 
 
 def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size=None):
@@ -103,50 +114,9 @@ def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size=None):
 
 
 def sample_transition_ctsou(p: CtsOuProcess, x0, dt: float, stream: RngStream, size=None):
-    """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``).
-
-    ``x0`` may be a scalar or an array of shape ``size``.  The alpha = 0
-    case is routed to :func:`gamma_ou_step`.  When a = exp(-b*dt)
-    underflows to 0.0 the transition law equals the stationary law up to
-    O(a), so the draw comes from the stationary CTS law.
-    """
-    if p.stationary.alpha == 0.0:
-        return gamma_ou_step(p, x0, dt, stream, size)
-    law = step_law(p, dt)
-    n = 1 if size is None else size
-    if law.a == 0.0:
-        return _squeeze(sample_cts(p.stationary, stream, size=n), size)
-    alpha, beta = law.x1_params.alpha, law.x1_params.beta
-    x1 = sample_cts(law.x1_params, stream, size=n)
-
-    def jumps(m):
-        # gamma(1-alpha, beta*V) with V on [1, 1/a]
-        v = sample_v_ctsou(law.a, alpha, stream, size=m)
-        return _gamma_shape_rate(stream, 1.0 - alpha, beta * v, size=m)
-
-    x2 = _compound_poisson(law.lambda_a, jumps, stream, n)
-    return _squeeze(law.a * np.asarray(x0, dtype=float) + x1 + x2, size)
-
-
-def gamma_ou_step(p: CtsOuProcess, x0, dt: float, stream: RngStream, size=None):
-    """Exact gamma-OU transition (alpha = 0): decayed compound-Poisson jumps.
-
-    X(dt) = a*x0 + sum_k J_k exp(-b*dt*U_k) with N ~ Poisson(c*b*dt),
-    J_k ~ exponential(beta) and U_k uniform; the uniform time trick replaces
-    the ordered Poisson arrival times.
-    """
-    if p.stationary.alpha != 0.0:
-        raise ValueError("gamma_ou_step requires a stationary law with alpha = 0")
-    a = decay(p.b, dt)
-    beta, c = p.stationary.beta, p.stationary.c
-    n = 1 if size is None else size
-
-    def jumps(m):
-        u = stream.gen.random(m)
-        return stream.gen.standard_exponential(m) / beta * np.exp(-p.b * dt * u)
-
-    x2 = _compound_poisson(c * p.b * dt, jumps, stream, n)
-    return _squeeze(a * np.asarray(x0, dtype=float) + x2, size)
+    """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``);
+    see :func:`step_law` for the law."""
+    return step_law(p, dt).sample(x0, stream, size)
 
 
 def simulate_skeleton_ctsou(p: CtsOuProcess, x0, grid, stream: RngStream, size=None):

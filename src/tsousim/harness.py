@@ -41,8 +41,16 @@ __all__ = [
 # layout (and with it every drawn variate) is independent of parallelism.
 BLOCK_SIZE = 1 << 16
 
-PROCESS_KINDS = ("cts-ou", "ou-cts")
-METHODS = ("exact", "x1-only", "scaled-bdlp")
+# (process, method) -> builder of the step law that the configuration samples;
+# the harness builds one law per experiment and steps every path with it
+STEP_LAWS = {
+    ("cts-ou", "exact"): lambda proc, cfg: cts_ou.step_law(proc, cfg.dt),
+    ("ou-cts", "exact"): lambda proc, cfg: ou_cts.step_law_oucts(proc, cfg.dt, cfg.target_G),
+    ("ou-cts", "x1-only"): lambda proc, cfg: ou_cts.x1_only_law(proc, cfg.dt),
+    ("ou-cts", "scaled-bdlp"): lambda proc, cfg: ou_cts.scaled_bdlp_law(proc, cfg.dt),
+}
+PROCESS_KINDS = tuple(dict.fromkeys(process for process, _ in STEP_LAWS))
+METHODS = tuple(dict.fromkeys(method for _, method in STEP_LAWS))
 
 
 @dataclass
@@ -69,12 +77,11 @@ class ExperimentConfig:
     def validate(self, check_batches: bool = True) -> "ExperimentConfig":
         """Parameter-domain checks; ``check_batches=False`` relaxes the
         paths >= batches constraint, which only matters for cumulant runs."""
-        if self.process not in PROCESS_KINDS:
-            raise ValueError(f"process must be one of {PROCESS_KINDS}, got {self.process!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method != "exact" and self.process != "ou-cts":
-            raise ValueError(f"method {self.method!r} is only defined for ou-cts")
+        if (self.process, self.method) not in STEP_LAWS:
+            raise ValueError(
+                f"(process, method) must be one of {list(STEP_LAWS)}, "
+                f"got {(self.process, self.method)!r}"
+            )
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.x0):
@@ -201,17 +208,9 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
 
 
 def _step_function(cfg: ExperimentConfig) -> Callable:
-    """(x, stream, n) -> next x over one dt, honouring process and method."""
-    proc = cfg.process_object()
-    if cfg.process == "cts-ou":
-        return lambda x, stream, n: cts_ou.sample_transition_ctsou(
-            proc, x, cfg.dt, stream, size=n
-        )
-    if cfg.method == "exact":
-        return ou_cts.step_law_oucts(proc, cfg.dt, cfg.target_G).sample
-    if cfg.method == "x1-only":
-        return lambda x, stream, n: ou_cts.approx_x1_only(proc, x, cfg.dt, stream, size=n)
-    return lambda x, stream, n: ou_cts.approx_scaled_bdlp(proc, x, cfg.dt, stream, size=n)
+    """(x, stream, n) -> next x over one dt: the configuration's step law,
+    built once, sampled every step."""
+    return STEP_LAWS[(cfg.process, cfg.method)](cfg.process_object(), cfg).sample
 
 
 def _block_layout(paths: int):

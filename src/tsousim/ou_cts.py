@@ -19,11 +19,11 @@ total mass G_L is a trapezoidal overestimate of 1; doubling the number of
 chords drives G_L, and with it the expected number of rejection rounds,
 as close to 1 as requested, no matter how small ``a`` is.
 
-Two cheap approximate steps are also provided for comparison: dropping
-the compound part entirely (``approx_x1_only``) and replacing the whole
-increment with a decayed driving-process increment (``approx_scaled_bdlp``).
-Both are asymptotically exact as dt -> 0 because lambda_a = O(dt^2) here,
-and badly biased for coarse steps.
+Two cheap approximate step laws are also provided for comparison:
+dropping the compound part entirely (:func:`x1_only_law`) and replacing
+the whole increment with a decayed driving-process increment
+(:func:`scaled_bdlp_law`).  Both are asymptotically exact as dt -> 0
+because lambda_a = O(dt^2) here, and badly biased for coarse steps.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .levy_core import cts_cumulants
 from .rand_core import (
     CtsParams,
     RngStream,
-    _compound_poisson,
+    StepLaw,
+    _finite_start,
     _gamma_shape_rate,
     _rejection_loop,
     _squeeze,
@@ -48,6 +49,7 @@ from .rand_core import (
 __all__ = [
     "OuCtsProcess",
     "OuCtsStepLaw",
+    "ScaledBdlpLaw",
     "Envelope",
     "build_envelope",
     "step_law_oucts",
@@ -58,8 +60,8 @@ __all__ = [
     "sample_transition_oucts",
     "simulate_skeleton_oucts",
     "cumulants_oucts",
-    "approx_x1_only",
-    "approx_scaled_bdlp",
+    "x1_only_law",
+    "scaled_bdlp_law",
     "x1_only_cumulants",
     "scaled_bdlp_cumulants",
     "jump_moment_oucts",
@@ -186,41 +188,20 @@ def build_envelope(
 
 
 @dataclass(frozen=True)
-class OuCtsStepLaw:
-    """Transition law over one step: scale a, CTS component with retempered
+class OuCtsStepLaw(StepLaw):
+    """Transition law over one step: scale a, CTS part with retempered
     rate beta/a, jump rate lambda_a, the jumps' tempering ``jump_beta`` and
-    the f_W envelope (None at alpha = 0, whose mixing law needs none).
-
-    Build it once per step length with :func:`step_law_oucts` and call
-    :meth:`sample` for every step of that length.
+    the f_W envelope (None at alpha = 0, whose mixing law needs none);
+    build it with :func:`step_law_oucts`.
     """
 
-    a: float
-    x1_params: CtsParams
-    lambda_a: float
     jump_beta: float
     envelope: Envelope | None
 
-    def __post_init__(self):
-        # a = exp(-b dt) underflows to 0.0 for very large steps; allow it
-        if not (0.0 <= self.a < 1.0):
-            raise ValueError(f"scale a must be in [0, 1), got {self.a}")
-        if not (self.lambda_a >= 0.0):
-            raise ValueError(f"jump rate must be nonnegative, got {self.lambda_a}")
-
-    def sample(self, x0, stream: RngStream, size=None):
-        """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``)."""
-        alpha = self.x1_params.alpha
-        n = 1 if size is None else size
-        x1 = sample_cts(self.x1_params, stream, size=n)
-
-        def jumps(m):
-            # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
-            v = sample_v_oucts(self, stream, size=m)
-            return _gamma_shape_rate(stream, 1.0 - alpha, self.jump_beta * v, size=m)
-
-        x2 = _compound_poisson(self.lambda_a, jumps, stream, n)
-        return _squeeze(self.a * np.asarray(x0, dtype=float) + x1 + x2, size)
+    def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
+        # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
+        v = sample_v_oucts(self, stream, size=m)
+        return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, self.jump_beta * v, size=m)
 
 
 def _lambda_a(p: OuCtsProcess, a: float) -> float:
@@ -325,30 +306,17 @@ def sample_v_alpha0(a: float, stream: RngStream, size=None):
     return _squeeze(v, size)
 
 
-def sample_transition_oucts(
-    p: OuCtsProcess,
-    x0,
-    dt: float,
-    stream: RngStream,
-    size=None,
-    target_G: float = DEFAULT_TARGET_G,
-):
+def sample_transition_oucts(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None):
     """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``);
-    see :func:`step_law_oucts` for the law and its alpha = 0 limit."""
-    return step_law_oucts(p, dt, target_G).sample(x0, stream, size)
+    see :func:`step_law_oucts` for the law, its alpha = 0 limit and the
+    envelope's ``target_G``."""
+    return step_law_oucts(p, dt).sample(x0, stream, size)
 
 
-def simulate_skeleton_oucts(
-    p: OuCtsProcess,
-    x0,
-    grid,
-    stream: RngStream,
-    size=None,
-    target_G: float = DEFAULT_TARGET_G,
-):
+def simulate_skeleton_oucts(p: OuCtsProcess, x0, grid, stream: RngStream, size=None):
     """Exact skeleton on an increasing grid, one step law per step."""
     return simulate_skeleton(
-        lambda x, dt: sample_transition_oucts(p, x, dt, stream, size, target_G), x0, grid, size
+        lambda x, dt: sample_transition_oucts(p, x, dt, stream, size), x0, grid, size
     )
 
 
@@ -369,11 +337,10 @@ def cumulants_oucts(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     return float(val)
 
 
-def approx_x1_only(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None):
-    """Approximate step dropping the compound-Poisson part of the increment."""
+def x1_only_law(p: OuCtsProcess, dt: float) -> StepLaw:
+    """Approximate step law dropping the compound-Poisson part of the increment."""
     a = decay(p.b, dt)
-    x1 = sample_cts(_x1_params(p, dt, a), stream, size=1 if size is None else size)
-    return _squeeze(a * np.asarray(x0, dtype=float) + x1, size)
+    return StepLaw(a, _x1_params(p, dt, a), 0.0)
 
 
 def x1_only_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
@@ -385,13 +352,24 @@ def x1_only_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     return float(val)
 
 
-def approx_scaled_bdlp(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None):
-    """Approximate step replacing the increment with a decayed driving
+@dataclass(frozen=True)
+class ScaledBdlpLaw(StepLaw):
+    """Approximate step X(dt) = a * (x0 + L(dt)), L(dt) ~ ``increment``; the
+    sum is scaled, not a*x0 + a*L, which differs in the last bit."""
+
+    increment: CtsParams
+
+    def sample(self, x0, stream: RngStream, size=None):
+        x0 = _finite_start(x0)
+        incr = sample_cts(self.increment, stream, size=1 if size is None else size)
+        return _squeeze(self.a * (x0 + incr), size)
+
+
+def scaled_bdlp_law(p: OuCtsProcess, dt: float) -> ScaledBdlpLaw:
+    """Approximate step law replacing the increment with a decayed driving
     increment: a * L(dt) with L(dt) ~ CTS(alpha, beta, c*dt/T)."""
-    a = decay(p.b, dt)
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    incr = sample_cts(CtsParams(alpha, beta, c * dt / p.T), stream, size=1 if size is None else size)
-    return _squeeze(a * (np.asarray(x0, dtype=float) + incr), size)
+    return ScaledBdlpLaw(decay(p.b, dt), None, 0.0, CtsParams(alpha, beta, c * dt / p.T))
 
 
 def scaled_bdlp_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:

@@ -35,6 +35,7 @@ __all__ = [
     "sample_cts",
     "sample_inverse_gaussian",
     "cts_tilting_acceptance",
+    "StepLaw",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -169,6 +170,49 @@ def _compound_poisson(rate: float, draw_jumps, stream: RngStream, n: int) -> np.
     if total == 0:
         return np.zeros(n)
     return segment_sums(draw_jumps(total), counts)
+
+
+def _finite_start(x0) -> np.ndarray:
+    """``x0`` as a float array; a NaN or infinite start is a ValueError."""
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
+    return x0
+
+
+@dataclass(frozen=True)
+class StepLaw:
+    """Transition law over one OU step, a = exp(-b*dt):
+
+        X(dt) = a*x0 + CTS(x1_params) + Poisson(lambda_a) jumps from draw_jumps,
+
+    with no CTS part when ``x1_params`` is None and no jumps when ``lambda_a``
+    is 0; the process families differ only in :meth:`draw_jumps`.  Build
+    one per step length and call :meth:`sample` for every step of that length.
+    """
+
+    a: float
+    x1_params: CtsParams | None
+    lambda_a: float
+
+    def __post_init__(self):
+        # a = exp(-b dt) underflows to 0.0 for very large steps; allow it
+        if not (0.0 <= self.a < 1.0):
+            raise ValueError(f"scale a must be in [0, 1), got {self.a}")
+        if not (self.lambda_a >= 0.0):
+            raise ValueError(f"jump rate must be nonnegative, got {self.lambda_a}")
+
+    def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
+        """m independent jumps of the compound-Poisson part."""
+        raise NotImplementedError(f"{type(self).__name__} defines no jump law")
+
+    def sample(self, x0, stream: RngStream, size=None):
+        """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``)."""
+        x0 = _finite_start(x0)
+        n = 1 if size is None else size
+        x1 = 0.0 if self.x1_params is None else sample_cts(self.x1_params, stream, size=n)
+        x2 = _compound_poisson(self.lambda_a, lambda m: self.draw_jumps(stream, m), stream, n)
+        return _squeeze(self.a * x0 + x1 + x2, size)
 
 
 def _rejection_loop(propose, n: int, what: str):

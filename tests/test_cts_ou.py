@@ -11,7 +11,6 @@ from _helpers import FixedStream, chi2_pvalue, z_score
 from tsousim.cts_ou import (
     CtsOuProcess,
     cumulants_ctsou,
-    gamma_ou_step,
     jump_moment_ctsou,
     sample_transition_ctsou,
     sample_v_ctsou,
@@ -56,9 +55,11 @@ class TestStepLaw:
         lam = step_law(PROC, 1e3).lambda_a
         assert lam == pytest.approx(C * gamma_fn(0.5) * BETA**0.5 / 0.5, rel=1e-12)
 
-    def test_alpha0_is_redirected(self):
-        with pytest.raises(ValueError, match="gamma_ou_step"):
-            step_law(CtsOuProcess(CtsParams(0.0, BETA, C), B), 0.1)
+    def test_alpha0_gamma_ou_law(self):
+        # alpha = 0: no CTS part, Poisson(c*b*dt) decayed exponential jumps
+        law = step_law(CtsOuProcess(CtsParams(0.0, BETA, C), B), 0.1)
+        assert law.x1_params is None
+        assert law.lambda_a == C * B * 0.1
 
 
 class TestMixingFactor:
@@ -153,6 +154,14 @@ class TestTransition:
         x = sample_transition_ctsou(PROC, 5.0, 80.0, RngStream(27, 2))
         assert x == sample_cts(PROC.stationary, RngStream(27, 2))
 
+    @pytest.mark.parametrize("dt", [1.0 / 365.0, 80.0])
+    def test_non_finite_start_rejected(self, dt):
+        # dt = 80 takes the stationary redirect, whose draw does not depend on x0
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            sample_transition_ctsou(PROC, float("nan"), dt, RngStream(27, 3))
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            sample_transition_ctsou(PROC, np.array([1.0, np.inf]), dt, RngStream(27, 3), size=2)
+
     def test_x1_law_matches_inverse_gaussian_at_alpha_half(self):
         law = step_law(PROC, 30.0 / 365.0)
         c_eff, beta = law.x1_params.c, law.x1_params.beta
@@ -168,27 +177,23 @@ class TestGammaOuStep:
 
     def test_reaches_stationary_gamma_law(self):
         dt = 20.0 / B  # b*dt = 20: the decayed start is below double precision
-        x = gamma_ou_step(self.PROC0, 0.0, dt, RngStream(23, 1), size=2 * 10**5)
+        x = sample_transition_ctsou(self.PROC0, 0.0, dt, RngStream(23, 1), size=2 * 10**5)
         for k in (1, 2, 3, 4):
             truth = C * gamma_fn(float(k)) / BETA**k
             assert abs(z_score(x, truth, k)) < 4.0
 
     def test_no_jump_branch(self):
         quiet = CtsOuProcess(CtsParams(0.0, BETA, 1e-12), B)
-        x = gamma_ou_step(quiet, 3.0, 0.01, RngStream(23, 2), size=50)
+        x = sample_transition_ctsou(quiet, 3.0, 0.01, RngStream(23, 2), size=50)
         assert np.allclose(x, np.exp(-B * 0.01) * 3.0, rtol=0, atol=1e-14)
 
     def test_mean_against_generic_ou_formula(self):
         dt = 0.1
-        x = gamma_ou_step(self.PROC0, 1.0, dt, RngStream(23, 3), size=10**6)
+        x = sample_transition_ctsou(self.PROC0, 1.0, dt, RngStream(23, 3), size=10**6)
         truth = ou_cumulants_from_stationary(
             lambda k: cts_cumulants(self.PROC0.stationary, k), 1.0, B, dt, 1
         )
         assert abs(z_score(x, truth, 1)) < 4.0
-
-    def test_alpha_guard(self):
-        with pytest.raises(ValueError):
-            gamma_ou_step(PROC, 0.0, 0.1, RngStream(23, 4))
 
 
 class TestSkeleton:

@@ -13,7 +13,7 @@ from tsousim.harness import (
     simulate_terminal,
     validate_suite,
 )
-from tsousim.rand_core import RngStream
+from tsousim.rand_core import RngStream, StepLaw
 
 REF = dict(beta=1.4, c=0.8, b=10.0)
 
@@ -133,6 +133,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             make_cfg(**bad).validate()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
+    @pytest.mark.parametrize(
+        "x0,size",
+        [(float("nan"), None), (float("inf"), None), (np.array([0.0, np.nan]), 2)],
+        ids=["nan", "inf", "nan-in-array"],
+    )
+    def test_every_step_law_rejects_non_finite_start(self, alpha, process, method, x0, size):
+        cfg = make_cfg(process=process, method=method, alpha=alpha)
+        law = harness.STEP_LAWS[(process, method)](cfg.process_object(), cfg)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            law.sample(x0, RngStream(510), size)
+
     def test_approx_target_differs_from_truth(self):
         cfg = make_cfg(process="ou-cts", method="scaled-bdlp", dt=30.0 / 365.0)
         assert harness.target_cumulant(cfg, 2) < harness.true_cumulant(cfg, 2)
@@ -201,6 +214,22 @@ class TestTrajectories:
         cfg = make_cfg(process="ou-cts", steps=200, out=str(tmp_path / "t.csv"), paths=4)
         export_trajectories(cfg, count=4)
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
+    def test_one_step_law_per_experiment(self, process, method, tmp_path, monkeypatch):
+        built = []
+        check = StepLaw.__post_init__
+
+        def counted(law):
+            built.append(type(law).__name__)
+            check(law)
+
+        monkeypatch.setattr(StepLaw, "__post_init__", counted)
+        cfg = make_cfg(
+            process=process, method=method, steps=200, out=str(tmp_path / "t.csv"), paths=4
+        )
+        export_trajectories(cfg, count=4)
+        assert len(built) == 1, built
 
 
 class TestValidateSuite:

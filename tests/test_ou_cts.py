@@ -11,8 +11,6 @@ from tsousim import ou_cts, rand_core
 from tsousim.levy_core import cts_cumulants, ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
-    approx_scaled_bdlp,
-    approx_x1_only,
     build_envelope,
     cumulants_oucts,
     f_w_density,
@@ -22,10 +20,12 @@ from tsousim.ou_cts import (
     sample_v_oucts,
     sample_w,
     scaled_bdlp_cumulants,
+    scaled_bdlp_law,
     simulate_skeleton_oucts,
     single_chord_mass,
     step_law_oucts,
     x1_only_cumulants,
+    x1_only_law,
 )
 from tsousim.rand_core import CtsParams, RngStream
 
@@ -353,7 +353,7 @@ class TestApproximations:
 
     def test_x1_only_self_consistency(self):
         dt, n = 30.0 / 365.0, 2 * 10**5
-        x = approx_x1_only(PROC, 0.3, dt, RngStream(35, 1), size=n)
+        x = x1_only_law(PROC, dt).sample(0.3, RngStream(35, 1), size=n)
         for k in (1, 2):
             assert abs(z_score(x, x1_only_cumulants(PROC, 0.3, dt, k), k)) < 4.0
 
@@ -374,6 +374,6 @@ class TestApproximations:
 
     def test_scaled_bdlp_self_consistency(self):
         dt, n = 30.0 / 365.0, 2 * 10**5
-        x = approx_scaled_bdlp(PROC, 0.3, dt, RngStream(35, 2), size=n)
+        x = scaled_bdlp_law(PROC, dt).sample(0.3, RngStream(35, 2), size=n)
         for k in (1, 2):
             assert abs(z_score(x, scaled_bdlp_cumulants(PROC, 0.3, dt, k), k)) < 4.0
