@@ -11,6 +11,13 @@ jumps), both approximate methods and the validation report, whose
 acceptance values come from the proposal counter of the envelope
 sampler.
 
+The ``cts-dr-*`` cases pin Devroye's double-rejection kernel on its own:
+10^4 draws of ``sample_cts(..., method="double-rejection")`` at alpha
+0.3, 0.5, 0.7 and 0.9, each at one tilt with gamma = lam^alpha *
+alpha * (1 - alpha) below 1 and one above, so both proposal mixtures of
+the first stage run, followed by the next 16 uniforms of the same
+stream, so how many draws each round consumes is pinned too.
+
 The cumulant CSV hashes also pin the estimator's arithmetic: how the
 central moments are formed decides the last bits of the estimates and
 their standard errors.  The ``validate-report`` hash pins the proposal
@@ -25,11 +32,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn
 
 from tsousim.cli import main
 from tsousim.cts_ou import CtsOuProcess, simulate_skeleton_ctsou
 from tsousim.ou_cts import OuCtsProcess, simulate_skeleton_oucts
-from tsousim.rand_core import CtsParams, RngStream
+from tsousim.rand_core import CtsParams, RngStream, sample_cts
 
 PARAMS = ["--beta", "1.4", "--c", "0.8", "--b", "10", "--x0", "0"]
 DAY = repr(1.0 / 365.0)
@@ -67,6 +75,19 @@ def _skeleton(kind, size):
         else:
             out = simulate_skeleton_oucts(OuCtsProcess(params, 10.0), 0.0, grid, RngStream(42, 0), size)
         return np.ascontiguousarray(out, dtype=np.float64).tobytes()
+
+    return run
+
+
+def _cts_dr(alpha, c, seed, heavy):
+    def run(tmp_path):
+        params = CtsParams(alpha, 1.4, c)
+        # Devroye's gamma = lam^alpha * alpha * (1 - alpha), with lam = beta * sigma
+        gamma_ = params.beta**alpha * c * gamma_fn(1.0 - alpha) * (1.0 - alpha)
+        assert (gamma_ >= 1.0) == heavy
+        stream = RngStream(seed, 3)
+        x = sample_cts(params, stream, size=10**4, method="double-rejection")
+        return np.concatenate([x, stream.gen.random(16)]).tobytes()
 
     return run
 
@@ -117,6 +138,38 @@ CASES = {
     "skeleton-oucts": (
         _skeleton("ou-cts", 4),
         "a0c06d44fddf95bfd6239fd235792cd13603a80bd5d5cd9b23b1b01284d9fcf7",
+    ),
+    "cts-dr-alpha0.3-light": (
+        _cts_dr(0.3, 0.5, 30, heavy=False),
+        "c8c9424707300ecb5d867811d21cf60baa862676e0a296e023f74243436071f3",
+    ),
+    "cts-dr-alpha0.3-heavy": (
+        _cts_dr(0.3, 3.0, 31, heavy=True),
+        "14e971c8b927bd9a6c10729ba21eb38e94e264ad0e5c473cb9456483fa3790a4",
+    ),
+    "cts-dr-alpha0.5-light": (
+        _cts_dr(0.5, 0.5, 32, heavy=False),
+        "61a6737bdc37841402c0cd52a778f6125a77a13c90b39a9477edabb11837386f",
+    ),
+    "cts-dr-alpha0.5-heavy": (
+        _cts_dr(0.5, 3.0, 33, heavy=True),
+        "5340b3cf13d8db3070065eb3eb57a85172ca6cd537acf680d898abd69f155298",
+    ),
+    "cts-dr-alpha0.7-light": (
+        _cts_dr(0.7, 0.5, 34, heavy=False),
+        "df9a6ed103775001e23fda2f125ccb77134cc8878802551229f489eeaf8d8b54",
+    ),
+    "cts-dr-alpha0.7-heavy": (
+        _cts_dr(0.7, 3.0, 35, heavy=True),
+        "b12372024316af5256c1737c237f5adffdd8ee0fe403f1e0d775ef152822cf2d",
+    ),
+    "cts-dr-alpha0.9-light": (
+        _cts_dr(0.9, 0.5, 36, heavy=False),
+        "5d3dca5359724d86a705a818ca59a6701be6771865ee2d970f7f121337149f9d",
+    ),
+    "cts-dr-alpha0.9-heavy": (
+        _cts_dr(0.9, 3.0, 37, heavy=True),
+        "f9738eecf4bd4fed6a31237b0fc9e250c9d4d425b55c95403716c94bd29ab7e7",
     ),
     "validate-report": (
         _validate,
