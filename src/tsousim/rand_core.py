@@ -336,33 +336,15 @@ def _cts_tilting(alpha: float, beta: float, sigma: float, stream: RngStream, n: 
     return _rejection_loop(propose, n, "tilting rejection")[0]
 
 
-def _sinc(x):
-    # sin(x)/x with a series near zero (unnormalised, unlike np.sinc).
-    x = np.asarray(x, dtype=float)
+def _sinc(x, sin_x):
+    # sin(x)/x from a precomputed sin(x), with a series near zero
+    # (unnormalised, unlike np.sinc).
     small = np.abs(x) < 6e-3
     xs = np.where(small, x, 1.0)
     series = 1.0 - xs * xs / 6.0 * (1.0 - xs * xs / 20.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.sin(x) / x
+        direct = sin_x / x
     return np.where(small, series, direct)
-
-
-def _zolotarev_a(theta, alpha: float):
-    """Zolotarev's function A(theta) entering the stable density."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return (
-            np.sin(alpha * theta) ** alpha
-            * np.sin((1.0 - alpha) * theta) ** (1.0 - alpha)
-            / np.sin(theta)
-        ) ** (1.0 / (1.0 - alpha))
-
-
-def _zolotarev_ratio(theta, alpha: float):
-    # B(theta)/B(0) in Devroye's notation, written with sinc for stability.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _sinc(theta) / (
-            _sinc(alpha * theta) ** alpha * _sinc((1.0 - alpha) * theta) ** (1.0 - alpha)
-        )
 
 
 def _tilted_stable_double_rejection(
@@ -375,6 +357,15 @@ def _tilted_stable_double_rejection(
     exp(-u**alpha)).  The expected number of iterations is uniformly
     bounded in ``lam``, which is what makes heavy tilts affordable.
     Uses Hofert's numerically stable form of the log acceptance ratio.
+
+    Every round draws the same eight length-m arrays in the same order
+    (``v, w, nrm``, the stage-1 uniform, then ``v2, nrm2, u3, e1``), so the
+    stream consumption depends only on the number of candidates.  Stage 1
+    (the angle ``u`` and its bound ``rho``) runs on every candidate; stage 2
+    (Zolotarev's A(u), the mixture proposal for x and the log acceptance
+    ratio) runs only on the stage-1 survivors.  sin(u), sin(alpha*u) and
+    sin((1-alpha)*u) are computed once per round and feed both the sinc
+    ratio of stage 1 and A(u) of stage 2.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"stable index must be in (0, 1), got {alpha}")
@@ -404,7 +395,15 @@ def _tilted_stable_double_rejection(
         inside = (u > 0.0) & (u < np.pi)
 
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            zeta = np.sqrt(_zolotarev_ratio(u, alpha))
+            # stage 1, every candidate: zeta = sqrt(B(u)/B(0)) in Devroye's
+            # notation, written with sinc for stability
+            au = alpha * u
+            bu = (1.0 - alpha) * u
+            sin_u, sin_au, sin_bu = np.sin(u), np.sin(au), np.sin(bu)
+            zeta = np.sqrt(
+                _sinc(u, sin_u)
+                / (_sinc(au, sin_au) ** alpha * _sinc(bu, sin_bu) ** (1.0 - alpha))
+            )
             z = 1.0 / (1.0 - (1.0 + alpha * zeta / sqrt_gamma) ** (-1.0 / alpha))
             d = np.where(inside, psi / np.sqrt(np.pi - u), 0.0)
             if gamma_ >= 1.0:
@@ -418,31 +417,39 @@ def _tilted_stable_double_rejection(
                 / ((1.0 + c1) * sqrt_gamma / zeta + z)
             )
             big_z = g.random(m) * rho
-            stage1 = inside & (big_z <= 1.0)
+            v2 = g.random(m)
+            nrm2 = g.standard_normal(m)
+            u3 = g.random(m)
+            e1 = g.standard_exponential(m)
 
-            a_zol = _zolotarev_a(u, alpha)
+            # stage 2, survivors only (elementwise, so the same values as
+            # on the full arrays)
+            k = np.flatnonzero(inside & (big_z <= 1.0))
+            z, v2, nrm2, u3, e1 = z[k], v2[k], nrm2[k], u3[k], e1[k]
+            # Zolotarev's function A(u) entering the stable density
+            a_zol = (
+                sin_au[k] ** alpha * sin_bu[k] ** (1.0 - alpha) / sin_u[k]
+            ) ** (1.0 / (1.0 - alpha))
             mm = (b / a_zol) ** alpha * lam_alpha
             delta = np.sqrt(mm * alpha / a_zol)
             a1 = delta * c1
             a3 = z / a_zol
             s = a1 + delta + a3
-
-            v2 = g.random(m)
-            nrm2 = g.standard_normal(m)
-            u3 = g.random(m)
-            e1 = g.standard_exponential(m)
             x = np.where(
                 v2 < a1 / s,
                 mm - delta * np.abs(nrm2),
                 np.where(v2 < (a1 + delta) / s, mm + delta * u3, mm + delta + e1 * a3),
             )
-            e2 = -np.log(big_z)
+            e2 = -np.log(big_z[k])
             log_accept = a_zol * (x - mm) + lam * mm ** (-b) * ((mm / x) ** b - 1.0)
             log_accept = log_accept - np.where(x < mm, nrm2 * nrm2 / 2.0, 0.0)
             log_accept = log_accept - np.where(x > mm + delta, e1, 0.0)
-            accept = stage1 & (x > 0.0) & (log_accept <= e2)
 
-        return x, accept
+        accept = np.zeros(m, dtype=bool)
+        accept[k] = (x > 0.0) & (log_accept <= e2)
+        out = np.zeros(m)
+        out[k] = x
+        return out, accept
 
     return _rejection_loop(propose, n, "double rejection")[0] ** (-b)
 
