@@ -1,9 +1,12 @@
 """The benchmark under ``bench/`` binds library functions by name: the
 tracer rebinds every ``(module, name)`` in ``tracing.WRAPPED`` and the
 small-batch workload looks its transition samplers up with ``getattr``.
-A refactor that renames or deletes one of them breaks the benchmark only
-when it runs (the smoke test takes minutes); these checks fail at once.
-They load the benchmark modules by path and change nothing in them."""
+The tracer also classifies each ``sample_cts`` call into a CTS route from
+outside, with ``cts_tilting_acceptance`` and ``TILTING_ACCEPTANCE_FLOOR``.
+A refactor that renames or deletes one of them, or changes how
+``sample_cts`` picks its route, breaks the benchmark only when it runs
+(the smoke test takes minutes); these checks fail at once.  They load
+the benchmark modules by path and change nothing in them."""
 
 import importlib.util
 import sys
@@ -12,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsousim import ou_cts
+from tsousim import cts_ou, ou_cts, rand_core
 from tsousim.rand_core import CtsParams, RngStream
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -47,3 +50,30 @@ def test_envelope_extractor_reads_the_step_law():
     proc = ou_cts.OuCtsProcess(CtsParams(0.5, 1.4, 0.8), 10.0)
     segments, mass = tracing._envelope((), {}, ou_cts.step_law_oucts(proc, 1.0 / 365.0))
     assert segments >= 4 and 1.0 < mass <= ou_cts.DEFAULT_TARGET_G
+
+
+ROUTES = {"_gamma_shape_rate": "gamma", "_cts_tilting": "tilting",
+          "_tilted_stable_double_rejection": "double-rejection"}
+
+
+def step_cts(alpha, dt):
+    proc = cts_ou.CtsOuProcess(CtsParams(alpha, 1.4, 0.8), 10.0)
+    return cts_ou.step_law(proc, dt).x1_params
+
+
+@pytest.mark.parametrize("params,route", [
+    (CtsParams(0.0, 1.4, 0.8), "gamma"),
+    (step_cts(0.5, 1.0 / 365.0), "tilting"),
+    (step_cts(0.9, 30.0 / 365.0), "double-rejection"),  # cumulant-coarse's CTS-OU DR cell
+])
+def test_tracer_route_is_the_route_sample_cts_takes(params, route, monkeypatch):
+    taken = []
+    for name, label in ROUTES.items():
+        def spy(*args, _fn=getattr(rand_core, name), _label=label, **kwargs):
+            taken.append(_label)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(rand_core, name, spy)
+    args = (params, RngStream(1), 4)
+    result = rand_core.sample_cts(*args)
+    assert taken == [route]
+    assert tracing._cts_route(args, {}, result)[1] == route
