@@ -42,7 +42,6 @@ __all__ = [
     "sample_transition_ctsou",
     "simulate_skeleton_ctsou",
     "cumulants_ctsou",
-    "jump_moment_ctsou",
 ]
 
 
@@ -78,13 +77,32 @@ class CtsOuStepLaw(StepLaw):
         v = sample_v_ctsou(self.a, alpha, stream, size=m)
         return _gamma_shape_rate(stream, 1.0 - alpha, self.beta * v, size=m)
 
-    def sample(self, x0, stream: RngStream, size=None):
-        """As :meth:`StepLaw.sample`; when a underflows to 0.0 (alpha > 0) the
-        transition law is the stationary law ``x1_params`` up to O(a), so the
-        jumps are dropped."""
+    def jump_moment(self, k: int) -> float:
+        """k-th jump moment by quadrature over the mixing law of V on [1, 1/a]:
+        f_V(v) = alpha v^(alpha-1) / (a^-alpha - 1), or 1/(v b_dt) at alpha = 0,
+        where V = exp(b_dt U) undoes the decay at the uniform arrival time U."""
+        a = self.a
+        if self.x1_params is None:
+            alpha, f_v = 0.0, lambda v: 1.0 / (v * self.b_dt)
+        else:
+            alpha = self.x1_params.alpha
+            f_v = lambda v: alpha * v ** (alpha - 1.0) / (a ** -alpha - 1.0)
+        return gamma_mixture_moment(a, alpha, self.beta, k, f_v)
+
+    def _redirected(self) -> StepLaw:
+        # when a underflows to 0.0 (alpha > 0) the transition law is the
+        # stationary law x1_params up to O(a), so the jumps are dropped
         if self.a == 0.0 and self.x1_params is not None:
-            return StepLaw(0.0, self.x1_params, 0.0).sample(x0, stream, size)
-        return super().sample(x0, stream, size)
+            return StepLaw(0.0, self.x1_params, 0.0)
+        return self
+
+    def cumulant(self, k: int, x0: float = 0.0) -> float:
+        """As :meth:`StepLaw.cumulant`, of the law :meth:`sample` draws from."""
+        return StepLaw.cumulant(self._redirected(), k, x0)
+
+    def sample(self, x0, stream: RngStream, size=None):
+        """As :meth:`StepLaw.sample`; an underflowed a draws the stationary law."""
+        return StepLaw.sample(self._redirected(), x0, stream, size)
 
 
 def step_law(p: CtsOuProcess, dt: float) -> CtsOuStepLaw:
@@ -140,11 +158,3 @@ def cumulants_ctsou(p: CtsOuProcess, x0: float, dt: float, k: int) -> float:
     if k == 1:
         val += x0 * np.exp(-p.b * dt)
     return float(val)
-
-
-def jump_moment_ctsou(a: float, alpha: float, beta: float, k: int) -> float:
-    """k-th moment of one compound-Poisson jump, by quadrature over the
-    mixing law f_V(v) = alpha v^(alpha-1) / (a^-alpha - 1) on [1, 1/a]."""
-    return gamma_mixture_moment(
-        a, alpha, beta, k, lambda v: alpha * v ** (alpha - 1.0) / (a ** -alpha - 1.0)
-    )

@@ -21,8 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cts_ou, levy_core, ou_cts
-from ._util import decay
-from .rand_core import CtsParams, RngStream
+from .rand_core import CtsParams, RngStream, StepLaw, cts_cumulants
 
 __all__ = [
     "BLOCK_SIZE",
@@ -95,10 +94,10 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         CtsParams(self.alpha, self.beta, self.c)  # parameter-domain check
-        if not (self.b > 0.0):
-            raise ValueError(f"b must be positive, got {self.b}")
-        if not (self.T > 0.0):
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (0.0 < self.b < math.inf):
+            raise ValueError(f"b must be positive and finite, got {self.b}")
+        if not (0.0 < self.T < math.inf):
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         return self
 
     def params(self) -> CtsParams:
@@ -207,10 +206,9 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
     return CumulantVector(*(float(v) for v in full), *ses, provenance="estimated")
 
 
-def _step_function(cfg: ExperimentConfig) -> Callable:
-    """(x, stream, n) -> next x over one dt: the configuration's step law,
-    built once, sampled every step."""
-    return STEP_LAWS[(cfg.process, cfg.method)](cfg.process_object(), cfg).sample
+def _step_law(cfg: ExperimentConfig) -> StepLaw:
+    """The configuration's step law over one dt, built once per experiment."""
+    return STEP_LAWS[(cfg.process, cfg.method)](cfg.process_object(), cfg)
 
 
 def _block_layout(paths: int):
@@ -231,7 +229,7 @@ def _run_blocks(cfg: ExperimentConfig, job: Callable, paths: int) -> list:
 def simulate_terminal(cfg: ExperimentConfig) -> np.ndarray:
     """Terminal values X(steps * dt) of cfg.paths independent paths."""
     cfg.validate()
-    step = _step_function(cfg)
+    step = _step_law(cfg).sample
 
     def job(block_index: int, n: int) -> np.ndarray:
         stream = RngStream(cfg.seed, block_index)
@@ -255,18 +253,15 @@ def target_cumulant(cfg: ExperimentConfig, k: int) -> float:
     """Analytic cumulant of the law the configured method actually samples.
 
     Equals :func:`true_cumulant` for the exact method.  For the approximate
-    steps the per-step increment cumulants accumulate geometrically along
+    steps the step law's increment cumulants accumulate geometrically along
     the recursion X_m = a X_{m-1} + Z.
     """
     if cfg.method == "exact":
         return true_cumulant(cfg, k)
-    proc = cfg.process_object()
-    fn = ou_cts.x1_only_cumulants if cfg.method == "x1-only" else ou_cts.scaled_bdlp_cumulants
-    z_k = fn(proc, 0.0, cfg.dt, k)
-    a = decay(cfg.b, cfg.dt)
-    m = cfg.steps
-    geom = m if a == 1.0 else (1.0 - a ** (k * m)) / (1.0 - a**k)
-    val = z_k * geom
+    law = _step_law(cfg)
+    a, m = law.a, cfg.steps
+    geom = (1.0 - a ** (k * m)) / (1.0 - a**k)
+    val = law.cumulant(k) * geom
     if k == 1:
         val += cfg.x0 * a**m
     return val
@@ -305,7 +300,7 @@ def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
     if not cfg.out:
         raise ValueError("config must set an output file for trajectories")
     cfg.validate(check_batches=False)
-    step = _step_function(cfg)
+    step = _step_law(cfg).sample
 
     def job(block_index: int, n: int) -> np.ndarray:
         stream = RngStream(cfg.seed, block_index)
@@ -393,11 +388,10 @@ def _check_decomposition_cumulants(report: ValidationReport) -> None:
         for a in (0.9, 0.5, 0.1):
             params = CtsParams(alpha, 1.4, 0.8)
             dec = levy_core.ts_remainder_decompose(params, a)
+            law = cts_ou.CtsOuStepLaw(a, dec.scaled, dec.lambda_a, params.beta, -math.log(a))
             for k in (1, 2, 3, 4):
-                lhs = levy_core.cts_cumulants(dec.scaled, k) + dec.lambda_a * (
-                    cts_ou.jump_moment_ctsou(a, alpha, params.beta, k)
-                )
-                rhs = (1.0 - a**k) * levy_core.cts_cumulants(params, k)
+                lhs = law.cumulant(k)
+                rhs = (1.0 - a**k) * cts_cumulants(params, k)
                 worst = max(worst, abs(lhs / rhs - 1.0))
     report.add(
         "remainder decomposition cumulants",
@@ -444,32 +438,17 @@ def _check_envelopes(
 
 def _check_additivity(report: ValidationReport) -> None:
     b, c, beta = _REFERENCE_PARAMS
-    worst_cts, worst_ou = 0.0, 0.0
-    for alpha in _ALPHA_GRID:
-        for dt in (1.0 / 365.0, 30.0 / 365.0):
-            pc = cts_ou.CtsOuProcess(CtsParams(alpha, beta, c), b)
-            law = cts_ou.step_law(pc, dt)
-            po = ou_cts.OuCtsProcess(CtsParams(alpha, beta, c), b)
-            slaw = ou_cts.step_law_oucts(po, dt)
-            for k in (1, 2, 3, 4):
-                lhs = levy_core.cts_cumulants(law.x1_params, k) + law.lambda_a * (
-                    cts_ou.jump_moment_ctsou(law.a, alpha, beta, k)
-                )
-                worst_cts = max(
-                    worst_cts, abs(lhs / cts_ou.cumulants_ctsou(pc, 0.0, dt, k) - 1.0)
-                )
-                lhs = levy_core.cts_cumulants(slaw.x1_params, k) + slaw.lambda_a * (
-                    ou_cts.jump_moment_oucts(slaw.a, alpha, beta, k)
-                )
-                worst_ou = max(
-                    worst_ou, abs(lhs / ou_cts.cumulants_oucts(po, 0.0, dt, k) - 1.0)
-                )
-    report.add(
-        "cumulant additivity (cts-ou)", worst_cts < 1e-6, f"max rel dev = {worst_cts:.3e}"
-    )
-    report.add(
-        "cumulant additivity (ou-cts)", worst_ou < 1e-6, f"max rel dev = {worst_ou:.3e}"
-    )
+    for process in PROCESS_KINDS:
+        worst = 0.0
+        for alpha in _ALPHA_GRID:
+            for dt in (1.0 / 365.0, 30.0 / 365.0):
+                cfg = ExperimentConfig(process, alpha, beta, c, b, dt, paths=0, seed=0)
+                law = _step_law(cfg)
+                for k in (1, 2, 3, 4):
+                    worst = max(worst, abs(law.cumulant(k) / true_cumulant(cfg, k) - 1.0))
+        report.add(
+            f"cumulant additivity ({process})", worst < 1e-6, f"max rel dev = {worst:.3e}"
+        )
 
 
 def _check_limits(report: ValidationReport) -> None:

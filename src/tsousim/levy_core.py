@@ -33,7 +33,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 from ._util import _one_minus_pow
-from .rand_core import CtsParams
+from .rand_core import CtsParams, cts_cumulants
 
 __all__ = [
     "LevyTriplet",
@@ -480,13 +480,6 @@ def bdlp_density_from_stationary(
         h = max(1e-6, 1e-4 * abs(x))
         d = (float(nu_X(x + h)) - float(nu_X(x - h))) / (2.0 * h)
     return -T * b * (float(nu_X(x)) + x * d)
-
-
-def cts_cumulants(p: CtsParams, k: int) -> float:
-    """k-th cumulant of a one-sided CTS law: c * beta^(alpha-k) * Gamma(k-alpha)."""
-    if k < 1:
-        raise ValueError(f"cumulant order must be >= 1, got {k}")
-    return p.c * p.beta ** (p.alpha - k) * gamma_fn(k - p.alpha)
 
 
 def cts_log_chf(p: CtsParams, u: float) -> complex:

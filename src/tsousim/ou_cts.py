@@ -34,7 +34,6 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
-from .levy_core import cts_cumulants
 from .rand_core import (
     CtsParams,
     RngStream,
@@ -43,6 +42,7 @@ from .rand_core import (
     _gamma_shape_rate,
     _rejection_loop,
     _squeeze,
+    cts_cumulants,
     sample_cts,
 )
 
@@ -62,9 +62,6 @@ __all__ = [
     "cumulants_oucts",
     "x1_only_law",
     "scaled_bdlp_law",
-    "x1_only_cumulants",
-    "scaled_bdlp_cumulants",
-    "jump_moment_oucts",
     "single_chord_mass",
 ]
 
@@ -203,6 +200,18 @@ class OuCtsStepLaw(StepLaw):
         v = sample_v_oucts(self, stream, size=m)
         return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, self.jump_beta * v, size=m)
 
+    def jump_moment(self, k: int) -> float:
+        """k-th jump moment by quadrature over the mixing density (v^alpha - 1)/v
+        scaled to integrate to one on [1, 1/a]; at alpha = 0 its limit
+        2 log v / (v log^2 a)."""
+        a, alpha = self.a, self.x1_params.alpha
+        if alpha == 0.0:
+            f_v = lambda v: 2.0 * np.log(v) / (v * np.log(a) ** 2)
+        else:
+            norm = a**alpha * _expm1_minus_x(_theta(a, alpha))  # 1 - a^alpha + a^alpha log a^alpha
+            f_v = lambda v: alpha * a**alpha * (v**alpha - 1.0) / (norm * v)
+        return gamma_mixture_moment(a, alpha, self.jump_beta, k, f_v)
+
 
 def _lambda_a(p: OuCtsProcess, a: float) -> float:
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
@@ -240,12 +249,12 @@ def step_law_oucts(
 def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
     """CTS part of the increment: CTS(alpha, beta/a, c (1 - a^alpha) / (T alpha b)),
     whose alpha -> 0 limit is the gamma law with shape c dt / T and rate beta/a."""
-    if a == 0.0:
+    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
+    if a == 0.0 or np.isinf(beta / a):
         raise ValueError(
-            f"b*dt = {p.b * dt!r} is too large: exp(-b*dt) underflows to 0.0, "
+            f"b*dt = {p.b * dt!r} is too large: exp(-b*dt) underflows to {a!r}, "
             "so the CTS part's rate beta/a is infinite"
         )
-    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
     if alpha == 0.0:
         return CtsParams(0.0, beta / a, c * dt / p.T)
     return CtsParams(alpha, beta / a, c * _one_minus_pow(a, alpha) / (p.T * alpha * p.b))
@@ -308,8 +317,7 @@ def sample_v_alpha0(a: float, stream: RngStream, size=None):
 
 def sample_transition_oucts(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None):
     """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``);
-    see :func:`step_law_oucts` for the law, its alpha = 0 limit and the
-    envelope's ``target_G``."""
+    see :func:`step_law_oucts` for the law and its alpha = 0 limit."""
     return step_law_oucts(p, dt).sample(x0, stream, size)
 
 
@@ -343,15 +351,6 @@ def x1_only_law(p: OuCtsProcess, dt: float) -> StepLaw:
     return StepLaw(a, _x1_params(p, dt, a), 0.0)
 
 
-def x1_only_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
-    """Analytic cumulants of the x1-only approximation (its own target law)."""
-    a = decay(p.b, dt)
-    val = cts_cumulants(_x1_params(p, dt, a), k)
-    if k == 1:
-        val += a * x0
-    return float(val)
-
-
 @dataclass(frozen=True)
 class ScaledBdlpLaw(StepLaw):
     """Approximate step X(dt) = a * (x0 + L(dt)), L(dt) ~ ``increment``; the
@@ -364,33 +363,16 @@ class ScaledBdlpLaw(StepLaw):
         incr = sample_cts(self.increment, stream, size=1 if size is None else size)
         return _squeeze(self.a * (x0 + incr), size)
 
+    def cumulant(self, k: int, x0: float = 0.0) -> float:
+        """k-th cumulant of a * (x0 + L(dt))."""
+        val = self.a**k * cts_cumulants(self.increment, k)
+        if k == 1:
+            val += self.a * x0
+        return float(val)
+
 
 def scaled_bdlp_law(p: OuCtsProcess, dt: float) -> ScaledBdlpLaw:
     """Approximate step law replacing the increment with a decayed driving
     increment: a * L(dt) with L(dt) ~ CTS(alpha, beta, c*dt/T)."""
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
     return ScaledBdlpLaw(decay(p.b, dt), None, 0.0, CtsParams(alpha, beta, c * dt / p.T))
-
-
-def scaled_bdlp_cumulants(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
-    """Analytic cumulants of the scaled-driving approximation."""
-    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    a = decay(p.b, dt)
-    val = a**k * cts_cumulants(CtsParams(alpha, beta, c * dt / p.T), k)
-    if k == 1:
-        val += a * x0
-    return float(val)
-
-
-def jump_moment_oucts(a: float, alpha: float, beta: float, k: int) -> float:
-    """k-th moment of one compound-Poisson jump, by quadrature over the
-    mixing density (v^alpha - 1)/v scaled to integrate to one on [1, 1/a].
-
-    The alpha = 0 limit uses density 2 log v / (v log^2 a).
-    """
-    if alpha == 0.0:
-        f_v = lambda v: 2.0 * np.log(v) / (v * np.log(a) ** 2)
-    else:
-        norm = a**alpha * _expm1_minus_x(_theta(a, alpha))  # 1 - a^alpha + a^alpha log a^alpha
-        f_v = lambda v: alpha * a**alpha * (v**alpha - 1.0) / (norm * v)
-    return gamma_mixture_moment(a, alpha, beta, k, f_v)

@@ -35,6 +35,7 @@ __all__ = [
     "sample_cts",
     "sample_inverse_gaussian",
     "cts_tilting_acceptance",
+    "cts_cumulants",
     "StepLaw",
 ]
 
@@ -105,10 +106,18 @@ class CtsParams:
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not (self.c > 0.0):
-            raise ValueError(f"c must be positive, got {self.c}")
+        # an infinite beta or c would make every CTS proposal a rejection
+        if not (0.0 < self.beta < math.inf):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (0.0 < self.c < math.inf):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+
+
+def cts_cumulants(p: CtsParams, k: int) -> float:
+    """k-th cumulant of a one-sided CTS law: c * beta^(alpha-k) * Gamma(k-alpha)."""
+    if k < 1:
+        raise ValueError(f"cumulant order must be >= 1, got {k}")
+    return p.c * p.beta ** (p.alpha - k) * gamma_fn(k - p.alpha)
 
 
 def _squeeze(x: np.ndarray, size):
@@ -187,8 +196,9 @@ class StepLaw:
         X(dt) = a*x0 + CTS(x1_params) + Poisson(lambda_a) jumps from draw_jumps,
 
     with no CTS part when ``x1_params`` is None and no jumps when ``lambda_a``
-    is 0; the process families differ only in :meth:`draw_jumps`.  Build
-    one per step length and call :meth:`sample` for every step of that length.
+    is 0; the process families differ only in :meth:`draw_jumps` and its
+    :meth:`jump_moment`.  Build one per step length and call :meth:`sample`
+    for every step of that length; :meth:`cumulant` is the law's own oracle.
     """
 
     a: float
@@ -205,6 +215,22 @@ class StepLaw:
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
         """m independent jumps of the compound-Poisson part."""
         raise NotImplementedError(f"{type(self).__name__} defines no jump law")
+
+    def jump_moment(self, k: int) -> float:
+        """k-th moment of one jump drawn by :meth:`draw_jumps`."""
+        raise NotImplementedError(f"{type(self).__name__} defines no jump law")
+
+    def cumulant(self, k: int, x0: float = 0.0) -> float:
+        """k-th cumulant of X(dt) given X(0) = x0: the CTS part's cumulant,
+        plus lambda_a times the k-th jump moment, plus a*x0 at k = 1."""
+        if k < 1:
+            raise ValueError(f"cumulant order must be >= 1, got {k}")
+        val = 0.0 if self.x1_params is None else cts_cumulants(self.x1_params, k)
+        if self.lambda_a > 0.0:
+            val += self.lambda_a * self.jump_moment(k)
+        if k == 1:
+            val += self.a * x0
+        return float(val)
 
     def sample(self, x0, stream: RngStream, size=None):
         """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``)."""

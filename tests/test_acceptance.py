@@ -21,7 +21,6 @@ from tsousim.harness import ExperimentConfig, run_experiment
 from tsousim.levy_core import (
     LevyTriplet,
     aremainder_triplet,
-    cts_cumulants,
     cts_log_chf,
     lk_log_chf,
 )
@@ -106,12 +105,11 @@ def test_criterion_3_approximation_degradation():
     dt_fine, dt_coarse = DTS
     failures = []
 
+    approx_laws = {"x1-only": ou_cts.x1_only_law, "scaled-bdlp": ou_cts.scaled_bdlp_law}
+
     # analytic second-cumulant bias at the coarse step exceeds 5%
-    for label, target_fn in (
-        ("x1-only", ou_cts.x1_only_cumulants),
-        ("scaled-bdlp", ou_cts.scaled_bdlp_cumulants),
-    ):
-        bias = abs(1.0 - target_fn(proc, 0.0, dt_coarse, 2)
+    for label, make_law in approx_laws.items():
+        bias = abs(1.0 - make_law(proc, dt_coarse).cumulant(2)
                    / ou_cts.cumulants_oucts(proc, 0.0, dt_coarse, 2))
         print(f"  {label}: analytic k2 bias at dt=30/365 is {100*bias:.1f}%")
         if bias <= 0.05:
@@ -124,15 +122,15 @@ def test_criterion_3_approximation_degradation():
             paths=PATHS, seed=SEED + 2000 + j, batches=BATCHES, method=method,
         )
         table = run_experiment(cfg)
-        target_fn = ou_cts.x1_only_cumulants if method == "x1-only" else ou_cts.scaled_bdlp_cumulants
+        law = approx_laws[method](proc, dt_coarse)
         for row in table.rows:
-            own = target_fn(proc, 0.0, dt_coarse, row.k_order)
+            own = law.cumulant(row.k_order)
             z_own = abs(row.estimated - own) / row.se
             if z_own > 4.0:
                 failures.append(f"{method} coarse: k{row.k_order} {z_own:.1f} SE from its own target")
         z_exact_k2 = abs(table.row(2).estimated - table.row(2).true) / table.row(2).se
         print(f"  {method} at dt=30/365: z(own k2)="
-              f"{abs(table.row(2).estimated - target_fn(proc, 0.0, dt_coarse, 2)) / table.row(2).se:.2f}, "
+              f"{abs(table.row(2).estimated - law.cumulant(2)) / table.row(2).se:.2f}, "
               f"z(exact k2)={z_exact_k2:.1f}")
         if z_exact_k2 <= 4.0:
             failures.append(f"{method} coarse: exact-law gate not violated (z={z_exact_k2:.1f})")
@@ -142,7 +140,7 @@ def test_criterion_3_approximation_degradation():
     # noise of k2 alone is ~4% of its value at 10^6 paths, so a gate on the
     # raw estimate would fire on noise); measured err% is reported alongside.
     for j, method in enumerate(("x1-only", "scaled-bdlp")):
-        target_fn = ou_cts.x1_only_cumulants if method == "x1-only" else ou_cts.scaled_bdlp_cumulants
+        law = approx_laws[method](proc, dt_fine)
         cfg = ExperimentConfig(
             process="ou-cts", alpha=0.5, beta=BETA, c=C, b=B, dt=dt_fine,
             paths=PATHS, seed=SEED + 2100 + j, batches=BATCHES, method=method,
@@ -150,9 +148,9 @@ def test_criterion_3_approximation_degradation():
         table = run_experiment(cfg)
         for k in (1, 2):
             bias_pct = 100.0 * abs(
-                1.0 - target_fn(proc, 0.0, dt_fine, k) / ou_cts.cumulants_oucts(proc, 0.0, dt_fine, k)
+                1.0 - law.cumulant(k) / ou_cts.cumulants_oucts(proc, 0.0, dt_fine, k)
             )
-            z_own = abs(table.row(k).estimated - target_fn(proc, 0.0, dt_fine, k)) / table.row(k).se
+            z_own = abs(table.row(k).estimated - law.cumulant(k)) / table.row(k).se
             print(
                 f"  {method} at dt=1/365: k{k} analytic bias {bias_pct:.2f}%, "
                 f"MC err% vs exact {table.row(k).err_pct:+.3f} (z vs own law {z_own:.2f})"
@@ -212,16 +210,10 @@ def test_criterion_6_cumulant_additivity():
             po = ou_cts.OuCtsProcess(CtsParams(alpha, BETA, C), B)
             slaw = ou_cts.step_law_oucts(po, dt)
             for k in (1, 2, 3, 4):
-                lhs = cts_cumulants(law.x1_params, k) + law.lambda_a * (
-                    cts_ou.jump_moment_ctsou(law.a, alpha, BETA, k)
-                )
-                dev = abs(lhs / cts_ou.cumulants_ctsou(pc, 0.0, dt, k) - 1.0)
+                dev = abs(law.cumulant(k) / cts_ou.cumulants_ctsou(pc, 0.0, dt, k) - 1.0)
                 if dev > worst:
                     worst, where = dev, f"cts-ou alpha={alpha} dt={dt:.4f} k={k}"
-                lhs = cts_cumulants(slaw.x1_params, k) + slaw.lambda_a * (
-                    ou_cts.jump_moment_oucts(slaw.a, alpha, BETA, k)
-                )
-                dev = abs(lhs / ou_cts.cumulants_oucts(po, 0.0, dt, k) - 1.0)
+                dev = abs(slaw.cumulant(k) / ou_cts.cumulants_oucts(po, 0.0, dt, k) - 1.0)
                 if dev > worst:
                     worst, where = dev, f"ou-cts alpha={alpha} dt={dt:.4f} k={k}"
     ok = worst < 1e-6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tsousim import rand_core
 from tsousim.cli import load_config_file, main
 
 BASE = [
@@ -47,8 +48,14 @@ def test_missing_required_parameter():
         main(["cumulants", "--process", "cts-ou", "--alpha", "0.5"])
 
 
-@pytest.mark.parametrize("flag, value", [("--x0", "nan"), ("--x0", "inf"), ("--dt", "inf")])
-def test_non_finite_parameter_rejected(tmp_path, flag, value):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--x0", "nan"), ("--x0", "inf"), ("--dt", "inf"),
+     ("--beta", "inf"), ("--c", "inf"), ("--b", "inf"), ("--T", "inf")],
+)
+def test_non_finite_parameter_rejected(tmp_path, monkeypatch, flag, value):
+    # a missing check on beta or c would spin in the CTS rejection loop
+    monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
     out = tmp_path / "traj.csv"
     with pytest.raises(SystemExit, match="invalid configuration"):
         main(["simulate", *BASE, "--steps", "2", "--paths", "2", flag, value, "--out", str(out)])

@@ -11,7 +11,6 @@ from _helpers import FixedStream, chi2_pvalue, z_score
 from tsousim.cts_ou import (
     CtsOuProcess,
     cumulants_ctsou,
-    jump_moment_ctsou,
     sample_transition_ctsou,
     sample_v_ctsou,
     simulate_skeleton_ctsou,
@@ -246,13 +245,18 @@ class TestCumulants:
         want = 0.5 * 1.0 + 0.5 * cts_cumulants(PROC.stationary, 1)
         assert cumulants_ctsou(PROC, 1.0, dt, 1) == pytest.approx(want, rel=1e-12)
 
+    def test_underflowed_decay_cumulant_is_stationary(self):
+        # the same redirect as the draw at b*dt = 800
+        law = step_law(PROC, 80.0)
+        for k in (1, 2, 3, 4):
+            assert law.cumulant(k, 5.0) == cts_cumulants(PROC.stationary, k)
+
     def test_additivity_against_jump_moments(self):
         law = step_law(PROC, 30.0 / 365.0)
         for k in (1, 2, 3, 4):
-            lhs = cts_cumulants(law.x1_params, k) + law.lambda_a * jump_moment_ctsou(
-                law.a, 0.5, BETA, k
+            assert law.cumulant(k) == pytest.approx(
+                cumulants_ctsou(PROC, 0.0, 30.0 / 365.0, k), rel=1e-8
             )
-            assert lhs == pytest.approx(cumulants_ctsou(PROC, 0.0, 30.0 / 365.0, k), rel=1e-8)
 
     def test_mixture_density_chi2_more_alphas(self):
         for alpha, a in [(0.3, 0.9), (0.9, 0.3)]:

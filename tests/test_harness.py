@@ -4,7 +4,7 @@ worker-count invariance and the validation report."""
 import numpy as np
 import pytest
 
-from tsousim import harness
+from tsousim import cts_ou, harness, ou_cts
 from tsousim.harness import (
     ExperimentConfig,
     estimate_cumulants,
@@ -13,7 +13,7 @@ from tsousim.harness import (
     simulate_terminal,
     validate_suite,
 )
-from tsousim.rand_core import RngStream, StepLaw
+from tsousim.rand_core import CtsParams, RngStream, StepLaw, cts_cumulants
 
 REF = dict(beta=1.4, c=0.8, b=10.0)
 
@@ -151,6 +151,49 @@ class TestRunExperiment:
         assert harness.target_cumulant(cfg, 2) < harness.true_cumulant(cfg, 2)
         cfg_exact = make_cfg(process="ou-cts", dt=30.0 / 365.0)
         assert harness.target_cumulant(cfg_exact, 2) == harness.true_cumulant(cfg_exact, 2)
+
+
+def own_cumulant(cfg: ExperimentConfig, k: int) -> float:
+    """Closed form of the law each (process, method) pair samples, from X(0) = cfg.x0."""
+    alpha, beta, c, b, dt, T = cfg.alpha, cfg.beta, cfg.c, cfg.b, cfg.dt, cfg.T
+    a = np.exp(-b * dt)
+    proc = cfg.process_object()
+    if cfg.method == "exact" and cfg.process == "cts-ou":
+        return cts_ou.cumulants_ctsou(proc, cfg.x0, dt, k)
+    if cfg.method == "exact":
+        return ou_cts.cumulants_oucts(proc, cfg.x0, dt, k)
+    if cfg.method == "x1-only":
+        c1 = c * dt / T if alpha == 0.0 else c * (1.0 - a**alpha) / (T * alpha * b)
+        val = cts_cumulants(CtsParams(alpha, beta / a, c1), k)
+    else:
+        val = a**k * cts_cumulants(CtsParams(alpha, beta, c * dt / T), k)
+    return val + (a * cfg.x0 if k == 1 else 0.0)
+
+
+class TestStepLawCumulants:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
+    def test_cumulant_matches_closed_form(self, alpha, process, method):
+        cfg = make_cfg(process=process, method=method, alpha=alpha, dt=30.0 / 365.0, x0=0.3)
+        law = harness.STEP_LAWS[(process, method)](cfg.process_object(), cfg)
+        rel = 1e-8 if method == "exact" else 1e-12
+        for k in (1, 2, 3, 4):
+            assert law.cumulant(k, cfg.x0) == pytest.approx(own_cumulant(cfg, k), rel=rel)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            law.cumulant(0)
+
+    @pytest.mark.parametrize("method", ["x1-only", "scaled-bdlp"])
+    def test_geometric_target_over_several_steps(self, method):
+        # seed fixed before the first run; the approximate laws are biased
+        # at this step, so the target must differ from the exact truth
+        cfg = make_cfg(
+            process="ou-cts", method=method, dt=30.0 / 365.0, steps=4, x0=0.3,
+            paths=2 * 10**5, batches=100, seed=20261018,
+        )
+        cv = estimate_cumulants(simulate_terminal(cfg), cfg.batches)
+        for k in (1, 2, 3, 4):
+            assert abs(cv.k(k) - harness.target_cumulant(cfg, k)) / cv.se(k) < 4.0
+        assert abs(cv.k(2) - harness.true_cumulant(cfg, 2)) / cv.se(2) > 4.0
 
 
 class TestWorkers:

@@ -330,9 +330,7 @@ class TestCumulants:
         dt = 30.0 / 365.0
         law = ou_cts.step_law_oucts(proc, dt)
         for k in (1, 2, 3, 4):
-            additive = cts_cumulants(law.x1_params, k) + law.lambda_a * (
-                ou_cts.jump_moment_oucts(law.a, CTS_REF.alpha, CTS_REF.beta, k)
-            )
+            additive = law.cumulant(k)
             generic = ou_cumulants_from_bdlp(
                 lambda kk: cts_cumulants(CTS_REF, kk), 0.0, proc.b, proc.T, dt, k
             )

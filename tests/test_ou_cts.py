@@ -14,17 +14,14 @@ from tsousim.ou_cts import (
     build_envelope,
     cumulants_oucts,
     f_w_density,
-    jump_moment_oucts,
     sample_transition_oucts,
     sample_v_alpha0,
     sample_v_oucts,
     sample_w,
-    scaled_bdlp_cumulants,
     scaled_bdlp_law,
     simulate_skeleton_oucts,
     single_chord_mass,
     step_law_oucts,
-    x1_only_cumulants,
     x1_only_law,
 )
 from tsousim.rand_core import CtsParams, RngStream
@@ -188,7 +185,7 @@ class TestMixingFactorV:
                 limit=200,
             )
             direct = C / (PROC.T * B) * outer
-            plug_in = law.lambda_a * jump_moment_oucts(a, al, BETA, k)
+            plug_in = law.lambda_a * law.jump_moment(k)
             assert plug_in == pytest.approx(direct, rel=1e-6)
 
     def test_alpha0_endpoints_and_fit(self):
@@ -247,6 +244,15 @@ class TestTransition:
         proc = OuCtsProcess(CtsParams(alpha, BETA, C), B)
         with pytest.raises(ValueError, match=r"b\*dt = 800.0 .*underflows"):
             sample_transition_oucts(proc, 0.0, 80.0, RngStream(33, 5), size=4)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_subnormal_decay_is_rejected(self, alpha, monkeypatch):
+        # b*dt = 740: exp(-b*dt) is subnormal, not 0.0, and beta/a overflows;
+        # without the check the CTS draw would never accept
+        monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
+        proc = OuCtsProcess(CtsParams(alpha, BETA, C), B)
+        with pytest.raises(ValueError, match=r"b\*dt = 740.0 .*underflows"):
+            sample_transition_oucts(proc, 0.0, 74.0, RngStream(33, 7), size=4)
 
     def test_overflowing_cts_scale_is_rejected(self, monkeypatch):
         monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
@@ -313,10 +319,7 @@ class TestCumulants:
     def test_additivity_against_jump_moments(self):
         law = step_law_oucts(PROC, 30.0 / 365.0)
         for k in (1, 2, 3, 4):
-            lhs = cts_cumulants(law.x1_params, k) + law.lambda_a * jump_moment_oucts(
-                law.a, 0.5, BETA, k
-            )
-            assert lhs == pytest.approx(
+            assert law.cumulant(k) == pytest.approx(
                 cumulants_oucts(PROC, 0.0, 30.0 / 365.0, k), rel=1e-8
             )
 
@@ -326,10 +329,7 @@ class TestCumulants:
         p2 = OuCtsProcess(CtsParams(0.5, BETA, C), B, T=2.0)
         law = step_law_oucts(p2, 0.2)
         for k in (1, 2, 3, 4):
-            lhs = cts_cumulants(law.x1_params, k) + law.lambda_a * jump_moment_oucts(
-                law.a, 0.5, BETA, k
-            )
-            assert lhs == pytest.approx(cumulants_oucts(p2, 0.0, 0.2, k), rel=1e-8)
+            assert law.cumulant(k) == pytest.approx(cumulants_oucts(p2, 0.0, 0.2, k), rel=1e-8)
             assert cumulants_oucts(p2, 0.0, 0.2, k) == pytest.approx(
                 cumulants_oucts(PROC, 0.0, 0.2, k) / 2.0, rel=1e-12
             )
@@ -346,21 +346,22 @@ class TestCumulants:
 class TestApproximations:
     def test_x1_only_bias_profile(self):
         # strongly biased at the coarse step, vanishing bias at fine steps
-        k2_coarse = x1_only_cumulants(PROC, 0.0, 30.0 / 365.0, 2)
+        k2_coarse = x1_only_law(PROC, 30.0 / 365.0).cumulant(2)
         assert abs(1.0 - k2_coarse / cumulants_oucts(PROC, 0.0, 30.0 / 365.0, 2)) > 0.05
-        k2_fine = x1_only_cumulants(PROC, 0.0, 1e-4, 2)
+        k2_fine = x1_only_law(PROC, 1e-4).cumulant(2)
         assert abs(1.0 - k2_fine / cumulants_oucts(PROC, 0.0, 1e-4, 2)) < 5e-3
 
     def test_x1_only_self_consistency(self):
         dt, n = 30.0 / 365.0, 2 * 10**5
-        x = x1_only_law(PROC, dt).sample(0.3, RngStream(35, 1), size=n)
+        law = x1_only_law(PROC, dt)
+        x = law.sample(0.3, RngStream(35, 1), size=n)
         for k in (1, 2):
-            assert abs(z_score(x, x1_only_cumulants(PROC, 0.3, dt, k), k)) < 4.0
+            assert abs(z_score(x, law.cumulant(k, 0.3), k)) < 4.0
 
     def test_scaled_bdlp_mean_formula(self):
         dt = 1e-4
         a = np.exp(-B * dt)
-        k1 = scaled_bdlp_cumulants(PROC, 0.0, dt, 1)
+        k1 = scaled_bdlp_law(PROC, dt).cumulant(1)
         assert k1 == pytest.approx(
             a * C * dt * gamma_fn(0.5) / (PROC.T * BETA**0.5), rel=1e-12
         )
@@ -368,12 +369,13 @@ class TestApproximations:
 
     def test_scaled_bdlp_bias_grows_with_step(self):
         bias = lambda dt: abs(
-            1.0 - scaled_bdlp_cumulants(PROC, 0.0, dt, 2) / cumulants_oucts(PROC, 0.0, dt, 2)
+            1.0 - scaled_bdlp_law(PROC, dt).cumulant(2) / cumulants_oucts(PROC, 0.0, dt, 2)
         )
         assert bias(30.0 / 365.0) > 5.0 * bias(1.0 / 365.0)
 
     def test_scaled_bdlp_self_consistency(self):
         dt, n = 30.0 / 365.0, 2 * 10**5
-        x = scaled_bdlp_law(PROC, dt).sample(0.3, RngStream(35, 2), size=n)
+        law = scaled_bdlp_law(PROC, dt)
+        x = law.sample(0.3, RngStream(35, 2), size=n)
         for k in (1, 2):
-            assert abs(z_score(x, scaled_bdlp_cumulants(PROC, 0.3, dt, k), k)) < 4.0
+            assert abs(z_score(x, law.cumulant(k, 0.3), k)) < 4.0

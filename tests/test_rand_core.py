@@ -164,6 +164,15 @@ class TestCts:
             truth = p.c * p.beta ** (p.alpha - k) * gamma_fn(k - p.alpha)
             assert abs(z_score(x, truth, k)) < 4.0
 
+    @pytest.mark.parametrize(
+        "alpha,beta,c",
+        [(1.0, 1.4, 0.8), (-0.1, 1.4, 0.8), (0.5, 0.0, 0.8), (0.5, np.inf, 0.8),
+         (0.5, np.nan, 0.8), (0.5, 1.4, 0.0), (0.5, 1.4, np.inf), (0.5, 1.4, np.nan)],
+    )
+    def test_parameter_domain(self, alpha, beta, c):
+        with pytest.raises(ValueError):
+            CtsParams(alpha, beta, c)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             sample_cts(CtsParams(0.5, 1.0, 1.0), RngStream(5, 8), method="magic")
