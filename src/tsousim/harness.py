@@ -313,13 +313,14 @@ def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
         return rows
 
     blocks = _run_blocks(cfg, job, count)
-    values = np.concatenate(blocks, axis=1)
     times = cfg.dt * np.arange(cfg.steps + 1)
+    # one tolist() gives Python floats, whose repr is the row's text
+    table = np.column_stack([times, *blocks]).tolist()
     try:
         with open(cfg.out, "w") as fh:
             fh.write("time," + ",".join(f"path_{j}" for j in range(count)) + "\n")
-            for t, row in zip(times, values):
-                fh.write(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row) + "\n")
+            for row in table:
+                fh.write(",".join(map(repr, row)) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trajectories to {cfg.out!r}: {exc}") from exc
     return cfg.out
