@@ -292,6 +292,12 @@ def run_experiment(cfg: ExperimentConfig) -> ErrTable:
 def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
     """Write ``count`` skeleton paths on the uniform grid dt, 2dt, ..., steps*dt.
 
+    The increment Z of X(t+dt) = a X(t) + Z does not depend on the state,
+    so each block draws the increments of a chunk of up to
+    ``BLOCK_SIZE // n`` steps in one call of the step law and then runs
+    the recursion.  Chunks depend only on the block size, so the output is
+    the same for every worker count.
+
     CSV layout: header ``time,path_0,...,path_{count-1}``, one row per grid
     time including t = 0.  Returns the output path.
     """
@@ -300,16 +306,18 @@ def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
     if not cfg.out:
         raise ValueError("config must set an output file for trajectories")
     cfg.validate(check_batches=False)
-    step = _step_law(cfg).sample
+    law = _step_law(cfg)
 
     def job(block_index: int, n: int) -> np.ndarray:
         stream = RngStream(cfg.seed, block_index)
-        x = np.full(n, float(cfg.x0))
         rows = np.empty((cfg.steps + 1, n))
-        rows[0] = x
-        for i in range(cfg.steps):
-            x = step(x, stream, n)
-            rows[i + 1] = x
+        rows[0] = cfg.x0
+        chunk = max(1, BLOCK_SIZE // n)
+        for start in range(0, cfg.steps, chunk):
+            m = min(chunk, cfg.steps - start)
+            z = law.sample(0.0, stream, m * n).reshape(m, n)
+            for i in range(start, start + m):
+                rows[i + 1] = law.a * rows[i] + z[i - start]
         return rows
 
     blocks = _run_blocks(cfg, job, count)
