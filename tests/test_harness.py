@@ -3,6 +3,7 @@ worker-count invariance and the validation report."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from tsousim import cts_ou, harness, ou_cts
 from tsousim.harness import (
@@ -273,6 +274,96 @@ class TestTrajectories:
         )
         export_trajectories(cfg, count=4)
         assert len(built) == 1, built
+
+
+def exported(cfg: ExperimentConfig) -> np.ndarray:
+    """Export cfg.paths trajectories and read them back, time column first."""
+    export_trajectories(cfg, count=cfg.paths)
+    return np.loadtxt(cfg.out, delimiter=",", skiprows=1, ndmin=2)
+
+
+class TestChunkedExport:
+    """The export draws the increments of up to BLOCK_SIZE // n steps per
+    call of the step law; these tests check the law, the dependence across
+    steps and the chunking itself.  Seeds were fixed before the first run."""
+
+    @pytest.mark.parametrize("process,seed", [("cts-ou", 20261101), ("ou-cts", 20261102)])
+    def test_last_row_cumulants(self, process, seed, tmp_path):
+        """4-SE z-gates of k1..k4 of X(4 dt), dt = 30/365, from x0 = 2.
+
+        20000 paths give chunks of 3 steps, so the horizon spans a chunk
+        boundary.  Detection power: dropping the decayed start a^4 x0 moves
+        k1 by 16 SE (CTS-OU) and 72 SE (OU-CTS); reusing one increment row
+        for the steps of a chunk raises k2 by 22%, about 12 SE of CTS-OU k2.
+        """
+        cfg = make_cfg(
+            process=process, dt=30.0 / 365.0, steps=4, x0=2.0, paths=20000,
+            batches=100, seed=seed, out=str(tmp_path / "t.csv"),
+        )
+        cv = estimate_cumulants(exported(cfg)[-1, 1:], cfg.batches)
+        for k in (1, 2, 3, 4):
+            z = (cv.k(k) - harness.true_cumulant(cfg, k)) / cv.se(k)
+            assert abs(z) < 4.0, (k, z)
+
+    @pytest.mark.parametrize("process", ["cts-ou", "ou-cts"])
+    def test_matches_step_by_step_skeleton(self, process, tmp_path):
+        """Two-sample KS test, p > 0.01, of the export against the skeleton
+        drawn one transition per step, at t = 5 dt and 10 dt.
+
+        4000 paths on each side: a difference of 0.036 between the two CDFs
+        fails the gate at that level, and one of 0.05 fails it with power
+        above 0.9.
+        """
+        n, seed = 4000, 20261103
+        cfg = make_cfg(
+            process=process, dt=30.0 / 365.0, steps=10, x0=0.5, paths=n,
+            seed=seed, out=str(tmp_path / "t.csv"),
+        )
+        paths = exported(cfg)[:, 1:]
+        proc = cfg.process_object()
+        grid = cfg.dt * np.arange(1, cfg.steps + 1)
+        skeleton = cts_ou.simulate_skeleton_ctsou if process == "cts-ou" else ou_cts.simulate_skeleton_oucts
+        ref = skeleton(proc, cfg.x0, grid, RngStream(seed + 1, 0), size=n)
+        for step in (5, 10):
+            assert stats.ks_2samp(paths[step], ref[step - 1]).pvalue > 0.01, step
+
+    @pytest.mark.parametrize("block_size,steps", [(harness.BLOCK_SIZE, 3), (1000, 200)])
+    def test_worker_count_invariance(self, block_size, steps, tmp_path, monkeypatch):
+        """Byte-identical CSVs for 1 and 2 workers at BLOCK_SIZE + 8 paths:
+        a full block draws one step per call, the 8-path block draws
+        BLOCK_SIZE // 8 steps per call.  At the real BLOCK_SIZE all three
+        steps fit one call; with 1000-path blocks and 200 steps the small
+        block takes chunks of 125 and 75 steps, so a chunk length that
+        depended on the worker count would change a byte (a mutant using
+        BLOCK_SIZE // (n * workers) fails here)."""
+        monkeypatch.setattr(harness, "BLOCK_SIZE", block_size)
+        count = block_size + 8
+        texts = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            cfg = make_cfg(steps=steps, paths=count, seed=20261107, workers=workers, out=str(out))
+            export_trajectories(cfg, count=count)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("process", ["cts-ou", "ou-cts"])
+    def test_bound_across_chunk_boundary(self, process, tmp_path):
+        """64 paths over 1100 daily steps: chunks of 1024 and 76 steps.
+
+        Every increment is nonnegative, so X(t+dt) >= a X(t) holds exactly
+        in floating point.  Detection power: a loop that skipped the short
+        last chunk would leave rows 1025..1100 as unwritten np.empty memory,
+        in practice zeros, which fail the bound against the positive row
+        before them; an off-by-one in the increment index raises.
+        """
+        cfg = make_cfg(process=process, steps=1100, paths=64, seed=20261108, out=str(tmp_path / "t.csv"))
+        data = exported(cfg)
+        assert data.shape == (1101, 65)
+        assert np.array_equal(data[:, 0], cfg.dt * np.arange(1101))
+        paths = data[:, 1:]
+        assert np.all(np.isfinite(paths))
+        a = float(np.exp(-cfg.b * cfg.dt))
+        assert np.all(paths[1:] >= a * paths[:-1])
 
 
 class TestValidateSuite:
