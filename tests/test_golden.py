@@ -101,27 +101,27 @@ def _validate(tmp_path):
 CASES = {
     "simulate-ctsou-alpha0.5-day": (
         _simulate("cts-ou", "0.5", DAY, 30, 8, 11),
-        "a75baa9f435cc1d0dc451dd6015a3cd8c455d6fc1eac108d649b17b80ffa161a",
+        "015be1323dd26660fd5662abc6cb8b4e6e06759933a475be9f207371d538daa2",
     ),
     "simulate-ctsou-alpha0-day": (
         _simulate("cts-ou", "0", DAY, 30, 8, 12),
-        "fc4bdb565a15c16dc8ad806d36f87537ec0c90fee1f07a61d69766d554f3a5f0",
+        "d23a7554b0b129f930b92deabec2191b0d4fda4c16d034b854672cd941476640",
     ),
     "simulate-oucts-alpha0.5-day": (
         _simulate("ou-cts", "0.5", DAY, 30, 8, 13),
-        "0e297f086569539b01f732d4da65233eac26edd2c62f9ca90a2b2ca512d60bf7",
+        "e56f6bbbab17682d2c1ab189d2aa3b3c9f41040c15ba4976f79e3f357ab1fe5b",
     ),
     "simulate-oucts-alpha0-day": (
         _simulate("ou-cts", "0", DAY, 30, 8, 14),
-        "67bfa856ed14d7dedb70ecc11c3c0e87666d1d76e92b5a34930982ff0a0df281",
+        "41c170120790d010cd578a83cadb661a463c9fe7839d7d3cebf0acb38f04c6ec",
     ),
     "simulate-ctsou-alpha0.9-month": (
         _simulate("cts-ou", "0.9", MONTH, 12, 64, 15),
-        "f4ac96bbdbd3f34cdd971eaf34839212d22ab247d916af7839cc909691016f56",
+        "453321735283b364dfe359c16574b4411770154ac2ca7f2708f99e33424de6ab",
     ),
     "simulate-oucts-alpha0.9-wide": (
         _simulate("ou-cts", "0.9", "0.3", 10, 64, 16),
-        "87c82a7ec708a15ea6bdfee134e5990cb0f5938fde0ce31ce7f112a8524208d5",
+        "a4845cb87808597f85d629d4f38e201a5b62db1618849080de79b2dc177f34de",
     ),
     "cumulants-x1-only": (
         _cumulants("x1-only", "0.5", 17),
