@@ -29,6 +29,7 @@ because lambda_a = O(dt^2) here, and badly biased for coarse steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -188,12 +189,25 @@ def build_envelope(
 class OuCtsStepLaw(StepLaw):
     """Transition law over one step: scale a, CTS part with retempered
     rate beta/a, jump rate lambda_a, the jumps' tempering ``jump_beta`` and
-    the f_W envelope (None at alpha = 0, whose mixing law needs none);
-    build it with :func:`step_law_oucts`.
+    the ``target_G`` of the f_W envelope; build it with :func:`step_law_oucts`.
     """
 
     jump_beta: float
-    envelope: Envelope | None
+    target_G: float = DEFAULT_TARGET_G
+
+    def __post_init__(self):
+        super().__post_init__()
+        # checked here because the envelope that uses it is built lazily
+        if not (self.target_G > 1.0):
+            raise ValueError(f"target_G must exceed 1, got {self.target_G}")
+
+    @cached_property
+    def envelope(self) -> Envelope | None:
+        """The f_W chord envelope (None at alpha = 0, whose mixing law needs
+        none), built on first use: a step whose Poisson total is 0 never
+        draws V.  :func:`build_envelope` draws nothing, so neither does this."""
+        alpha = self.x1_params.alpha
+        return None if alpha == 0.0 else build_envelope(alpha, self.a, self.target_G)
 
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
         # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
@@ -240,10 +254,9 @@ def step_law_oucts(
     x1 = _x1_params(p, dt, a)
     if p.bdlp.alpha == 0.0:
         rate = p.bdlp.c * np.log(a) ** 2 / (2.0 * p.T * p.b)
-        return OuCtsStepLaw(a, x1, rate, p.bdlp.beta, None)
+        return OuCtsStepLaw(a, x1, rate, p.bdlp.beta, target_G)
     # (beta/a)*a can differ from beta in the last bit; the golden hashes pin this form
-    envelope = build_envelope(p.bdlp.alpha, a, target_G)
-    return OuCtsStepLaw(a, x1, _lambda_a(p, a), x1.beta * a, envelope)
+    return OuCtsStepLaw(a, x1, _lambda_a(p, a), x1.beta * a, target_G)
 
 
 def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:

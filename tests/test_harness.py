@@ -246,7 +246,10 @@ class TestTrajectories:
         with pytest.raises(ValueError):
             export_trajectories(make_cfg(out=None), count=1)
 
-    def test_one_envelope_per_experiment(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("dt,most,least", [(1.0 / 365.0, 1, 0), (0.3, 1, 1)])
+    def test_one_envelope_per_experiment(self, dt, most, least, tmp_path, monkeypatch):
+        # the envelope is built on the first jump: at b dt = 10/365 the 800
+        # draws may have none, at b dt = 3 every transition has some
         builds = []
         build = harness.ou_cts.build_envelope
 
@@ -255,9 +258,9 @@ class TestTrajectories:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(harness.ou_cts, "build_envelope", counted)
-        cfg = make_cfg(process="ou-cts", steps=200, out=str(tmp_path / "t.csv"), paths=4)
+        cfg = make_cfg(process="ou-cts", dt=dt, steps=200, out=str(tmp_path / "t.csv"), paths=4)
         export_trajectories(cfg, count=4)
-        assert len(builds) == 1
+        assert least <= len(builds) <= most
 
     @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
     def test_one_step_law_per_experiment(self, process, method, tmp_path, monkeypatch):

@@ -77,6 +77,24 @@ class TestStepLaw:
             C * (1.0 - law.a**0.5) / (PROC.T * 0.5 * B), rel=1e-12
         )
 
+    def test_envelope_built_on_first_jump_and_draws_unchanged(self):
+        # dt = 1/365: lambda_a is about 6e-5, so 16 draws almost surely have
+        # no jump and never reach the envelope
+        law = step_law_oucts(PROC, 1.0 / 365.0)
+        assert law.sample(0.0, RngStream(40, 0), 16).shape == (16,)
+        assert "envelope" not in vars(law)
+        # b dt = 3: every transition jumps; a law whose envelope was built
+        # up front draws the same bytes, since building one draws nothing
+        lazy, eager = step_law_oucts(PROC, 0.3), step_law_oucts(PROC, 0.3)
+        assert eager.envelope.segment_count >= 4
+        x = lazy.sample(0.0, RngStream(41, 0), 64)
+        assert "envelope" in vars(lazy)
+        assert x.tobytes() == eager.sample(0.0, RngStream(41, 0), 64).tobytes()
+
+    def test_target_g_checked_when_the_law_is_built(self):
+        with pytest.raises(ValueError, match="target_G must exceed 1"):
+            step_law_oucts(PROC, 0.3, target_G=1.0)
+
     def test_alpha0_limiting_law(self):
         law = step_law_oucts(OuCtsProcess(CtsParams(0.0, BETA, C), B), 0.1)
         assert law.envelope is None
