@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cts_ou, levy_core, ou_cts
+from ._util import decay
 from .rand_core import CtsParams, RngStream, StepLaw, cts_cumulants
 
 __all__ = [
@@ -98,6 +99,11 @@ class ExperimentConfig:
             raise ValueError(f"b must be positive and finite, got {self.b}")
         if not (0.0 < self.T < math.inf):
             raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not (self.target_G > 1.0):
+            raise ValueError(f"target_G must exceed 1, got {self.target_G}")
+        if self.process == "ou-cts" and self.method != "scaled-bdlp":
+            # the CTS part's rate beta/a is infinite once exp(-b dt) underflows
+            ou_cts._x1_params(self.process_object(), self.dt, decay(self.b, self.dt))
         return self
 
     def params(self) -> CtsParams:
