@@ -20,6 +20,7 @@ as one :class:`CtsOuStepLaw`, whose ``sample`` draws the transition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,15 +79,15 @@ class CtsOuStepLaw(StepLaw):
         return _gamma_shape_rate(stream, 1.0 - alpha, self.beta * v, size=m)
 
     def jump_moment(self, k: int) -> float:
-        """k-th jump moment by quadrature over the mixing law of V on [1, 1/a]:
-        f_V(v) = alpha v^(alpha-1) / (a^-alpha - 1), or 1/(v b_dt) at alpha = 0,
-        where V = exp(b_dt U) undoes the decay at the uniform arrival time U."""
-        a = self.a
+        """k-th jump moment by quadrature over the mixing law of V on [1, 1/a],
+        f_V(v) = alpha v^(alpha-1) / (a^-alpha - 1).  At alpha = 0 the jump
+        E exp(-b_dt U) / beta has the closed form
+        k! (1 - exp(-k b_dt)) / (k b_dt beta^k), finite also when a underflows."""
         if self.x1_params is None:
-            alpha, f_v = 0.0, lambda v: 1.0 / (v * self.b_dt)
-        else:
-            alpha = self.x1_params.alpha
-            f_v = lambda v: alpha * v ** (alpha - 1.0) / (a ** -alpha - 1.0)
+            kb = k * self.b_dt
+            return float(math.factorial(k) * -np.expm1(-kb) / (kb * self.beta**k))
+        alpha, a = self.x1_params.alpha, self.a
+        f_v = lambda v: alpha * v ** (alpha - 1.0) / (a ** -alpha - 1.0)
         return gamma_mixture_moment(a, alpha, self.beta, k, f_v)
 
     def _redirected(self) -> StepLaw:

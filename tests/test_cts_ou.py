@@ -8,6 +8,7 @@ from scipy import integrate, stats
 from scipy.special import gamma as gamma_fn
 
 from _helpers import FixedStream, chi2_pvalue, z_score
+from tsousim._util import gamma_mixture_moment
 from tsousim.cts_ou import (
     CtsOuProcess,
     cumulants_ctsou,
@@ -185,6 +186,25 @@ class TestGammaOuStep:
         quiet = CtsOuProcess(CtsParams(0.0, BETA, 1e-12), B)
         x = sample_transition_ctsou(quiet, 3.0, 0.01, RngStream(23, 2), size=50)
         assert np.allclose(x, np.exp(-B * 0.01) * 3.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("b_dt", [0.1, 3.0, 80.0, 800.0])
+    def test_law_cumulant_matches_closed_form(self, b_dt):
+        # at b*dt = 800 a = exp(-b*dt) underflows to 0.0, where a quadrature
+        # over [1, 1/a] divided by zero
+        law = step_law(self.PROC0, b_dt / B)
+        assert (law.a == 0.0) == (b_dt == 800.0)
+        for k in (1, 2, 3, 4):
+            assert law.cumulant(k, 0.7) == pytest.approx(
+                cumulants_ctsou(self.PROC0, 0.7, b_dt / B, k), rel=1e-8
+            )
+
+    @pytest.mark.parametrize("b_dt", [0.1, 3.0])
+    def test_jump_moment_matches_mixture_quadrature(self, b_dt):
+        # V = exp(b_dt U) has density 1/(v b_dt) on [1, 1/a]
+        law = step_law(self.PROC0, b_dt / B)
+        for k in (1, 2, 3, 4):
+            quad = gamma_mixture_moment(law.a, 0.0, BETA, k, lambda v: 1.0 / (v * b_dt))
+            assert law.jump_moment(k) == pytest.approx(quad, rel=1e-10)
 
     def test_mean_against_generic_ou_formula(self):
         dt = 0.1
