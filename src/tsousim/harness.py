@@ -328,13 +328,14 @@ def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
 
     blocks = _run_blocks(cfg, job, count)
     times = cfg.dt * np.arange(cfg.steps + 1)
-    # one tolist() gives Python floats, whose repr is the row's text
-    table = np.column_stack([times, *blocks]).tolist()
+    table = np.column_stack([times, *blocks])
     try:
         with open(cfg.out, "w") as fh:
             fh.write("time," + ",".join(f"path_{j}" for j in range(count)) + "\n")
+            # tolist() gives Python floats, whose repr is the row's text; one
+            # row at a time, as a list of the whole table would raise peak RSS
             for row in table:
-                fh.write(",".join(map(repr, row)) + "\n")
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write trajectories to {cfg.out!r}: {exc}") from exc
     return cfg.out

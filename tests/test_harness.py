@@ -1,6 +1,8 @@
 """Harness tests: cumulant estimation, experiment tables, trajectory export,
 worker-count invariance and the validation report."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -347,6 +349,28 @@ class TestChunkedExport:
             cfg = make_cfg(steps=steps, paths=count, seed=20261107, workers=workers, out=str(out))
             export_trajectories(cfg, count=count)
             texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_threads_share_one_lazily_built_envelope(self, tmp_path, monkeypatch):
+        """Eight OU-CTS blocks at b dt = 3 (every transition jumps) on four
+        worker threads with a 1 us switch interval, so the threads race for
+        the law's envelope on their first jump; the CSV must equal the
+        one-worker CSV byte for byte."""
+        monkeypatch.setattr(harness, "BLOCK_SIZE", 16)
+        texts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 4):
+                out = tmp_path / f"w{workers}.csv"
+                cfg = make_cfg(
+                    process="ou-cts", dt=0.3, steps=20, paths=128, seed=20261109,
+                    workers=workers, out=str(out),
+                )
+                export_trajectories(cfg, count=cfg.paths)
+                texts.append(out.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
         assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("process", ["cts-ou", "ou-cts"])
