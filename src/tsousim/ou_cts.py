@@ -193,7 +193,7 @@ class OuCtsStepLaw(StepLaw):
     """
 
     jump_beta: float
-    target_G: float = DEFAULT_TARGET_G
+    target_G: float
 
     def __post_init__(self):
         super().__post_init__()
