@@ -10,16 +10,13 @@ oracles and a Monte Carlo validation harness.
 
 from .rand_core import (
     CtsParams,
-    GammaLaw,
     RngStream,
     StepLaw,
     cts_tilting_acceptance,
     sample_cts,
-    sample_gamma,
     sample_inverse_gaussian,
     sample_poisson,
     sample_stable_subordinator,
-    uniform,
 )
 from .levy_core import (
     ARemainderTriplet,

@@ -90,28 +90,18 @@ class CtsOuStepLaw(StepLaw):
         f_v = lambda v: alpha * v ** (alpha - 1.0) / (a ** -alpha - 1.0)
         return gamma_mixture_moment(a, alpha, self.beta, k, f_v)
 
-    def _redirected(self) -> StepLaw:
-        # when a underflows to 0.0 (alpha > 0) the transition law is the
-        # stationary law x1_params up to O(a), so the jumps are dropped
-        if self.a == 0.0 and self.x1_params is not None:
-            return StepLaw(0.0, self.x1_params, 0.0)
-        return self
 
-    def cumulant(self, k: int, x0: float = 0.0) -> float:
-        """As :meth:`StepLaw.cumulant`, of the law :meth:`sample` draws from."""
-        return StepLaw.cumulant(self._redirected(), k, x0)
+def step_law(p: CtsOuProcess, dt: float) -> StepLaw:
+    """Transition law over a step of length ``dt``, for every alpha.
 
-    def sample(self, x0, stream: RngStream, size=None):
-        """As :meth:`StepLaw.sample`; an underflowed a draws the stationary law."""
-        return StepLaw.sample(self._redirected(), x0, stream, size)
-
-
-def step_law(p: CtsOuProcess, dt: float) -> CtsOuStepLaw:
-    """Transition law over a step of length ``dt``, for every alpha."""
+    When a underflows to 0.0 (alpha > 0) the transition law is the
+    stationary law up to O(a), so the step draws it with no jumps."""
     a = decay(p.b, dt)
     alpha, beta, c = p.stationary.alpha, p.stationary.beta, p.stationary.c
     if alpha == 0.0:
         return CtsOuStepLaw(a, None, c * p.b * dt, beta, p.b * dt)
+    if a == 0.0:
+        return StepLaw(0.0, p.stationary, 0.0)
     shrink = _one_minus_pow(a, alpha)
     lam = c * gamma_fn(1.0 - alpha) * beta**alpha / alpha * shrink
     return CtsOuStepLaw(a, CtsParams(alpha, beta, c * shrink), lam, beta, p.b * dt)

@@ -182,9 +182,9 @@ def _cts_nu(params: CtsParams) -> Callable:
 class LevyTriplet:
     """Levy triplet (gamma, sigma, nu) with the truncation function 1_{|x|<=1}.
 
-    ``nu`` is a callable density on the support; ``k_fn`` optionally gives
-    k(x) = |x| * nu(x), the canonical density whose monotonicity
-    characterises self-decomposability.  Construction numerically checks
+    ``nu`` is a callable density on the support; ``k_fn`` is the canonical
+    density k(x) = |x| * nu(x), whose monotonicity characterises
+    self-decomposability.  Construction numerically checks
     integrability of (1 ^ x^2) nu(x) on a fixed log grid and, when the law
     is flagged self-decomposable, spot-checks that k is nonincreasing on
     the positive axis.
@@ -195,7 +195,6 @@ class LevyTriplet:
         gamma_drift: float,
         sigma: float,
         nu: Callable,
-        k_fn: Optional[Callable] = None,
         *,
         subordinator: bool = True,
         self_decomposable: bool = True,
@@ -204,7 +203,7 @@ class LevyTriplet:
         self.gamma_drift = float(gamma_drift)
         self.sigma = float(sigma)
         self.nu = nu
-        self.k_fn = k_fn if k_fn is not None else (lambda x: np.abs(x) * nu(x))
+        self.k_fn = lambda x: np.abs(x) * nu(x)
         self.subordinator = bool(subordinator)
         self.self_decomposable = bool(self_decomposable)
         if self.sigma < 0.0:
@@ -372,6 +371,9 @@ def ts_remainder_decompose(
     """
     if not (0.0 < a < 1.0):
         raise ValueError(f"scale a must be in (0, 1), got {a}")
+    # the rescaled part's intensity c (1 - a^alpha) is 0 at alpha = 0 (or
+    # when it underflows); the smallest normal float stands in for it
+    scaled_c = law.c * _one_minus_pow(a, law.alpha) or np.finfo(float).tiny
 
     if isinstance(law, CtsParams):
         alpha, c = law.alpha, law.c
@@ -387,10 +389,7 @@ def ts_remainder_decompose(
             lam = c * gamma_fn(1.0 - alpha) * beta**alpha * _one_minus_pow(a, alpha) / alpha
         else:
             lam = c * np.log(1.0 / a)
-        scaled_c = c * _one_minus_pow(a, alpha)
-        scaled = (
-            CtsParams(alpha, beta, scaled_c) if scaled_c > 0.0 else CtsParams(alpha, beta, np.finfo(float).tiny)
-        )
+        scaled = CtsParams(alpha, beta, scaled_c)
     else:
         alpha, c, q = law.alpha, law.c, law.q
 
@@ -433,7 +432,7 @@ def ts_remainder_decompose(
             raise DecompositionError(f"nu_2 is not integrable: {exc}") from exc
         if not (np.isfinite(lam) and lam >= 0.0):
             raise DecompositionError(f"nu_2 gave rate {lam}")
-        scaled = GeneralTsLaw(alpha, c * _one_minus_pow(a, alpha), q) if _one_minus_pow(a, alpha) > 0 else law
+        scaled = GeneralTsLaw(alpha, scaled_c, q)
 
     lam = float(lam)
 

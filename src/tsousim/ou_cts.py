@@ -39,18 +39,14 @@ from .rand_core import (
     CtsParams,
     RngStream,
     StepLaw,
-    _finite_start,
     _gamma_shape_rate,
     _rejection_loop,
     _squeeze,
-    cts_cumulants,
-    sample_cts,
 )
 
 __all__ = [
     "OuCtsProcess",
     "OuCtsStepLaw",
-    "ScaledBdlpLaw",
     "Envelope",
     "build_envelope",
     "step_law_oucts",
@@ -364,28 +360,11 @@ def x1_only_law(p: OuCtsProcess, dt: float) -> StepLaw:
     return StepLaw(a, _x1_params(p, dt, a), 0.0)
 
 
-@dataclass(frozen=True)
-class ScaledBdlpLaw(StepLaw):
-    """Approximate step X(dt) = a * (x0 + L(dt)), L(dt) ~ ``increment``; the
-    sum is scaled, not a*x0 + a*L, which differs in the last bit."""
-
-    increment: CtsParams
-
-    def sample(self, x0, stream: RngStream, size=None):
-        x0 = _finite_start(x0)
-        incr = sample_cts(self.increment, stream, size=1 if size is None else size)
-        return _squeeze(self.a * (x0 + incr), size)
-
-    def cumulant(self, k: int, x0: float = 0.0) -> float:
-        """k-th cumulant of a * (x0 + L(dt))."""
-        val = self.a**k * cts_cumulants(self.increment, k)
-        if k == 1:
-            val += self.a * x0
-        return float(val)
-
-
-def scaled_bdlp_law(p: OuCtsProcess, dt: float) -> ScaledBdlpLaw:
+def scaled_bdlp_law(p: OuCtsProcess, dt: float) -> StepLaw:
     """Approximate step law replacing the increment with a decayed driving
-    increment: a * L(dt) with L(dt) ~ CTS(alpha, beta, c*dt/T)."""
-    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    return ScaledBdlpLaw(decay(p.b, dt), None, 0.0, CtsParams(alpha, beta, c * dt / p.T))
+    increment a * L(dt), L(dt) ~ CTS(alpha, beta, c*dt/T); by CTS scaling
+    a * L(dt) ~ CTS(alpha, beta/a, c*a^alpha*dt/T)."""
+    a = decay(p.b, dt)
+    alpha, c = p.bdlp.alpha, p.bdlp.c
+    beta_a = _x1_params(p, dt, a).beta  # beta/a, raising once a underflows
+    return StepLaw(a, CtsParams(alpha, beta_a, c * a**alpha * dt / p.T), 0.0)

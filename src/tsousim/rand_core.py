@@ -26,10 +26,7 @@ from ._util import segment_sums
 
 __all__ = [
     "RngStream",
-    "GammaLaw",
     "CtsParams",
-    "uniform",
-    "sample_gamma",
     "sample_poisson",
     "sample_stable_subordinator",
     "sample_cts",
@@ -76,20 +73,6 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class GammaLaw:
-    """Gamma law with shape/rate parametrisation (density rate^shape x^(shape-1) e^(-rate x) / Gamma(shape))."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.shape > 0.0):
-            raise ValueError(f"gamma shape must be positive, got {self.shape}")
-        if not (self.rate > 0.0):
-            raise ValueError(f"gamma rate must be positive, got {self.rate}")
-
-
-@dataclass(frozen=True)
 class CtsParams:
     """One-sided classical tempered stable law.
 
@@ -126,13 +109,6 @@ def _squeeze(x: np.ndarray, size):
     return x
 
 
-def uniform(stream: RngStream, size=None):
-    """Uniform draw(s) on [0, 1)."""
-    if size is None:
-        return float(stream.gen.random())
-    return stream.gen.random(size)
-
-
 def _gamma_shape_rate(stream: RngStream, shape: float, rate, size=None):
     """Gamma draws with scalar shape and scalar or vector rate.
 
@@ -150,11 +126,6 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, size=None):
         u = g.random(n)
         x = x * u ** (1.0 / shape)
     return _squeeze(x / rate, size)
-
-
-def sample_gamma(law: GammaLaw, stream: RngStream, size=None):
-    """Exact draw(s) from a gamma law."""
-    return _gamma_shape_rate(stream, law.shape, law.rate, size)
 
 
 def sample_poisson(mean: float, stream: RngStream, size=None):

@@ -114,10 +114,14 @@ def test_byte_identical_csv_between_runs(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "cumulants"])
-@pytest.mark.parametrize("extra", [["--dt", "74"], ["--target-g", "1.0"]], ids=["underflow", "target-g"])
+@pytest.mark.parametrize(
+    "extra",
+    [["--dt", "74"], ["--dt", "74", "--method", "scaled-bdlp"], ["--target-g", "1.0"]],
+    ids=["underflow", "underflow-scaled-bdlp", "target-g"],
+)
 def test_oucts_invalid_step_law_is_a_configuration_error(command, extra, tmp_path):
     # b*dt = 740: exp(-b*dt) underflows and the CTS part's rate beta/a is
-    # infinite; both used to end in a traceback from the law build
+    # infinite, in the exact step and in the scaled driving increment alike
     out = tmp_path / "out.csv"
     argv = [command, *BASE, "--process", "ou-cts", "--steps", "1", "--batches", "10", *extra, "--out", str(out)]
     with pytest.raises(SystemExit, match="invalid configuration"):

@@ -18,6 +18,12 @@ alpha * (1 - alpha) below 1 and one above, so both proposal mixtures of
 the first stage run, followed by the next 16 uniforms of the same
 stream, so how many draws each round consumes is pinned too.
 
+The ``cumulants-scaled-bdlp`` case draws the decayed driving increment
+through the plain step law ``a*x0 + CTS(alpha, beta/a, c a^alpha dt/T)``,
+which CTS scaling makes equal in law to ``a * (x0 + L(dt))``; the two
+forms agree to about 1e-14 relative but not bit for bit, and the hash
+pins the first.
+
 The cumulant CSV hashes also pin the estimator's arithmetic: how the
 central moments are formed decides the last bits of the estimates and
 their standard errors.  The ``validate-report`` hash pins the proposal

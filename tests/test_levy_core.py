@@ -172,6 +172,12 @@ class TestTsRemainderDecompose:
         total, _ = integrate.quad(nu_L, 1e-12, 80.0, limit=300)
         assert total == pytest.approx(T * c * b, rel=1e-6)
 
+    def test_alpha0_scaled_part_has_no_intensity(self):
+        # c (1 - a^0) = 0: both branches give the placeholder intensity
+        gen = GeneralTsLaw(0.0, 0.8, lambda x: np.exp(-1.4 * np.asarray(x)))
+        for law in (CtsParams(0.0, 1.4, 0.8), gen):
+            assert ts_remainder_decompose(law, 0.5).scaled.c <= np.finfo(float).tiny
+
     def test_jump_density_normalised(self):
         for a in (0.9, 0.3):
             dec = ts_remainder_decompose(CTS_REF, a)

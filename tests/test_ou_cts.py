@@ -397,3 +397,21 @@ class TestApproximations:
         x = law.sample(0.3, RngStream(35, 2), size=n)
         for k in (1, 2):
             assert abs(z_score(x, law.cumulant(k, 0.3), k)) < 4.0
+
+    @pytest.mark.parametrize("alpha,dt", [(0.0, 30.0 / 365.0), (0.5, 30.0 / 365.0), (0.9, 0.3)])
+    def test_scaled_bdlp_law_is_the_scaled_driving_increment(self, alpha, dt):
+        # a * (x0 + L(dt)), L(dt) ~ CTS(alpha, beta, c dt/T), drawn on an equal
+        # stream; at alpha 0.9 and b*dt = 3 both take the double-rejection route
+        proc = OuCtsProcess(CtsParams(alpha, BETA, C), B)
+        law = scaled_bdlp_law(proc, dt)
+        increment = CtsParams(alpha, BETA, C * dt / proc.T)
+        dr = rand_core.cts_tilting_acceptance(increment) < rand_core.TILTING_ACCEPTANCE_FLOOR
+        assert dr == (alpha == 0.9)
+        s1, s2 = RngStream(36, 1), RngStream(36, 1)
+        x = law.sample(0.7, s1, size=10**4)
+        y = law.a * (0.7 + rand_core.sample_cts(increment, s2, size=10**4))
+        np.testing.assert_allclose(x, y, rtol=1e-13, atol=0.0)
+        assert s1.gen.random() == s2.gen.random()
+        for k in (1, 2, 3, 4):
+            want = law.a**k * cts_cumulants(increment, k) + (law.a * 0.7 if k == 1 else 0.0)
+            assert law.cumulant(k, 0.7) == pytest.approx(want, rel=1e-13)

@@ -11,15 +11,12 @@ from _helpers import z_score
 from tsousim import cts_ou, rand_core
 from tsousim.rand_core import (
     CtsParams,
-    GammaLaw,
     RngStream,
     cts_tilting_acceptance,
     sample_cts,
-    sample_gamma,
     sample_inverse_gaussian,
     sample_poisson,
     sample_stable_subordinator,
-    uniform,
 )
 
 # Median of the positive stable law with Laplace transform exp(-u^0.9),
@@ -31,31 +28,31 @@ STABLE_09_MEDIAN = 0.8867701677171331
 
 class TestUniform:
     def test_range_contract(self):
-        u = uniform(RngStream(1))
+        u = RngStream(1).gen.random()
         assert 0.0 <= u < 1.0
 
     def test_determinism_same_address(self):
-        a = uniform(RngStream(7, 3), size=5)
-        b = uniform(RngStream(7, 3), size=5)
+        a = RngStream(7, 3).gen.random(5)
+        b = RngStream(7, 3).gen.random(5)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
         assert not np.array_equal(
-            uniform(RngStream(7, 0), size=8), uniform(RngStream(7, 1), size=8)
+            RngStream(7, 0).gen.random(8), RngStream(7, 1).gen.random(8)
         )
 
     def test_distinct_streams_uncorrelated(self):
         # adjacent stream ids from one seed behave like independent streams
         n = 10**5
-        base = uniform(RngStream(7, 0), size=n)
+        base = RngStream(7, 0).gen.random(n)
         for sid in (1, 2, 3):
-            other = uniform(RngStream(7, sid), size=n)
+            other = RngStream(7, sid).gen.random(n)
             corr = np.corrcoef(base, other)[0, 1]
             assert abs(corr) < 4.0 / np.sqrt(n)
 
     def test_ks_against_uniform(self):
         n = 10**5
-        u = uniform(RngStream(11, 0), size=n)
+        u = RngStream(11, 0).gen.random(n)
         d = stats.kstest(u, "uniform").statistic
         assert d < 1.36 / np.sqrt(n) * 1.5
 
@@ -63,21 +60,21 @@ class TestUniform:
 class TestGamma:
     def test_exponential_special_case(self):
         beta = 1.4
-        x = sample_gamma(GammaLaw(1.0, beta), RngStream(2, 1), size=10**6)
+        x = sample_cts(CtsParams(0.0, beta, 1.0), RngStream(2, 1), size=10**6)
         assert abs(z_score(x, 1.0 / beta, 1)) < 4.0
 
     def test_boosted_shape_mean(self):
-        x = sample_gamma(GammaLaw(0.5, 2.0), RngStream(2, 2), size=10**6)
+        x = sample_cts(CtsParams(0.0, 2.0, 0.5), RngStream(2, 2), size=10**6)
         assert abs(z_score(x, 0.25, 1)) < 4.0
 
     def test_boosted_shape_variance(self):
-        x = sample_gamma(GammaLaw(0.5, 2.0), RngStream(2, 3), size=10**6)
+        x = sample_cts(CtsParams(0.0, 2.0, 0.5), RngStream(2, 3), size=10**6)
         assert abs(z_score(x, 0.125, 2)) < 4.0
 
     @pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (1.0, -2.0), (-0.5, 1.0)])
     def test_parameter_domain(self, shape, rate):
         with pytest.raises(ValueError):
-            GammaLaw(shape, rate)
+            CtsParams(0.0, rate, shape)
 
 
 class TestPoisson:
@@ -290,14 +287,14 @@ class TestInverseGaussian:
 class TestReproducibility:
     def test_cloned_stream_identical_for_every_sampler(self):
         base = RngStream(9, 2)
-        uniform(base, size=17)  # advance the counter away from the origin
+        base.gen.random(17)  # advance the counter away from the origin
         draws = []
         for _ in range(2):
             s = base.clone()
             draws.append(
                 (
-                    uniform(s, size=3),
-                    sample_gamma(GammaLaw(0.5, 2.0), s, size=3),
+                    s.gen.random(3),
+                    sample_cts(CtsParams(0.0, 2.0, 0.5), s, size=3),
                     sample_poisson(4.0, s, size=3),
                     sample_stable_subordinator(0.7, s, size=3),
                     sample_cts(CtsParams(0.5, 1.4, 0.8), s, size=3),
@@ -311,8 +308,8 @@ class TestReproducibility:
         # one batch-SE gate per sampler with finite first two moments
         n = 10**6
         cases = [
-            (uniform(RngStream(10, 1), size=n), 0.5, 1.0 / 12.0),
-            (sample_gamma(GammaLaw(2.0, 3.0), RngStream(10, 2), size=n), 2 / 3, 2 / 9),
+            (RngStream(10, 1).gen.random(n), 0.5, 1.0 / 12.0),
+            (sample_cts(CtsParams(0.0, 3.0, 2.0), RngStream(10, 2), size=n), 2 / 3, 2 / 9),
             (
                 sample_poisson(7.0, RngStream(10, 3), size=n).astype(float),
                 7.0,
