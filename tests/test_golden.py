@@ -135,7 +135,7 @@ CASES = {
     ),
     "cumulants-scaled-bdlp": (
         _cumulants("scaled-bdlp", "0.5", 18),
-        "ae8bf1d725861da7eb850bae080a48f44b28f9ebc0ccdd617f3daff93b3044e4",
+        "dbc2a0c8225be62020ed87892e37fbe4c5908015b41438086dc57c3e27977ee3",
     ),
     "skeleton-ctsou": (
         _skeleton("cts-ou", None),
