@@ -32,12 +32,9 @@ from .harness import (
 
 _CONFIG_ENV = "TSOUSIM_CONFIG"
 
-# Flag and config-file key (``--target-g``, ``target_g``) of each
-# ExperimentConfig field; their types and defaults come from the fields.
-_FIELDS = {
-    ("target_g" if f.name == "target_G" else f.name): f
-    for f in dataclasses.fields(ExperimentConfig)
-}
+# ExperimentConfig fields by name: each is a config-file key and a ``--name``
+# flag, whose type and default come from the field.
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _HINTS = get_type_hints(ExperimentConfig)
 _TYPES = {
     key: _HINTS[f.name] if _HINTS[f.name] in (int, float) else str
@@ -102,9 +99,7 @@ def _build_config(args: argparse.Namespace, file_values: dict) -> ExperimentConf
     if missing:
         raise SystemExit(f"missing required parameters: {', '.join(missing)}")
     try:
-        return ExperimentConfig(
-            **{_FIELDS[key].name: value for key, value in merged.items()}
-        ).validate(check_batches=args.command == "cumulants")
+        return ExperimentConfig(**merged).validate(check_batches=args.command == "cumulants")
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from exc
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy import integrate
@@ -463,21 +463,16 @@ def stationary_density_from_bdlp(nu_L: Callable, b: float, T: float, x: float) -
     return tail / (T * b * abs(x))
 
 
-def bdlp_density_from_stationary(
-    nu_X: Callable, b: float, T: float, x: float, nu_X_prime: Optional[Callable] = None
-) -> float:
+def bdlp_density_from_stationary(nu_X: Callable, b: float, T: float, x: float) -> float:
     """Driving-process Levy density at ``x`` from the stationary density.
 
     nu_L(x) = -T b (nu_X(x) + x * nu_X'(x)); the derivative is taken by
-    central difference with step max(1e-6, 1e-4 |x|) when not supplied.
+    central difference with step max(1e-6, 1e-4 |x|).
     """
     if x == 0.0:
         raise ValueError("density map is undefined at x = 0")
-    if nu_X_prime is not None:
-        d = float(nu_X_prime(x))
-    else:
-        h = max(1e-6, 1e-4 * abs(x))
-        d = (float(nu_X(x + h)) - float(nu_X(x - h))) / (2.0 * h)
+    h = max(1e-6, 1e-4 * abs(x))
+    d = (float(nu_X(x + h)) - float(nu_X(x - h))) / (2.0 * h)
     return -T * b * (float(nu_X(x)) + x * d)
 
 

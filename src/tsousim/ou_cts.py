@@ -62,6 +62,8 @@ __all__ = [
     "single_chord_mass",
 ]
 
+# envelope mass G_L that build_envelope doubles its chords down to; the
+# rejection sampler accepts a proposal with probability 1/G_L
 DEFAULT_TARGET_G = 1.01
 
 
@@ -145,21 +147,13 @@ def single_chord_mass(a: float, alpha: float) -> float:
     return float(th * np.expm1(th) / (2.0 * _expm1_minus_x(th)))
 
 
-def build_envelope(
-    alpha: float,
-    a: float,
-    target_G: float = DEFAULT_TARGET_G,
-    *,
-    force_segments: int | None = None,
-) -> Envelope:
+def build_envelope(alpha: float, a: float, *, force_segments: int | None = None) -> Envelope:
     """Chord envelope over uniform breakpoints, doubling from 4 segments
-    until the total mass G_L drops below ``target_G``.
+    until the total mass G_L drops below ``DEFAULT_TARGET_G``.
 
     ``force_segments`` pins the segment count regardless of the target
-    (used for diagnostics); otherwise ``target_G`` must exceed 1.
+    (used for diagnostics).
     """
-    if force_segments is None and not (target_G > 1.0):
-        raise ValueError(f"target_G must exceed 1, got {target_G}")
     n_seg = force_segments if force_segments is not None else 4
     while True:
         w = np.linspace(0.0, 1.0, n_seg + 1)
@@ -167,11 +161,11 @@ def build_envelope(
         dw = 1.0 / n_seg
         masses = 0.5 * (f[:-1] + f[1:]) * dw
         total = float(masses.sum())
-        if force_segments is not None or total <= target_G:
+        if force_segments is not None or total <= DEFAULT_TARGET_G:
             break
         if n_seg >= 2**21:
             raise RuntimeError(
-                f"envelope did not reach target_G={target_G} at {n_seg} segments"
+                f"envelope did not reach G_L <= {DEFAULT_TARGET_G} at {n_seg} segments"
             )
         n_seg *= 2
     probs = masses / total
@@ -184,18 +178,11 @@ def build_envelope(
 @dataclass(frozen=True)
 class OuCtsStepLaw(StepLaw):
     """Transition law over one step: scale a, CTS part with retempered
-    rate beta/a, jump rate lambda_a, the jumps' tempering ``jump_beta`` and
-    the ``target_G`` of the f_W envelope; build it with :func:`step_law_oucts`.
+    rate beta/a, jump rate lambda_a and the jumps' tempering ``jump_beta``;
+    build it with :func:`step_law_oucts`.
     """
 
     jump_beta: float
-    target_G: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        # checked here because the envelope that uses it is built lazily
-        if not (self.target_G > 1.0):
-            raise ValueError(f"target_G must exceed 1, got {self.target_G}")
 
     @cached_property
     def envelope(self) -> Envelope | None:
@@ -203,7 +190,7 @@ class OuCtsStepLaw(StepLaw):
         none), built on first use: a step whose Poisson total is 0 never
         draws V.  :func:`build_envelope` draws nothing, so neither does this."""
         alpha = self.x1_params.alpha
-        return None if alpha == 0.0 else build_envelope(alpha, self.a, self.target_G)
+        return None if alpha == 0.0 else build_envelope(alpha, self.a)
 
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
         # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
@@ -237,9 +224,7 @@ def _lambda_a(p: OuCtsProcess, a: float) -> float:
     )
 
 
-def step_law_oucts(
-    p: OuCtsProcess, dt: float, target_G: float = DEFAULT_TARGET_G
-) -> OuCtsStepLaw:
+def step_law_oucts(p: OuCtsProcess, dt: float) -> OuCtsStepLaw:
     """Transition law over a step of length ``dt``.
 
     alpha = 0 gives the limiting law: gamma(c*dt/T, beta/a) for the CTS
@@ -250,9 +235,9 @@ def step_law_oucts(
     x1 = _x1_params(p, dt, a)
     if p.bdlp.alpha == 0.0:
         rate = p.bdlp.c * np.log(a) ** 2 / (2.0 * p.T * p.b)
-        return OuCtsStepLaw(a, x1, rate, p.bdlp.beta, target_G)
+        return OuCtsStepLaw(a, x1, rate, p.bdlp.beta)
     # (beta/a)*a can differ from beta in the last bit; the golden hashes pin this form
-    return OuCtsStepLaw(a, x1, _lambda_a(p, a), x1.beta * a, target_G)
+    return OuCtsStepLaw(a, x1, _lambda_a(p, a), x1.beta * a)
 
 
 def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:

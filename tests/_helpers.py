@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
+from tsousim import ou_cts
 from tsousim.harness import estimate_cumulants
 from tsousim.ou_cts import _sample_w
 
@@ -27,6 +28,16 @@ class FixedStream:
         reps = int(np.ceil(n / self._values.size))
         out = np.tile(self._values, reps)[:n]
         return out if size is not None else out
+
+
+def force_single_chord(monkeypatch) -> None:
+    """Make every ``ou_cts.build_envelope`` call build one chord: an
+    under-resolved envelope, whose mass G_1 exceeds the target unless
+    f_W is nearly linear (small b dt)."""
+    build = ou_cts.build_envelope
+    monkeypatch.setattr(
+        ou_cts, "build_envelope", lambda alpha, a, **kwargs: build(alpha, a, force_segments=1)
+    )
 
 
 def chi2_pvalue(draws, cdf, lo: float, hi: float, bins: int = 50) -> float:

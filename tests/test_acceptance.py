@@ -170,7 +170,7 @@ def test_criterion_4_envelope_efficiency():
     failures = []
     for alpha in ALPHAS:
         for a in a_cells:
-            env = ou_cts.build_envelope(alpha, a, 1.01)
+            env = ou_cts.build_envelope(alpha, a)
             rate = envelope_acceptance(env, a, alpha, RngStream(SEED + 3000, 1), 10**5)
             print(f"  alpha={alpha} a={a:.4f}: L={env.segment_count} "
                   f"G_L={env.total_mass:.6f} acceptance={rate:.4f}")

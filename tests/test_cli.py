@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _helpers import force_single_chord
 from tsousim import rand_core
 from tsousim.cli import load_config_file, main
 
@@ -116,8 +117,8 @@ def test_byte_identical_csv_between_runs(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "cumulants"])
 @pytest.mark.parametrize(
     "extra",
-    [["--dt", "74"], ["--dt", "74", "--method", "scaled-bdlp"], ["--target-g", "1.0"]],
-    ids=["underflow", "underflow-scaled-bdlp", "target-g"],
+    [["--dt", "74"], ["--dt", "74", "--method", "scaled-bdlp"]],
+    ids=["underflow", "underflow-scaled-bdlp"],
 )
 def test_oucts_invalid_step_law_is_a_configuration_error(command, extra, tmp_path):
     # b*dt = 740: exp(-b*dt) underflows and the CTS part's rate beta/a is
@@ -127,3 +128,17 @@ def test_oucts_invalid_step_law_is_a_configuration_error(command, extra, tmp_pat
     with pytest.raises(SystemExit, match="invalid configuration"):
         main(argv)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("paths", ["0", "-3"])
+def test_simulate_without_paths_is_a_configuration_error(paths, tmp_path):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(["simulate", *BASE, "--paths", paths, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_validate_exits_1_when_a_check_fails(monkeypatch, capsys):
+    force_single_chord(monkeypatch)
+    assert main(["validate"]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out

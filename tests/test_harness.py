@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from _helpers import force_single_chord
 from tsousim import cts_ou, harness, ou_cts
 from tsousim.harness import (
     ExperimentConfig,
@@ -395,13 +396,16 @@ class TestChunkedExport:
 
 class TestValidateSuite:
     def test_fresh_suite_passes(self):
-        report = validate_suite(proposals=2 * 10**4)
+        report = validate_suite()
         assert report.passed, report.to_text()
         assert "acceptance=" in report.to_text()  # per-cell measurements present
 
-    def test_envelope_fault_injection_is_reported(self):
-        report = validate_suite(inject_envelope_fault=True, proposals=2 * 10**4)
+    def test_under_resolved_envelope_is_detected(self, monkeypatch):
+        force_single_chord(monkeypatch)
+        report = validate_suite()
         assert not report.passed
-        faulty = [e for e in report.entries if "fault injection" in e.name]
-        assert len(faulty) == 1 and not faulty[0].passed
-        assert "holds" in faulty[0].detail and "G_1" in faulty[0].detail
+        # G_1 is 1.04-1.67 on the a = exp(-300/365) and a = 0.05 cells of
+        # every alpha, and below 1.005 on the a = exp(-10/365) cells
+        failed = [e.name for e in report.entries if not e.passed]
+        assert len(failed) == 8
+        assert all(name.startswith("envelope alpha=") for name in failed)

@@ -91,10 +91,6 @@ class TestStepLaw:
         assert "envelope" in vars(lazy)
         assert x.tobytes() == eager.sample(0.0, RngStream(41, 0), 64).tobytes()
 
-    def test_target_g_checked_when_the_law_is_built(self):
-        with pytest.raises(ValueError, match="target_G must exceed 1"):
-            step_law_oucts(PROC, 0.3, target_G=1.0)
-
     def test_alpha0_limiting_law(self):
         law = step_law_oucts(OuCtsProcess(CtsParams(0.0, BETA, C), B), 0.1)
         assert law.envelope is None
@@ -136,7 +132,7 @@ class TestEnvelope:
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("a", A_CELLS)
     def test_domination_and_probabilities(self, alpha, a):
-        env = build_envelope(alpha, a, 1.01)
+        env = build_envelope(alpha, a)
         w = np.linspace(0.0, 1.0, 1001)
         assert np.max(f_w_density(w, a, alpha) - env.value(w)) <= 0.0
         assert env.total_mass >= 1.0
@@ -150,27 +146,23 @@ class TestEnvelope:
             g2 = build_envelope(alpha, a, force_segments=2 * seg).total_mass
             assert g2 - 1.0 <= (g1 - 1.0) / 3.0
 
-    def test_target_domain(self):
-        with pytest.raises(ValueError):
-            build_envelope(0.5, 0.44, 1.0)
-
 
 class TestSampleW:
     def test_acceptance_rate_matches_total_mass(self):
-        env = build_envelope(0.7, 0.05, 1.01)
+        env = build_envelope(0.7, 0.05)
         rate = envelope_acceptance(env, 0.05, 0.7, RngStream(31, 1), 10**5)
         assert abs(rate - 1.0 / env.total_mass) < 0.01
 
     def test_density_chi2(self):
         a, alpha = 0.44, 0.5
-        env = build_envelope(alpha, a, 1.01)
+        env = build_envelope(alpha, a)
         w = sample_w(env, a, alpha, RngStream(31, 4), size=10**5)
         assert chi2_pvalue(w, lambda x: f_w_cdf(x, a, alpha), 0.0, 1.0) > 0.05
 
     def test_near_degenerate_scale(self):
         # b*dt = 1e-4: the density is nearly linear and must stay finite
         a = np.exp(-1e-4)
-        env = build_envelope(0.5, a, 1.01)
+        env = build_envelope(0.5, a)
         w = sample_w(env, a, 0.5, RngStream(31, 3), size=10**4)
         assert np.all((w >= 0.0) & (w <= 1.0))
         assert np.all(np.isfinite(f_w_density(w, a, 0.5)))
