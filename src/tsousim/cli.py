@@ -109,7 +109,10 @@ def main(argv: Optional[list] = None) -> int:
     file_values: dict = {}
     config_path = os.environ.get(_CONFIG_ENV)
     if config_path and args.command in ("simulate", "cumulants"):
-        file_values = load_config_file(config_path)
+        try:
+            file_values = load_config_file(config_path)
+        except ValueError as exc:
+            raise SystemExit(f"invalid configuration: {exc}") from exc
 
     if args.command == "validate":
         report = validate_suite()

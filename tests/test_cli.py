@@ -116,13 +116,23 @@ def test_byte_identical_csv_between_runs(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "cumulants"])
 @pytest.mark.parametrize(
-    "extra",
-    [["--dt", "74"], ["--dt", "74", "--method", "scaled-bdlp"]],
-    ids=["underflow", "underflow-scaled-bdlp"],
+    "extra, config",
+    [
+        (["--dt", "74"], None),
+        (["--dt", "74", "--method", "scaled-bdlp"], None),
+        ([], "target_g = 1.0\n"),
+    ],
+    ids=["underflow", "underflow-scaled-bdlp", "target-g"],
 )
-def test_oucts_invalid_step_law_is_a_configuration_error(command, extra, tmp_path):
+def test_oucts_invalid_step_law_is_a_configuration_error(command, extra, config, tmp_path, monkeypatch):
     # b*dt = 740: exp(-b*dt) underflows and the CTS part's rate beta/a is
-    # infinite, in the exact step and in the scaled driving increment alike
+    # infinite, in the exact step and in the scaled driving increment alike.
+    # The envelope target is fixed, so a config file that still sets it is
+    # refused rather than silently ignored.
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        monkeypatch.setenv("TSOUSIM_CONFIG", str(cfg))
     out = tmp_path / "out.csv"
     argv = [command, *BASE, "--process", "ou-cts", "--steps", "1", "--batches", "10", *extra, "--out", str(out)]
     with pytest.raises(SystemExit, match="invalid configuration"):

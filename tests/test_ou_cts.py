@@ -146,6 +146,19 @@ class TestEnvelope:
             g2 = build_envelope(alpha, a, force_segments=2 * seg).total_mass
             assert g2 - 1.0 <= (g1 - 1.0) / 3.0
 
+    def test_target_domain(self):
+        # the fixed target G_L <= DEFAULT_TARGET_G is reached at the edges of
+        # the (alpha, a) domain, with the fewest doublings from 4 chords
+        for alpha in (0.01, 0.5, 0.99):
+            for a in (np.exp(-1e-4), 0.44, 1e-6):
+                env = build_envelope(alpha, a)
+                assert env.total_mass <= ou_cts.DEFAULT_TARGET_G
+                seg = env.segment_count
+                assert seg >= 4 and seg & (seg - 1) == 0
+                if seg > 4:
+                    coarser = build_envelope(alpha, a, force_segments=seg // 2)
+                    assert coarser.total_mass > ou_cts.DEFAULT_TARGET_G
+
 
 class TestSampleW:
     def test_acceptance_rate_matches_total_mass(self):
