@@ -12,7 +12,9 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Empty groups contribute 0.  ``values.size`` must equal ``counts.sum()``.
     """
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    prefix = np.concatenate(([0.0], np.cumsum(values)))
+    prefix = np.empty(values.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(values, out=prefix[1:])
     return prefix[offsets[1:]] - prefix[offsets[:-1]]
 
 

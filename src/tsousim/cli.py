@@ -113,13 +113,18 @@ def main(argv: Optional[list] = None) -> int:
             file_values = load_config_file(config_path)
         except ValueError as exc:
             raise SystemExit(f"invalid configuration: {exc}") from exc
+        except OSError as exc:  # its message names the file
+            raise SystemExit(str(exc)) from exc
 
     if args.command == "validate":
         report = validate_suite()
         text = report.to_text()
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise SystemExit(f"cannot write report to {args.out!r}: {exc}") from exc
         sys.stdout.write(text)
         return 0 if report.passed else 1
 
@@ -127,11 +132,17 @@ def main(argv: Optional[list] = None) -> int:
     if args.command == "simulate":
         if not cfg.out:
             raise SystemExit("simulate requires --out FILE")
-        path = export_trajectories(cfg, count=cfg.paths)
+        try:
+            path = export_trajectories(cfg, count=cfg.paths)
+        except OSError as exc:  # its message names the file
+            raise SystemExit(str(exc)) from exc
         print(f"wrote {cfg.paths} trajectories ({cfg.steps} steps) to {path}")
         return 0
 
-    table = run_experiment(cfg)
+    try:
+        table = run_experiment(cfg)
+    except OSError as exc:  # its message names the file
+        raise SystemExit(str(exc)) from exc
     for row in table.rows:
         print(
             f"k{row.k_order}: true={row.true:.6e} est={row.estimated:.6e} "

@@ -71,12 +71,18 @@ class CtsOuStepLaw(StepLaw):
         if self.x1_params is None:
             # exponential(beta) jumps decayed over uniform arrival times; the
             # uniform time trick replaces the ordered Poisson arrival times
-            u = stream.gen.random(m)
-            return stream.gen.standard_exponential(m) / self.beta * np.exp(-self.b_dt * u)
+            factor = stream.gen.random(m)
+            factor *= -self.b_dt
+            np.exp(factor, out=factor)
+            x = stream.gen.standard_exponential(m)
+            x /= self.beta
+            x *= factor
+            return x
         # gamma(1-alpha, beta*V) with V on [1, 1/a]
         alpha = self.x1_params.alpha
         v = sample_v_ctsou(self.a, alpha, stream, size=m)
-        return _gamma_shape_rate(stream, 1.0 - alpha, self.beta * v, size=m)
+        v *= self.beta
+        return _gamma_shape_rate(stream, 1.0 - alpha, v, size=m)
 
     def jump_moment(self, k: int) -> float:
         """k-th jump moment by quadrature over the mixing law of V on [1, 1/a],
@@ -117,8 +123,10 @@ def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size=None):
         raise ValueError(f"a must be in (0, 1), got {a}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    u = stream.gen.random(1 if size is None else size)
-    v = (1.0 + (a ** -alpha - 1.0) * u) ** (1.0 / alpha)
+    v = stream.gen.random(1 if size is None else size)  # U, turned into V in place
+    v *= a ** -alpha - 1.0
+    v += 1.0
+    v **= 1.0 / alpha
     return _squeeze(v, size)
 
 

@@ -75,7 +75,8 @@ class ExperimentConfig:
 
     def validate(self, check_batches: bool = True) -> "ExperimentConfig":
         """Parameter-domain checks; ``check_batches=False`` relaxes the
-        paths >= batches constraint, which only matters for cumulant runs."""
+        paths >= batches and steps >= 1 constraints, which only matter for
+        cumulant runs (at horizon 0 every cumulant is a constant)."""
         if (self.process, self.method) not in STEP_LAWS:
             raise ValueError(
                 f"(process, method) must be one of {list(STEP_LAWS)}, "
@@ -87,6 +88,8 @@ class ExperimentConfig:
             raise ValueError(f"x0 must be finite, got {self.x0}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
+        if check_batches and self.steps < 1:
+            raise ValueError(f"a cumulant run needs steps >= 1, got {self.steps}")
         if self.batches < 2:
             raise ValueError(f"need at least 2 batches, got {self.batches}")
         if self.paths < 1:

@@ -195,7 +195,8 @@ class OuCtsStepLaw(StepLaw):
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
         # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
         v = sample_v_oucts(self, stream, size=m)
-        return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, self.jump_beta * v, size=m)
+        v *= self.jump_beta
+        return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, v, size=m)
 
     def jump_moment(self, k: int) -> float:
         """k-th jump moment by quadrature over the mixing density (v^alpha - 1)/v
@@ -272,18 +273,40 @@ def _sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, n: 
     masses, cum = envelope.masses, envelope.cum_probabilities
 
     def propose(m):
-        seg = np.searchsorted(cum, g.random(m), side="right")
-        seg = np.clip(seg, 0, envelope.segment_count - 1)
-        y0 = fv[seg]
-        q = masses[seg]
+        seg = np.searchsorted(cum, g.random(m), side="right")  # <= L-1: cum[-1] = 1 > u
         sl = slopes[seg]
-        u = g.random(m)
-        # solve y0*s + sl*s^2/2 = u*q for the offset s into the segment;
-        # the root below is stable for flat chords (sl -> 0 gives u*q/y0)
-        s = 2.0 * u * q / (y0 + np.sqrt(y0 * y0 + 2.0 * sl * u * q))
-        w = bp[seg] + s
-        g_val = y0 + sl * s
-        return w, g.random(m) * g_val <= f_w_density(w, a, alpha)
+        q = masses[seg]
+        s = g.random(m)  # u, turned into the offset s in place
+        # solve y0*s + sl*s^2/2 = u*q for the offset s into the segment by
+        # s = 2uq / (y0 + sqrt(y0^2 + 2 sl u q)), stable for flat chords
+        # (sl -> 0 gives u*q/y0).  Everything below runs in place with only
+        # exact reorderings (x*y = y*x, x+y = y+x), so it rounds as the
+        # written formulas do while at most five length-m arrays are alive;
+        # y0 = fv[seg] is gathered twice rather than held.
+        den = sl * 2.0
+        den *= s
+        den *= q
+        s *= 2.0
+        s *= q
+        del q
+        y0_sq = fv[seg]
+        y0_sq *= y0_sq
+        den += y0_sq
+        del y0_sq
+        np.sqrt(den, out=den)
+        y0 = fv[seg]
+        den += y0
+        s /= den
+        del den
+        sl *= s
+        sl += y0  # the envelope value y0 + sl*s
+        del y0
+        s += bp[seg]  # the proposal w = bp + s
+        del seg
+        r = g.random(m)
+        r *= sl
+        del sl
+        return s, r <= f_w_density(s, a, alpha)
 
     return _rejection_loop(propose, n, "envelope rejection")
 
@@ -294,8 +317,10 @@ def sample_v_oucts(law: OuCtsStepLaw, stream: RngStream, size=None):
     at alpha = 0 (no envelope) the limiting law of :func:`sample_v_alpha0`."""
     if law.envelope is None:
         return sample_v_alpha0(law.a, stream, size)
-    w = sample_w(law.envelope, law.a, law.x1_params.alpha, stream, size)
-    v = np.exp(-np.asarray(w, dtype=float) * np.log(law.a))
+    # in place on W; a scalar W becomes a 0-d array
+    v = np.asarray(sample_w(law.envelope, law.a, law.x1_params.alpha, stream, size), dtype=float)
+    v *= -np.log(law.a)
+    np.exp(v, out=v)
     return float(v) if size is None else v
 
 

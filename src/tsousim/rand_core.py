@@ -124,8 +124,10 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, size=None):
     else:
         x = g.standard_gamma(shape + 1.0, size=n)
         u = g.random(n)
-        x = x * u ** (1.0 / shape)
-    return _squeeze(x / rate, size)
+        u **= 1.0 / shape
+        x *= u
+    x /= rate
+    return _squeeze(x, size)
 
 
 def sample_poisson(mean: float, stream: RngStream, size=None):
@@ -216,11 +218,15 @@ def _rejection_loop(propose, n: int, what: str):
     """Vectorised rejection: ``propose(m)`` returns m candidates and their
     accept mask; rejected slots are proposed again until all n are filled.
 
-    Returns the draws and the total number of proposals made.
+    Returns the draws and the total number of proposals made.  The first
+    round proposes every slot, so its candidates are the output array and
+    only the rejected slots are proposed again; n = 0 proposes nothing.
     """
-    out = np.empty(n)
-    pending = np.arange(n)
-    proposals = rounds = 0
+    if n == 0:
+        return np.empty(0), 0
+    out, accept = propose(n)
+    pending = np.flatnonzero(~accept)
+    proposals, rounds = n, 1
     while pending.size:
         m = pending.size
         x, accept = propose(m)

@@ -152,3 +152,41 @@ def test_validate_exits_1_when_a_check_fails(monkeypatch, capsys):
     force_single_chord(monkeypatch)
     assert main(["validate"]) == 1
     assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_unreadable_config_file_exits_with_its_path(tmp_path, monkeypatch):
+    missing = tmp_path / "missing.cfg"
+    monkeypatch.setenv("TSOUSIM_CONFIG", str(missing))
+    with pytest.raises(SystemExit, match="cannot read config file") as exc:
+        main(["simulate", *BASE, "--paths", "2", "--out", str(tmp_path / "out.csv")])
+    assert str(missing) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["simulate", *BASE, "--paths", "2"], "trajectories"),
+        (["cumulants", *BASE, "--batches", "10"], "err table"),
+        (["validate"], "report"),
+    ],
+    ids=["simulate", "cumulants", "validate"],
+)
+def test_unwritable_out_exits_with_its_path(argv, what, tmp_path):
+    out = tmp_path / "no-such-dir" / "out.csv"
+    with pytest.raises(SystemExit, match=f"cannot write {what}") as exc:
+        main([*argv, "--out", str(out)])
+    assert str(out) in str(exc.value)
+
+
+def test_cumulants_need_a_step(tmp_path):
+    # at horizon 0 every cumulant is a constant and err% would be NaN
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit, match="invalid configuration: .*steps >= 1"):
+        main(["cumulants", *BASE, "--batches", "10", "--steps", "0", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_simulate_without_steps_writes_the_start(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", *BASE, "--steps", "0", "--paths", "2", "--x0", "0.7", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["time,path_0,path_1", "0.0,0.7,0.7"]

@@ -1,6 +1,8 @@
 """OU-CTS tests: step-law rates and limits, the convex mixing density and
 its chord-envelope sampler, exact transitions, and both approximate steps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -11,6 +13,8 @@ from tsousim import ou_cts, rand_core
 from tsousim.levy_core import cts_cumulants, ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
+    OuCtsStepLaw,
+    _sample_w,
     build_envelope,
     cumulants_oucts,
     f_w_density,
@@ -179,6 +183,47 @@ class TestSampleW:
         w = sample_w(env, a, 0.5, RngStream(31, 3), size=10**4)
         assert np.all((w >= 0.0) & (w <= 1.0))
         assert np.all(np.isfinite(f_w_density(w, a, 0.5)))
+
+
+class TestMemory:
+    """Peak traced memory of the jump pipeline, in float64 arrays of its
+    jump count, at alpha 0.9 and b dt = 3 (about 14 jumps per transition,
+    932 557 for one 65 536-path block).  The in-place pipeline peaks at
+    5.1 arrays for the whole step and 5.0 for the W sampler alone; the
+    out-of-place arithmetic it replaced peaked at 13.1 and 13.0.  The
+    envelope is built before tracing starts."""
+
+    LAW = step_law_oucts(OuCtsProcess(CtsParams(0.9, BETA, C), B), 0.3)
+
+    @staticmethod
+    def _traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_step_peaks_below_six_jump_arrays(self, monkeypatch):
+        jumps = []
+        draw = OuCtsStepLaw.draw_jumps
+
+        def counted(law, stream, m):
+            jumps.append(m)
+            return draw(law, stream, m)
+
+        monkeypatch.setattr(OuCtsStepLaw, "draw_jumps", counted)
+        assert self.LAW.envelope is not None  # built before tracing starts
+        peak = self._traced_peak(lambda: self.LAW.sample(0.0, RngStream(5, 0), 1 << 16))
+        assert jumps == [932557]
+        assert peak <= 6 * 8 * jumps[0]
+
+    def test_w_sampler_peaks_below_six_arrays(self):
+        env, n = self.LAW.envelope, 1 << 18
+        peak = self._traced_peak(
+            lambda: _sample_w(env, self.LAW.a, 0.9, RngStream(5, 1), n)
+        )
+        assert peak <= 6 * 8 * n
 
 
 class TestMixingFactorV:

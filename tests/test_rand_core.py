@@ -252,6 +252,29 @@ class TestRejectionLoop:
         assert proposals == 15
         assert sorted(draws) == [1.0, 2.0, 4.0, 4.0, 8.0, 8.0, 8.0, 8.0]
 
+    def test_no_slots_propose_nothing(self):
+        stream, before = RngStream(5, 3), RngStream(5, 3)
+        sizes = []
+
+        def propose(m):
+            sizes.append(m)
+            return stream.gen.random(m), np.ones(m, dtype=bool)
+
+        draws, proposals = rand_core._rejection_loop(propose, 0, "empty")
+        assert draws.shape == (0,) and proposals == 0 and sizes == []
+        assert stream.gen.random() == before.gen.random()
+
+    def test_accepting_everything_takes_one_round(self):
+        sizes = []
+
+        def propose(m):
+            sizes.append(m)
+            return np.arange(m, dtype=float), np.ones(m, dtype=bool)
+
+        draws, proposals = rand_core._rejection_loop(propose, 5, "accept-all")
+        assert sizes == [5] and proposals == 5
+        assert draws.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
     def test_round_cap_raises(self, monkeypatch):
         monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 3)
 
