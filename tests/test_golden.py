@@ -29,6 +29,13 @@ central moments are formed decides the last bits of the estimates and
 their standard errors.  The ``validate-report`` hash pins the proposal
 counts of the envelope draws on stream 901.
 
+The ``levy-core-quadrature`` case pins the Levy-Khintchine quadrature
+oracle bit for bit: ``float.hex`` of ``lk_log_chf`` on the gamma and
+CTS(0.5, 1.4, 0.8) remainder triplets (the values the validation report
+prints to four digits only), their remainder drifts, the compound-Poisson
+rate of a general-tempering decomposition and the stationary density
+from a driving density, one-sided and two-sided.
+
 The hashes assume numpy 2.4.6: they pin its Philox bit stream and the
 ziggurat normal, exponential and gamma generators built on it.  Another
 numpy version may legitimately produce different bytes.
@@ -41,6 +48,14 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from tsousim.cli import main
+from tsousim.levy_core import (
+    GeneralTsLaw,
+    LevyTriplet,
+    aremainder_triplet,
+    lk_log_chf,
+    stationary_density_from_bdlp,
+    ts_remainder_decompose,
+)
 from tsousim.cts_ou import CtsOuProcess, simulate_skeleton_ctsou
 from tsousim.ou_cts import OuCtsProcess, simulate_skeleton_oucts
 from tsousim.rand_core import CtsParams, RngStream, sample_cts
@@ -102,6 +117,25 @@ def _validate(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["validate", "--out", str(out)]) == 0
     return out.read_bytes()
+
+
+def _levy_core_quadrature(tmp_path):
+    values = []
+    for params in (CtsParams(0.0, 1.0, 1.0), CtsParams(0.5, 1.4, 0.8)):
+        triplet = LevyTriplet.from_cts(params)
+        for a in (0.9, 0.5, 0.1):
+            rem = aremainder_triplet(triplet, a)
+            values.append(rem.gamma_a)
+            for u in (0.25, 0.5, 1.0, 2.0, 4.0):
+                z = lk_log_chf(rem, u)
+                values += [z.real, z.imag]
+    general = GeneralTsLaw(0.5, 0.8, lambda x: np.exp(-1.4 * np.asarray(x)))
+    values.append(ts_remainder_decompose(general, 0.5).lambda_a)
+    one_sided = LevyTriplet.from_cts(CtsParams(0.5, 1.4, 0.8)).nu
+    two_sided = lambda x: np.where(x > 0, 0.8, 0.5) * np.exp(-1.4 * np.abs(x)) / np.abs(x) ** 1.5
+    for nu_L, x in ((one_sided, 0.1), (one_sided, 1.0), (two_sided, -1.0)):
+        values.append(stationary_density_from_bdlp(nu_L, 10.0, 1.0, x))
+    return "\n".join(float(v).hex() for v in values).encode()
 
 
 CASES = {
@@ -176,6 +210,10 @@ CASES = {
     "cts-dr-alpha0.9-heavy": (
         _cts_dr(0.9, 3.0, 37, heavy=True),
         "f9738eecf4bd4fed6a31237b0fc9e250c9d4d425b55c95403716c94bd29ab7e7",
+    ),
+    "levy-core-quadrature": (
+        _levy_core_quadrature,
+        "78fad3846d6faf00bcf149e3c046be0387dd625436881ccb46990bdfd486b7b7",
     ),
     "validate-report": (
         _validate,
