@@ -25,6 +25,7 @@ from .harness import (
     METHODS,
     PROCESS_KINDS,
     ExperimentConfig,
+    _check_writable,
     export_trajectories,
     run_experiment,
     validate_suite,
@@ -117,15 +118,20 @@ def main(argv: Optional[list] = None) -> int:
             raise SystemExit(str(exc)) from exc
 
     if args.command == "validate":
+        if args.out:
+            try:
+                _check_writable(args.out, "report")
+            except OSError as exc:  # its message names the file
+                raise SystemExit(str(exc)) from exc
         report = validate_suite()
         text = report.to_text()
+        sys.stdout.write(text)  # before the file, which may still fail
         if args.out:
             try:
                 with open(args.out, "w") as fh:
                     fh.write(text)
             except OSError as exc:
                 raise SystemExit(f"cannot write report to {args.out!r}: {exc}") from exc
-        sys.stdout.write(text)
         return 0 if report.passed else 1
 
     cfg = _build_config(args, file_values)

@@ -212,6 +212,17 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
     return CumulantVector(*(float(v) for v in full), *ses)
 
 
+def _check_writable(path: str, what: str) -> None:
+    """Raise an ``OSError`` naming ``path`` unless it can be opened for
+    writing; called before a run, so a bad path fails before any drawing.
+    Append mode creates a missing file and leaves an existing one as it is
+    until the final write."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path!r}: {exc}") from exc
+
+
 def _step_law(cfg: ExperimentConfig) -> StepLaw:
     """The configuration's step law over one dt, built once per experiment."""
     return STEP_LAWS[(cfg.process, cfg.method)](cfg.process_object(), cfg)
@@ -279,6 +290,9 @@ def run_experiment(cfg: ExperimentConfig) -> ErrTable:
     True values are recomputed from closed forms at output time; they are
     never cached from simulation.  Writes CSV when cfg.out is set.
     """
+    cfg.validate()
+    if cfg.out:
+        _check_writable(cfg.out, "err table")
     samples = simulate_terminal(cfg)
     cv = estimate_cumulants(samples, cfg.batches)
     rows = []
@@ -312,6 +326,7 @@ def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
     if not cfg.out:
         raise ValueError("config must set an output file for trajectories")
     cfg.validate(check_batches=False)
+    _check_writable(cfg.out, "trajectories")
     law = _step_law(cfg)
 
     def job(block_index: int, n: int) -> np.ndarray:

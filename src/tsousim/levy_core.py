@@ -18,7 +18,12 @@ a Levy triplet (gamma, sigma, nu):
 
 Quadrature follows one policy everywhere: adaptive Gauss-Kronrod on a
 log-transformed axis with the origin singularity split off, absolute
-tolerance 1e-10 and relative tolerance 1e-8.
+tolerance 1e-10 and relative tolerance 1e-8.  ``scipy.integrate`` (and
+with it scipy.optimize, sparse, linalg, fft and spatial) is imported by
+the first quadrature, not with this module, so importing tsousim and
+running any sampler never load it.  One ``np.errstate`` around each
+quadrature silences the densities at the ends of their range; they open
+none of their own.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
@@ -61,6 +65,7 @@ REL_TOL = 1e-8
 _INTEGRABILITY_GRID = np.logspace(-10.0, 10.0, 400)
 _MONOTONE_GRID = np.logspace(-8.0, 6.0, 400)
 _REMAINDER_GRID = np.logspace(-6.0, 4.0, 200)
+_TAIL_GRID = np.logspace(-8.0, 14.0, 120)
 
 # Lower log-axis cutoff.  Below exp(-300) the residual mass of any
 # finite-variation density with alpha <= 0.9 is under 1e-12, while
@@ -81,7 +86,11 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(fn, lo, hi, *, name: str):
-    with warnings.catch_warnings():
+    # imported on first use so that the samplers never load it; the errstate
+    # covers every integrand call, so the densities open none of their own
+    from scipy import integrate
+
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(fn, lo, hi, limit=300, epsabs=ABS_TOL, epsrel=REL_TOL)
     if not np.isfinite(val):
@@ -97,7 +106,7 @@ def _tail_cutoff(density: Callable[[np.ndarray], np.ndarray]) -> float:
     Works on the log-axis mass x*density(x); the cutoff is where that mass
     has decayed 18 orders of magnitude below its peak.
     """
-    x = np.logspace(-8.0, 14.0, 120)
+    x = _TAIL_GRID
     with np.errstate(all="ignore"):
         try:
             mass = np.abs(np.asarray(density(x), dtype=float)) * x
@@ -119,9 +128,9 @@ def _quad_positive(fn, *, x_hi: float, name: str) -> float:
     breaks = [_LOG_FLOOR, -60.0, -15.0, -4.0, 0.0, 3.0]
     breaks = [t for t in breaks if t < t_hi] + [t_hi]
 
-    def g(t):
-        with np.errstate(all="ignore"):
-            v = fn(np.exp(t)) * np.exp(t)
+    def g(t):  # called inside _quad's errstate
+        x = np.exp(t)
+        v = fn(x) * x
         return v if np.isfinite(v) else 0.0
 
     return sum(_quad(g, ta, tb, name=name) for ta, tb in zip(breaks[:-1], breaks[1:]))
@@ -169,12 +178,17 @@ class GeneralTsLaw:
 
 
 def _cts_nu(params: CtsParams) -> Callable:
+    """Levy density c e^(-beta x) / x^(1+alpha) of a one-sided CTS law.
+
+    It opens no errstate of its own (quadrature calls it inside
+    ``_quad``'s).  For x > 0 it is silent; x = 0 gives inf with numpy's
+    divide-by-zero warning.
+    """
     a, b, c = params.alpha, params.beta, params.c
 
     def nu(x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            return c * np.exp(-b * x) / x ** (1.0 + a)
+        return c * np.exp(-b * x) / x ** (1.0 + a)
 
     return nu
 
@@ -381,9 +395,8 @@ def ts_remainder_decompose(
 
         def nu2(x):
             x = np.asarray(x, dtype=float)
-            with np.errstate(over="ignore", divide="ignore"):
-                diff = -np.exp(-beta * x) * np.expm1(-beta * x * (1.0 / a - 1.0))
-                return c * a**alpha * diff / x ** (1.0 + alpha)
+            diff = -np.exp(-beta * x) * np.expm1(-beta * x * (1.0 / a - 1.0))
+            return c * a**alpha * diff / x ** (1.0 + alpha)
 
         if alpha > 0.0:
             lam = c * gamma_fn(1.0 - alpha) * beta**alpha * _one_minus_pow(a, alpha) / alpha

@@ -1,10 +1,12 @@
 """CLI tests: flag parsing, config-file defaults and overrides, outputs."""
 
+import os
+
 import numpy as np
 import pytest
 
 from _helpers import force_single_chord
-from tsousim import rand_core
+from tsousim import cli, harness, rand_core
 from tsousim.cli import load_config_file, main
 
 BASE = [
@@ -162,20 +164,37 @@ def test_unreadable_config_file_exits_with_its_path(tmp_path, monkeypatch):
     assert str(missing) in str(exc.value)
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("ran before the output path was checked")
+
+
 @pytest.mark.parametrize(
-    "argv, what",
+    "argv, what, module, name",
     [
-        (["simulate", *BASE, "--paths", "2"], "trajectories"),
-        (["cumulants", *BASE, "--batches", "10"], "err table"),
-        (["validate"], "report"),
+        (["simulate", *BASE, "--paths", "2"], "trajectories", harness, "_step_law"),
+        (["cumulants", *BASE, "--batches", "10"], "err table", harness, "simulate_terminal"),
+        (["validate"], "report", cli, "validate_suite"),
     ],
     ids=["simulate", "cumulants", "validate"],
 )
-def test_unwritable_out_exits_with_its_path(argv, what, tmp_path):
+def test_unwritable_out_exits_with_its_path(argv, what, module, name, tmp_path, monkeypatch):
+    # the path is checked before any path is drawn or the suite runs
+    monkeypatch.setattr(module, name, _never)
     out = tmp_path / "no-such-dir" / "out.csv"
     with pytest.raises(SystemExit, match=f"cannot write {what}") as exc:
         main([*argv, "--out", str(out)])
     assert str(out) in str(exc.value)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_validate_prints_the_report_when_its_write_fails(monkeypatch, capsys):
+    report = harness.ValidationReport()
+    report.add("stub check", True, "detail")
+    monkeypatch.setattr(cli, "validate_suite", lambda: report)
+    # /dev/full opens for writing, but every write fails with ENOSPC
+    with pytest.raises(SystemExit, match="cannot write report to '/dev/full'"):
+        main(["validate", "--out", "/dev/full"])
+    assert capsys.readouterr().out == report.to_text()
 
 
 def test_cumulants_need_a_step(tmp_path):

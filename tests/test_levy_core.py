@@ -345,3 +345,34 @@ class TestCumulants:
     def test_order_domain(self):
         with pytest.raises(ValueError):
             cts_cumulants(CTS_REF, 0)
+
+
+class TestDensityWarnings:
+    """The densities open no errstate of their own: ``_quad`` opens one
+    around each quadrature.  Called directly, they stay silent on the
+    positive axis (pytest turns any warning into an error)."""
+
+    X = np.concatenate([np.logspace(-10.0, 10.0, 201), [0.3, 1.0, 7.5]])
+
+    def test_cts_density_is_silent_for_positive_x(self):
+        nu = LevyTriplet.from_cts(CTS_REF).nu
+        vals = nu(self.X)
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        for x in (1e-10, 0.3, 1.0, 1e10):
+            assert np.isfinite(nu(x))
+
+    def test_remainder_jump_density_is_silent_for_positive_x(self):
+        dec = ts_remainder_decompose(CTS_REF, 0.5)
+        vals = dec.jump_density(self.X)
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+
+    def test_cts_density_at_zero_is_inf_with_numpys_warning(self):
+        nu = LevyTriplet.from_cts(CTS_REF).nu
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert nu(0.0) == np.inf
+
+    def test_quadrature_restores_the_error_state(self):
+        before = np.geterr()
+        rem = aremainder_triplet(LevyTriplet.from_cts(CTS_REF), 0.5)
+        lk_log_chf(rem, 1.0)
+        assert np.geterr() == before
