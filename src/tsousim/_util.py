@@ -2,8 +2,80 @@
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-from scipy.special import gamma as gamma_fn
+
+# Cephes Gamma (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989), the code behind scipy.special.gamma: a rational fit P/Q on [2, 3),
+# recurrences into that interval and Stirling's series above 33.
+_GAMMA_P = (
+    1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+    4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+    1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+    7.14304917030273074085e-2, 1.00000000000000000320e0,
+)
+_STIRLING = (
+    7.87311395793093628397e-4, -2.29549961613378126380e-4, -2.68132617805781232825e-3,
+    3.47222221605458667310e-3, 8.33333333333482257126e-2,
+)
+_MAXGAM = 171.624376956302725
+_MAXSTIR = 143.01608
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _horner(x: float, coef) -> float:
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _gamma(x: float) -> float:
+    if x > 33.0:
+        if x >= _MAXGAM:
+            return math.inf
+        w = 1.0 / x
+        w = 1.0 + w * _horner(w, _STIRLING)
+        y = math.exp(x)
+        if x > _MAXSTIR:  # split the power so it does not overflow
+            v = math.pow(x, 0.5 * x - 0.25)
+            y = v * (v / y)
+        else:
+            y = math.pow(x, x - 0.5) / y
+        return _SQRT_2PI * y * w
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _horner(x, _GAMMA_P) / _horner(x, _GAMMA_Q)
+
+
+@functools.lru_cache(maxsize=128)
+def gamma(x: float) -> np.float64:
+    """Gamma function for finite x > 0, bit for bit equal to scipy.special.gamma.
+
+    Memoised: the samplers ask for the same few values (Gamma(1-alpha),
+    Gamma(k-alpha)) on every step.  The result is an ``np.float64`` so that
+    arithmetic on it overflows to inf as numpy does; past 171.62 it is inf.
+    """
+    x = float(x)
+    if not (0.0 < x < math.inf):
+        raise ValueError(f"gamma is implemented for finite x > 0 only, got {x!r}")
+    return np.float64(_gamma(x))
 
 
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -66,5 +138,5 @@ def gamma_mixture_moment(a: float, alpha: float, beta: float, k: int, f_v) -> fl
     """
     lo, hi = 1.0, 1.0 / a
     v = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
-    cond = gamma_fn(1.0 - alpha + k) / (gamma_fn(1.0 - alpha) * (beta * v) ** k)
+    cond = gamma(1.0 - alpha + k) / (gamma(1.0 - alpha) * (beta * v) ** k)
     return float(0.5 * (hi - lo) * np.sum(_GL_WEIGHTS * cond * f_v(v)))

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import cts_ou, levy_core, ou_cts
 from ._util import decay
+from ._util import gamma as gamma_fn
 from .rand_core import CtsParams, RngStream, StepLaw, cts_cumulants
 
 __all__ = [
@@ -477,7 +478,6 @@ def _check_additivity(report: ValidationReport) -> None:
 def _check_limits(report: ValidationReport) -> None:
     b, c, beta = _REFERENCE_PARAMS
     alpha = 0.5
-    from scipy.special import gamma as gamma_fn
 
     pc = cts_ou.CtsOuProcess(CtsParams(alpha, beta, c), b)
     lam = cts_ou.step_law(pc, 1e-6).lambda_a

@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 from ._util import _one_minus_pow
+from ._util import gamma as gamma_fn
 from .rand_core import CtsParams, cts_cumulants
 
 __all__ = [

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
+from ._util import gamma as gamma_fn
 from .rand_core import (
     CtsParams,
     RngStream,

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
+from ._util import gamma as gamma_fn
 from ._util import segment_sums
 
 __all__ = [
