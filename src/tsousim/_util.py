@@ -78,6 +78,31 @@ def gamma(x: float) -> np.float64:
     return np.float64(_gamma(x))
 
 
+def gammainc(s: float, x: float) -> float:
+    """Regularised lower incomplete gamma P(s, x) for s in (0, 1] and x >= 0.
+
+    The positive series P = x^s e^-x / Gamma(s+1) * sum_n x^n / ((s+1)...(s+n)),
+    summed until a term no longer moves the sum.  For s <= 1 the upper tail
+    Q = 1 - P is at most x^(s-1) e^-x / Gamma(s); once that is below half an
+    ulp of 1, P rounds to 1 and is returned without summing, which also
+    keeps the terms (about e^x) far from overflow.
+    """
+    s, x = float(s), float(x)
+    if not (0.0 < s <= 1.0) or not (0.0 <= x < math.inf):
+        raise ValueError(f"gammainc needs s in (0, 1] and finite x >= 0, got s={s!r}, x={x!r}")
+    if x == 0.0:
+        return 0.0
+    if x - (s - 1.0) * math.log(x) + math.log(_gamma(s)) > 38.0:  # Q < e^-38 < 2^-54
+        return 1.0
+    term = total = 1.0
+    n = 1.0
+    while term > 1e-17 * total:
+        term *= x / (s + n)
+        total += term
+        n += 1.0
+    return math.exp(s * math.log(x) - x) / _gamma(s + 1.0) * total
+
+
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum ``values`` into ``len(counts)`` consecutive groups of the given sizes.
 

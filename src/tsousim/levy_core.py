@@ -16,26 +16,29 @@ a Levy triplet (gamma, sigma, nu):
 * numeric evaluation of the Levy-Khintchine integral (``lk_log_chf``) and
   closed-form cumulants used throughout the validation harness.
 
-Quadrature follows one policy everywhere: adaptive Gauss-Kronrod on a
+Quadrature follows one policy everywhere: QUADPACK's 21-point
+Gauss-Kronrod rule, applied adaptively (the subinterval with the largest
+error estimate is bisected, at most 300 subintervals) on a
 log-transformed axis with the origin singularity split off, absolute
-tolerance 1e-10 and relative tolerance 1e-8.  ``scipy.integrate`` (and
-with it scipy.optimize, sparse, linalg, fft and spatial) is imported by
-the first quadrature, not with this module, so importing tsousim and
-running any sampler never load it.  One ``np.errstate`` around each
+tolerance 1e-10 and relative tolerance 1e-8; an estimated error above
+100 times the tolerance, or a non-finite value, raises
+:class:`QuadratureError`.  Each panel evaluates the integrand once on
+all its nodes, so densities should accept arrays; a scalar-only callable
+still works, evaluated node by node.  One ``np.errstate`` around each
 quadrature silences the densities at the ends of their range; they open
-none of their own.
+none of their own.  Nothing here needs scipy.
 """
 
 from __future__ import annotations
 
-import warnings
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import gammainc
 
-from ._util import _one_minus_pow
+from ._util import _one_minus_pow, gammainc
 from ._util import gamma as gamma_fn
 from .rand_core import CtsParams, cts_cumulants
 
@@ -85,14 +88,106 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def _quad(fn, lo, hi, *, name: str):
-    # imported on first use so that the samplers never load it; the errstate
-    # covers every integrand call, so the densities open none of their own
-    from scipy import integrate
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21): the Kronrod abscissae on
+# [0, 1) in decreasing order, their weights (the last is the centre's) and
+# the weights of the embedded 10-point Gauss rule, which uses every second
+# abscissa from the second on.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600197834851, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# the same rule on all 21 nodes of [-1, 1] in increasing order
+_GK_NODES = np.concatenate([np.negative(_XGK), [0.0], _XGK[::-1]])
+_GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[11:20:2] = _WG[::-1]
+_MAX_INTERVALS = 300
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, lo, hi, limit=300, epsabs=ABS_TOL, epsrel=REL_TOL)
+
+def _evaluate(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` at every point of the 1-d array ``x``: one call on the array,
+    or one call per point when ``fn`` takes only scalars (such as a density
+    built on ``math.exp``, or a ``bdlp_density_from_stationary`` closure)."""
+    try:
+        vals = np.asarray(fn(x), dtype=float)
+        if vals.shape == x.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(xi)) for xi in x])
+
+
+def _gk21(fn, lo: np.ndarray, hi: np.ndarray):
+    """QUADPACK's qk21 on each interval [lo[i], hi[i]], all nodes in one call.
+
+    Returns the Kronrod estimates and QUADPACK's error estimates: the
+    Kronrod-Gauss difference, rescaled by the integrand's variation about
+    its mean and floored at 50 eps times the integral of |fn|.  Runs
+    inside ``_quad``'s errstate (the rescaling divides 0 by 0 where it is
+    not used).
+    """
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = centre[:, None] + half[:, None] * _GK_NODES
+    f = _evaluate(fn, x.ravel()).reshape(x.shape)
+    res_k = f @ _GK_KRONROD
+    res_g = f @ _GK_GAUSS
+    res_abs = np.abs(f) @ _GK_KRONROD * np.abs(half)
+    res_asc = np.abs(f - 0.5 * res_k[:, None]) @ _GK_KRONROD * np.abs(half)
+    err = np.abs((res_k - res_g) * half)
+    err = np.where(
+        (res_asc != 0.0) & (err != 0.0),
+        res_asc * np.minimum(1.0, (200.0 * err / res_asc) ** 1.5),
+        err,
+    )
+    err = np.where(res_abs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * res_abs, err), err)
+    return res_k * half, err
+
+
+def _quad(fn, lo, hi, *, name: str):
+    """Integral of ``fn`` over [lo, hi] by adaptive 21-point Gauss-Kronrod.
+
+    The subinterval with the largest error estimate is bisected, both
+    halves in one call of ``fn``, until the summed error estimate meets
+    the tolerance or the partition has ``_MAX_INTERVALS`` subintervals.
+    The errstate covers every integrand call, so the densities open none
+    of their own.
+    """
+    with np.errstate(all="ignore"):
+        val, err = _gk21(fn, np.array([lo], dtype=float), np.array([hi], dtype=float))
+        heap = [(-err[0], float(lo), float(hi), val[0])]
+        total, total_err = val[0], err[0]
+        while total_err > max(ABS_TOL, abs(total) * REL_TOL) and len(heap) < _MAX_INTERVALS:
+            neg_err, a, b, v = heap[0]
+            mid = 0.5 * (a + b)
+            if not a < mid < b:  # the worst subinterval cannot be split further
+                break
+            vals, errs = _gk21(fn, np.array([a, mid]), np.array([mid, b]))
+            heapq.heapreplace(heap, (-errs[0], a, mid, vals[0]))
+            heapq.heappush(heap, (-errs[1], mid, b, vals[1]))
+            total += vals[0] + vals[1] - v
+            total_err += errs[0] + errs[1] + neg_err
+    val = math.fsum(item[3] for item in heap)
+    err = math.fsum(-item[0] for item in heap)
     if not np.isfinite(val):
         raise QuadratureError(f"{name}: non-finite quadrature value {val}")
     if err > 100.0 * max(ABS_TOL, abs(val) * REL_TOL):
@@ -108,12 +203,7 @@ def _tail_cutoff(density: Callable[[np.ndarray], np.ndarray]) -> float:
     """
     x = _TAIL_GRID
     with np.errstate(all="ignore"):
-        try:
-            mass = np.abs(np.asarray(density(x), dtype=float)) * x
-            if mass.shape != x.shape:
-                raise TypeError
-        except (TypeError, ValueError):  # scalar-only callable
-            mass = np.array([abs(float(density(xi))) for xi in x]) * x
+        mass = np.abs(_evaluate(density, x)) * x
     mass[~np.isfinite(mass)] = 0.0
     ref = mass.max()
     if ref == 0.0:
@@ -131,7 +221,7 @@ def _quad_positive(fn, *, x_hi: float, name: str) -> float:
     def g(t):  # called inside _quad's errstate
         x = np.exp(t)
         v = fn(x) * x
-        return v if np.isfinite(v) else 0.0
+        return np.where(np.isfinite(v), v, 0.0)
 
     return sum(_quad(g, ta, tb, name=name) for ta, tb in zip(breaks[:-1], breaks[1:]))
 

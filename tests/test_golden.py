@@ -47,15 +47,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from _helpers import levy_core_oracle_values
 from tsousim.cli import main
-from tsousim.levy_core import (
-    GeneralTsLaw,
-    LevyTriplet,
-    aremainder_triplet,
-    lk_log_chf,
-    stationary_density_from_bdlp,
-    ts_remainder_decompose,
-)
 from tsousim.cts_ou import CtsOuProcess, simulate_skeleton_ctsou
 from tsousim.ou_cts import OuCtsProcess, simulate_skeleton_oucts
 from tsousim.rand_core import CtsParams, RngStream, sample_cts
@@ -120,22 +113,7 @@ def _validate(tmp_path):
 
 
 def _levy_core_quadrature(tmp_path):
-    values = []
-    for params in (CtsParams(0.0, 1.0, 1.0), CtsParams(0.5, 1.4, 0.8)):
-        triplet = LevyTriplet.from_cts(params)
-        for a in (0.9, 0.5, 0.1):
-            rem = aremainder_triplet(triplet, a)
-            values.append(rem.gamma_a)
-            for u in (0.25, 0.5, 1.0, 2.0, 4.0):
-                z = lk_log_chf(rem, u)
-                values += [z.real, z.imag]
-    general = GeneralTsLaw(0.5, 0.8, lambda x: np.exp(-1.4 * np.asarray(x)))
-    values.append(ts_remainder_decompose(general, 0.5).lambda_a)
-    one_sided = LevyTriplet.from_cts(CtsParams(0.5, 1.4, 0.8)).nu
-    two_sided = lambda x: np.where(x > 0, 0.8, 0.5) * np.exp(-1.4 * np.abs(x)) / np.abs(x) ** 1.5
-    for nu_L, x in ((one_sided, 0.1), (one_sided, 1.0), (two_sided, -1.0)):
-        values.append(stationary_density_from_bdlp(nu_L, 10.0, 1.0, x))
-    return "\n".join(float(v).hex() for v in values).encode()
+    return "\n".join(float(v).hex() for v in levy_core_oracle_values()).encode()
 
 
 CASES = {

@@ -1,16 +1,23 @@
 """Levy-core tests: remainder triplet identities, tempered-stable
 decomposition, stationary/driving-density maps and cumulant formulas."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.special import gamma as gamma_fn
 
-from tsousim import cts_ou, ou_cts
+from _helpers import levy_core_oracle_values
+from tsousim import cts_ou, levy_core, ou_cts
 from tsousim.levy_core import (
+    ABS_TOL,
+    REL_TOL,
     GeneralTsLaw,
     LevyTriplet,
     NotSelfDecomposableError,
+    QuadratureError,
     aremainder_triplet,
     bdlp_density_from_stationary,
     cts_cumulants,
@@ -345,6 +352,55 @@ class TestCumulants:
     def test_order_domain(self):
         with pytest.raises(ValueError):
             cts_cumulants(CTS_REF, 0)
+
+
+class TestQuadrature:
+    """The adaptive 21-point Gauss-Kronrod rule behind every oracle."""
+
+    @staticmethod
+    def _scipy_quad(fn, lo, hi, *, name):
+        # QUADPACK through scipy with the same tolerances and interval limit
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return integrate.quad(
+                lambda x: float(fn(x)), lo, hi, limit=levy_core._MAX_INTERVALS,
+                epsabs=ABS_TOL, epsrel=REL_TOL,
+            )[0]
+
+    def test_pinned_oracle_values_agree_with_quadpack(self, monkeypatch):
+        got = levy_core_oracle_values()
+        monkeypatch.setattr(levy_core, "_quad", self._scipy_quad)
+        want = levy_core_oracle_values()
+        assert len(got) == len(want) == 70
+        assert max(abs(g / w - 1.0) for g, w in zip(got, want)) <= 1e-9
+
+    def test_cts_drift_matches_scipy_incomplete_gamma(self):
+        # int_0^1 x^-alpha e^(-beta x) dx = beta^(alpha-1) Gamma(1-alpha) P(1-alpha, beta)
+        a, b, c = CTS_REF.alpha, CTS_REF.beta, CTS_REF.c
+        want = c * b ** (a - 1.0) * gamma_fn(1.0 - a) * special.gammainc(1.0 - a, b)
+        assert LevyTriplet.from_cts(CTS_REF).gamma_drift == pytest.approx(want, rel=1e-14)
+
+    def test_scalar_only_integrand_is_evaluated_node_by_node(self):
+        # math.exp raises TypeError on arrays
+        assert levy_core._quad(lambda x: math.exp(-x), 0.0, 5.0, name="t") == pytest.approx(
+            -math.expm1(-5.0), rel=1e-14
+        )
+        nu_L = lambda x: 8.0 * math.exp(-1.4 * x) / x**1.5
+        want = stationary_density_from_bdlp(lambda x: 8.0 * np.exp(-1.4 * x) / x**1.5, 10.0, 1.0, 0.5)
+        assert stationary_density_from_bdlp(nu_L, 10.0, 1.0, 0.5) == pytest.approx(want, rel=1e-13)
+
+    def test_smooth_integrals_are_exact_to_rounding(self):
+        assert levy_core._quad(np.cos, 0.0, 10.0, name="t") == pytest.approx(np.sin(10.0), rel=1e-14)
+        # one Gauss-Kronrod panel integrates a degree-31 polynomial exactly
+        assert levy_core._quad(lambda x: 32.0 * x**31, 0.0, 1.0, name="t") == pytest.approx(1.0, rel=1e-14)
+
+    def test_divergent_integral_raises(self):
+        with pytest.raises(QuadratureError, match="estimated error"):
+            levy_core._quad(lambda x: 1.0 / x, 0.0, 1.0, name="1/x")
+
+    def test_non_finite_integral_raises(self):
+        with pytest.raises(QuadratureError, match="non-finite"):
+            levy_core._quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0, name="nan")
 
 
 class TestDensityWarnings:

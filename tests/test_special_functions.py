@@ -1,8 +1,10 @@
-"""Gamma against scipy.special.
+"""Gamma and the lower incomplete gamma against scipy.special.
 
 ``_util.gamma`` is a port of Cephes Gamma, the code scipy.special.gamma
 runs, so the two must agree bit for bit (compared through ``float.hex``):
-every sampler constant and golden hash depends on it.
+every sampler constant and golden hash depends on it.  ``_util.gammainc``
+is a different algorithm (the positive series) from scipy's, so it only
+has to agree to a few ulp.
 """
 
 import math
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from tsousim._util import gamma
+from tsousim._util import gamma, gammainc
 
 ALPHAS = (0.0, 0.3, 0.5, 0.7, 0.9)
 
@@ -56,3 +58,19 @@ def test_gamma_returns_numpy_floats():
 def test_gamma_rejects_arguments_outside_the_positive_axis(x):
     with pytest.raises(ValueError, match="finite x > 0"):
         gamma(x)
+
+
+def test_gammainc_matches_scipy():
+    s = np.concatenate([np.linspace(0.0, 1.0, 41)[1:], [1e-3, 1e-9]])
+    x = np.logspace(-3.0, 3.0, 241)
+    got = np.array([[gammainc(si, xi) for xi in x] for si in s])
+    want = special.gammainc(s[:, None], x[None, :])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def test_gammainc_edges():
+    assert gammainc(0.5, 0.0) == 0.0
+    assert gammainc(1.0, 50.0) == 1.0
+    for s, x in ((0.0, 1.0), (1.5, 1.0), (0.5, -1.0), (0.5, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            gammainc(s, x)
