@@ -191,11 +191,11 @@ CASES = {
     ),
     "levy-core-quadrature": (
         _levy_core_quadrature,
-        "78fad3846d6faf00bcf149e3c046be0387dd625436881ccb46990bdfd486b7b7",
+        "45c3f79ed2b819b2037ee6d0468bd25ea42513702e0b6be19c98f6c9c38d3ac2",
     ),
     "validate-report": (
         _validate,
-        "a71454dbc5f1ec329927bf91c076faebbe605ffc4f9919a27e32d8a0fd1f915c",
+        "3dca26ec4d4670e7540d21e6ca3fe58b7c0cf2d14c304a7850f862ec84375ed1",
     ),
 }
 
