@@ -173,21 +173,20 @@ def _quad(fn, lo, hi, *, name: str):
     of their own.
     """
     with np.errstate(all="ignore"):
-        val, err = _gk21(fn, np.array([lo], dtype=float), np.array([hi], dtype=float))
-        heap = [(-err[0], float(lo), float(hi), val[0])]
-        total, total_err = val[0], err[0]
-        while total_err > max(ABS_TOL, abs(total) * REL_TOL) and len(heap) < _MAX_INTERVALS:
-            neg_err, a, b, v = heap[0]
+        vals, errs = _gk21(fn, np.array([lo], dtype=float), np.array([hi], dtype=float))
+        heap = [(-errs[0], float(lo), float(hi), vals[0])]
+        while True:
+            val = math.fsum(item[3] for item in heap)
+            err = -math.fsum(item[0] for item in heap)
+            if err <= max(ABS_TOL, abs(val) * REL_TOL) or len(heap) == _MAX_INTERVALS:
+                break
+            _, a, b, _ = heap[0]
             mid = 0.5 * (a + b)
             if not a < mid < b:  # the worst subinterval cannot be split further
                 break
             vals, errs = _gk21(fn, np.array([a, mid]), np.array([mid, b]))
             heapq.heapreplace(heap, (-errs[0], a, mid, vals[0]))
             heapq.heappush(heap, (-errs[1], mid, b, vals[1]))
-            total += vals[0] + vals[1] - v
-            total_err += errs[0] + errs[1] + neg_err
-    val = math.fsum(item[3] for item in heap)
-    err = math.fsum(-item[0] for item in heap)
     if not np.isfinite(val):
         raise QuadratureError(f"{name}: non-finite quadrature value {val}")
     if err > 100.0 * max(ABS_TOL, abs(val) * REL_TOL):
