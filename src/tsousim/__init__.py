@@ -12,6 +12,7 @@ from .rand_core import (
     CtsParams,
     RngStream,
     StepLaw,
+    cts_cumulants,
     cts_tilting_acceptance,
     sample_cts,
     sample_inverse_gaussian,
@@ -19,7 +20,6 @@ from .rand_core import (
     sample_stable_subordinator,
 )
 from .levy_core import (
-    ARemainderTriplet,
     DecompositionError,
     GeneralTsLaw,
     LevyTriplet,
@@ -28,7 +28,6 @@ from .levy_core import (
     TsRemainderDecomposition,
     aremainder_triplet,
     bdlp_density_from_stationary,
-    cts_cumulants,
     cts_log_chf,
     lk_log_chf,
     ou_cumulants_from_bdlp,

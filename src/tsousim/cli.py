@@ -139,7 +139,7 @@ def main(argv: Optional[list] = None) -> int:
         if not cfg.out:
             raise SystemExit("simulate requires --out FILE")
         try:
-            path = export_trajectories(cfg, count=cfg.paths)
+            path = export_trajectories(cfg)
         except OSError as exc:  # its message names the file
             raise SystemExit(str(exc)) from exc
         print(f"wrote {cfg.paths} trajectories ({cfg.steps} steps) to {path}")

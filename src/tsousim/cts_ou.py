@@ -152,6 +152,8 @@ def cumulants_ctsou(p: CtsOuProcess, x0: float, dt: float, k: int) -> float:
     x0 e^(-b dt) [k=1] + c beta^(alpha-k) Gamma(k-alpha) (1 - e^(-k b dt))."""
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
+    if not dt >= 0.0:  # dt = inf is the stationary limit
+        raise ValueError(f"dt must be nonnegative, got {dt}")
     alpha, beta, c = p.stationary.alpha, p.stationary.beta, p.stationary.c
     val = c * beta ** (alpha - k) * gamma_fn(k - alpha) * (1.0 - np.exp(-k * p.b * dt))
     if k == 1:

@@ -100,6 +100,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         CtsParams(self.alpha, self.beta, self.c)  # parameter-domain check
+        RngStream(self.seed)  # seed-range check
         if not (0.0 < self.b < math.inf):
             raise ValueError(f"b must be positive and finite, got {self.b}")
         if not (0.0 < self.T < math.inf):
@@ -310,8 +311,8 @@ def run_experiment(cfg: ExperimentConfig) -> ErrTable:
     return table
 
 
-def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
-    """Write ``count`` skeleton paths on the uniform grid dt, 2dt, ..., steps*dt.
+def export_trajectories(cfg: ExperimentConfig) -> str:
+    """Write ``cfg.paths`` skeleton paths on the uniform grid dt, 2dt, ..., steps*dt.
 
     The increment Z of X(t+dt) = a X(t) + Z does not depend on the state,
     so each block draws the increments of a chunk of up to
@@ -319,11 +320,9 @@ def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
     the recursion.  Chunks depend only on the block size, so the output is
     the same for every worker count.
 
-    CSV layout: header ``time,path_0,...,path_{count-1}``, one row per grid
+    CSV layout: header ``time,path_0,...,path_{paths-1}``, one row per grid
     time including t = 0.  Returns the output path.
     """
-    if count < 1:
-        raise ValueError(f"need at least one path, got {count}")
     if not cfg.out:
         raise ValueError("config must set an output file for trajectories")
     cfg.validate(check_batches=False)
@@ -342,12 +341,12 @@ def export_trajectories(cfg: ExperimentConfig, count: int) -> str:
                 rows[i + 1] = law.a * rows[i] + z[i - start]
         return rows
 
-    blocks = _run_blocks(cfg, job, count)
+    blocks = _run_blocks(cfg, job, cfg.paths)
     times = cfg.dt * np.arange(cfg.steps + 1)
     table = np.column_stack([times, *blocks])
     try:
         with open(cfg.out, "w") as fh:
-            fh.write("time," + ",".join(f"path_{j}" for j in range(count)) + "\n")
+            fh.write("time," + ",".join(f"path_{j}" for j in range(cfg.paths)) + "\n")
             # tolist() gives Python floats, whose repr is the row's text; one
             # row at a time, as a list of the whole table would raise peak RSS
             for row in table:

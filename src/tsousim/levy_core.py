@@ -40,11 +40,10 @@ import numpy as np
 
 from ._util import _one_minus_pow, gammainc
 from ._util import gamma as gamma_fn
-from .rand_core import CtsParams, cts_cumulants
+from .rand_core import CtsParams
 
 __all__ = [
     "LevyTriplet",
-    "ARemainderTriplet",
     "TsRemainderDecomposition",
     "GeneralTsLaw",
     "NotSelfDecomposableError",
@@ -55,7 +54,6 @@ __all__ = [
     "ts_remainder_decompose",
     "stationary_density_from_bdlp",
     "bdlp_density_from_stationary",
-    "cts_cumulants",
     "cts_log_chf",
     "ou_cumulants_from_stationary",
     "ou_cumulants_from_bdlp",
@@ -348,56 +346,33 @@ class LevyTriplet:
 
 
 @dataclass(frozen=True)
-class ARemainderTriplet:
-    """Levy triplet of the remainder law at scale ``a`` of a self-decomposable law.
+class TsRemainderDecomposition:
+    """Remainder of a tempered-stable law split into its two independent parts.
+
+    ``scaled`` is the original law with intensity rescaled by (1 - a^alpha);
+    ``lambda_a`` and ``nu2`` describe the compound-Poisson part: event rate
+    lambda_a and Levy density nu_2, so the jump density is nu_2 / lambda_a.
+    """
+
+    scaled: Union[CtsParams, GeneralTsLaw]
+    lambda_a: float
+    nu2: Callable = field(repr=False)
+
+
+def aremainder_triplet(t: LevyTriplet, a: float) -> LevyTriplet:
+    """Triplet (gamma_a, sigma_a, nu_a) of the remainder law of ``t`` at scale ``a``.
 
     For the source triplet (gamma, sigma, nu) with canonical density k:
 
         gamma_a = gamma*(1-a) - a * int sign(x) (1_{|x|<=1/a} - 1_{|x|<=1}) k(x) dx
         sigma_a = sigma * sqrt(1 - a^2)
         nu_a(x) = nu(x) - nu(x/a)/a
-    """
 
-    a: float
-    gamma_a: float
-    sigma_a: float
-    nu_a: Callable = field(repr=False)
-    subordinator: bool = True
-
-    # shared access protocol with LevyTriplet so lk_log_chf treats both alike
-    @property
-    def gamma_drift(self) -> float:
-        return self.gamma_a
-
-    @property
-    def sigma(self) -> float:
-        return self.sigma_a
-
-    @property
-    def nu(self) -> Callable:
-        return self.nu_a
-
-
-@dataclass(frozen=True)
-class TsRemainderDecomposition:
-    """Remainder of a tempered-stable law split into its two independent parts.
-
-    ``scaled`` is the original law with intensity rescaled by (1 - a^alpha);
-    ``lambda_a`` and ``jump_density`` describe the compound-Poisson part:
-    event rate lambda_a and jump density g_a(x) = nu_2(x) / lambda_a.
-    """
-
-    scaled: Union[CtsParams, GeneralTsLaw]
-    lambda_a: float
-    jump_density: Callable = field(repr=False)
-    nu2: Callable = field(repr=False)
-
-
-def aremainder_triplet(t: LevyTriplet, a: float) -> ARemainderTriplet:
-    """Triplet of the remainder law of ``t`` at scale ``a``.
-
-    Raises :class:`NotSelfDecomposableError` if the input is not flagged
-    self-decomposable or if nu_a comes out negative on the check grid.
+    A remainder is not self-decomposable in general (the gamma law's
+    k_a(x) = c (e^(-beta x) - e^(-beta x/a)) rises from 0) and is flagged
+    so.  Raises :class:`NotSelfDecomposableError` if the input is not
+    flagged self-decomposable (a remainder of a remainder, say) or if
+    nu_a comes out negative on the check grid.
     """
     if not (0.0 < a < 1.0):
         raise ValueError(f"scale a must be in (0, 1), got {a}")
@@ -425,10 +400,13 @@ def aremainder_triplet(t: LevyTriplet, a: float) -> ARemainderTriplet:
         corr -= _quad(lambda x: k(-x), 1.0, 1.0 / a, name="remainder drift (negative side)")
     gamma_a = t.gamma_drift * (1.0 - a) - a * corr
     sigma_a = t.sigma * np.sqrt(1.0 - a * a)
-    return ARemainderTriplet(a, gamma_a, sigma_a, nu_a, subordinator=t.subordinator)
+    return LevyTriplet(
+        gamma_a, sigma_a, nu_a,
+        subordinator=t.subordinator, self_decomposable=False, validate=False,
+    )
 
 
-def lk_log_chf(t: Union[LevyTriplet, ARemainderTriplet], u: float) -> complex:
+def lk_log_chf(t: LevyTriplet, u: float) -> complex:
     """Levy-Khintchine log characteristic function of a triplet at real ``u``.
 
     For subordinator triplets the integral is taken in the no-truncation
@@ -536,12 +514,7 @@ def ts_remainder_decompose(
             raise DecompositionError(f"nu_2 gave rate {lam}")
         scaled = GeneralTsLaw(alpha, scaled_c, q)
 
-    lam = float(lam)
-
-    def jump_density(x):
-        return nu2(x) / lam
-
-    return TsRemainderDecomposition(scaled, lam, jump_density, nu2)
+    return TsRemainderDecomposition(scaled, float(lam), nu2)
 
 
 def stationary_density_from_bdlp(nu_L: Callable, b: float, T: float, x: float) -> float:
@@ -551,18 +524,12 @@ def stationary_density_from_bdlp(nu_L: Callable, b: float, T: float, x: float) -
     """
     if x == 0.0:
         raise ValueError("stationary density is undefined at x = 0")
-    if x > 0.0:
-        x_hi = max(_tail_cutoff(nu_L), 2.0 * x)
-        if x >= x_hi:
-            return 0.0
-        tail = _quad(nu_L, x, x_hi, name="U(x)")
-    else:
-        refl = lambda y: nu_L(-y)
-        x_hi = max(_tail_cutoff(refl), 2.0 * abs(x))
-        if abs(x) >= x_hi:
-            return 0.0
-        tail = _quad(refl, abs(x), x_hi, name="U(x)")
-    return tail / (T * b * abs(x))
+    nu = nu_L if x > 0.0 else lambda y: nu_L(-y)
+    x = abs(x)
+    x_hi = max(_tail_cutoff(nu), 2.0 * x)
+    if x >= x_hi:
+        return 0.0
+    return _quad(nu, x, x_hi, name="U(x)") / (T * b * x)
 
 
 def bdlp_density_from_stationary(nu_X: Callable, b: float, T: float, x: float) -> float:
@@ -586,7 +553,13 @@ def cts_log_chf(p: CtsParams, u: float) -> complex:
     return g * (p.beta**p.alpha - (p.beta - 1j * u) ** p.alpha)
 
 
-def _cumulant_at(cumulants, k: int) -> float:
+def _cumulant_at(cumulants, k: int, dt: float) -> float:
+    """The k-th of ``cumulants`` (a sequence, or a callable of k), once k
+    and dt pass the checks both OU maps below make."""
+    if k < 1:
+        raise ValueError(f"cumulant order must be >= 1, got {k}")
+    if not dt >= 0.0:  # dt = inf is the stationary limit
+        raise ValueError(f"dt must be nonnegative, got {dt}")
     if callable(cumulants):
         return float(cumulants(k))
     return float(cumulants[k - 1])
@@ -603,13 +576,10 @@ def ou_cumulants_from_stationary(
 
     k=1: x0 e^(-b dt) + c1 (1 - e^(-b dt)); k>=2: ck (1 - e^(-k b dt)).
     """
-    if k < 1:
-        raise ValueError(f"cumulant order must be >= 1, got {k}")
-    decay = np.exp(-k * b * dt)
-    ck = _cumulant_at(stat_cumulants, k)
+    ck = _cumulant_at(stat_cumulants, k, dt)
     if k == 1:
         return x0 * np.exp(-b * dt) + ck * (1.0 - np.exp(-b * dt))
-    return ck * (1.0 - decay)
+    return ck * (1.0 - np.exp(-k * b * dt))
 
 
 def ou_cumulants_from_bdlp(
@@ -623,9 +593,7 @@ def ou_cumulants_from_bdlp(
     """OU transition cumulant from the cumulants of the driving increment
     over one time unit T: ck / (k b T) * (1 - e^(-k b dt)), plus the decayed
     initial condition for k=1."""
-    if k < 1:
-        raise ValueError(f"cumulant order must be >= 1, got {k}")
-    ck = _cumulant_at(bdlp_cumulants, k)
+    ck = _cumulant_at(bdlp_cumulants, k, dt)
     val = ck / (k * b * T) * (1.0 - np.exp(-k * b * dt))
     if k == 1:
         val += x0 * np.exp(-b * dt)

@@ -352,6 +352,8 @@ def cumulants_oucts(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     x0 e^(-b dt) [k=1] + c Gamma(k-alpha) (1 - e^(-k b dt)) / (T b k beta^(k-alpha))."""
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
+    if not dt >= 0.0:  # dt = inf is the stationary limit
+        raise ValueError(f"dt must be nonnegative, got {dt}")
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
     val = (
         c

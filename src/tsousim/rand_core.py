@@ -36,8 +36,6 @@ __all__ = [
     "StepLaw",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 # Tilting is used while its analytic acceptance probability stays above
 # this threshold; below it the double-rejection route takes over.
 TILTING_ACCEPTANCE_FLOOR = 0.1
@@ -50,7 +48,9 @@ class RngStream:
 
     The Philox key is the pair ``(seed, stream_id)``, so streams can be
     handed out to path blocks without any sequential jump-ahead.  A stream
-    must be owned by exactly one worker at a time.
+    must be owned by exactly one worker at a time.  Both parts are 64-bit
+    key words: a value outside [0, 2^64) raises ValueError rather than
+    wrapping onto another stream.
     """
 
     __slots__ = ("seed", "stream_id", "_bitgen", "gen")
@@ -58,7 +58,10 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+        for name, value in (("seed", self.seed), ("stream id", self.stream_id)):
+            if not 0 <= value < 1 << 64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self.gen = np.random.Generator(self._bitgen)
 

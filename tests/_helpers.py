@@ -73,7 +73,7 @@ def levy_core_oracle_values() -> list:
 
     ``lk_log_chf`` (real and imaginary parts) on the gamma and
     CTS(0.5, 1.4, 0.8) remainders at a in {0.9, 0.5, 0.1} and u in
-    {0.25, 0.5, 1, 2, 4}, each remainder's ``gamma_a``, the ``lambda_a`` of a
+    {0.25, 0.5, 1, 2, 4}, each remainder's drift ``gamma_drift``, the ``lambda_a`` of a
     general-tempering decomposition and ``stationary_density_from_bdlp`` at
     x = 0.1, 1 and, on an asymmetric two-sided density, -1.
     """
@@ -82,7 +82,7 @@ def levy_core_oracle_values() -> list:
         triplet = LevyTriplet.from_cts(params)
         for a in (0.9, 0.5, 0.1):
             rem = aremainder_triplet(triplet, a)
-            values.append(rem.gamma_a)
+            values.append(rem.gamma_drift)
             for u in (0.25, 0.5, 1.0, 2.0, 4.0):
                 z = lk_log_chf(rem, u)
                 values += [z.real, z.imag]

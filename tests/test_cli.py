@@ -205,6 +205,15 @@ def test_cumulants_need_a_step(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_a_configuration_error(seed, tmp_path):
+    # RngStream would otherwise wrap it onto the stream of seed mod 2^64
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit, match="invalid configuration: seed must be in"):
+        main(["cumulants", *BASE, "--batches", "10", "--seed", seed, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_simulate_without_steps_writes_the_start(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["simulate", *BASE, "--steps", "0", "--paths", "2", "--x0", "0.7", "--out", str(out)]) == 0

@@ -17,8 +17,8 @@ from tsousim.cts_ou import (
     simulate_skeleton_ctsou,
     step_law,
 )
-from tsousim.levy_core import cts_cumulants, ou_cumulants_from_stationary
-from tsousim.rand_core import CtsParams, RngStream, sample_cts, sample_inverse_gaussian
+from tsousim.levy_core import ou_cumulants_from_stationary
+from tsousim.rand_core import CtsParams, RngStream, cts_cumulants, sample_cts, sample_inverse_gaussian
 
 B, C, BETA = 10.0, 0.8, 1.4  # reference parameter set used throughout
 PROC = CtsOuProcess(CtsParams(0.5, BETA, C), B)

@@ -217,8 +217,8 @@ class TestWorkers:
 class TestTrajectories:
     def test_zero_steps_single_row(self, tmp_path):
         out = tmp_path / "t.csv"
-        cfg = make_cfg(steps=0, x0=0.7, out=str(out))
-        export_trajectories(cfg, count=3)
+        cfg = make_cfg(steps=0, x0=0.7, out=str(out), paths=3)
+        export_trajectories(cfg)
         lines = out.read_text().splitlines()
         assert lines[0] == "time,path_0,path_1,path_2"
         assert lines[1:] == ["0.0,0.7,0.7,0.7"]
@@ -226,8 +226,8 @@ class TestTrajectories:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
     def test_year_of_daily_steps(self, alpha, tmp_path):
         out = tmp_path / f"traj_{alpha}.csv"
-        cfg = make_cfg(alpha=alpha, dt=1.0 / 365.0, steps=365, out=str(out), seed=508)
-        export_trajectories(cfg, count=3)
+        cfg = make_cfg(alpha=alpha, dt=1.0 / 365.0, steps=365, out=str(out), seed=508, paths=3)
+        export_trajectories(cfg)
         data = np.genfromtxt(out, delimiter=",", skip_header=1)
         assert data.shape == (366, 4)
         assert np.all(np.isfinite(data))
@@ -241,13 +241,13 @@ class TestTrajectories:
         for run in range(2):
             out = tmp_path / f"run{run}.csv"
             cfg = make_cfg(steps=30, out=str(out), seed=509, paths=4)
-            export_trajectories(cfg, count=4)
+            export_trajectories(cfg)
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
     def test_requires_output_path(self):
         with pytest.raises(ValueError):
-            export_trajectories(make_cfg(out=None), count=1)
+            export_trajectories(make_cfg(out=None, paths=1))
 
     @pytest.mark.parametrize("dt,most,least", [(1.0 / 365.0, 1, 0), (0.3, 1, 1)])
     def test_one_envelope_per_experiment(self, dt, most, least, tmp_path, monkeypatch):
@@ -262,7 +262,7 @@ class TestTrajectories:
 
         monkeypatch.setattr(harness.ou_cts, "build_envelope", counted)
         cfg = make_cfg(process="ou-cts", dt=dt, steps=200, out=str(tmp_path / "t.csv"), paths=4)
-        export_trajectories(cfg, count=4)
+        export_trajectories(cfg)
         assert least <= len(builds) <= most
 
     @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
@@ -278,13 +278,13 @@ class TestTrajectories:
         cfg = make_cfg(
             process=process, method=method, steps=200, out=str(tmp_path / "t.csv"), paths=4
         )
-        export_trajectories(cfg, count=4)
+        export_trajectories(cfg)
         assert len(built) == 1, built
 
 
 def exported(cfg: ExperimentConfig) -> np.ndarray:
     """Export cfg.paths trajectories and read them back, time column first."""
-    export_trajectories(cfg, count=cfg.paths)
+    export_trajectories(cfg)
     return np.loadtxt(cfg.out, delimiter=",", skiprows=1, ndmin=2)
 
 
@@ -348,7 +348,7 @@ class TestChunkedExport:
         for workers in (1, 2):
             out = tmp_path / f"w{workers}.csv"
             cfg = make_cfg(steps=steps, paths=count, seed=20261107, workers=workers, out=str(out))
-            export_trajectories(cfg, count=count)
+            export_trajectories(cfg)
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
@@ -368,7 +368,7 @@ class TestChunkedExport:
                     process="ou-cts", dt=0.3, steps=20, paths=128, seed=20261109,
                     workers=workers, out=str(out),
                 )
-                export_trajectories(cfg, count=cfg.paths)
+                export_trajectories(cfg)
                 texts.append(out.read_bytes())
         finally:
             sys.setswitchinterval(interval)

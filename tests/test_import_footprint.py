@@ -45,7 +45,7 @@ for process in harness.PROCESS_KINDS:
         process, 0.5, 1.4, 0.8, 10.0, 1.0 / 365.0, paths=4, seed=2, steps=5,
         out=process + ".csv",
     )
-    harness.export_trajectories(cfg, count=cfg.paths)
+    harness.export_trajectories(cfg)
 """,
     "transitions": """
 for alpha in (0.0, 0.9):

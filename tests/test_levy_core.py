@@ -20,7 +20,6 @@ from tsousim.levy_core import (
     QuadratureError,
     aremainder_triplet,
     bdlp_density_from_stationary,
-    cts_cumulants,
     cts_log_chf,
     lk_log_chf,
     ou_cumulants_from_bdlp,
@@ -28,7 +27,7 @@ from tsousim.levy_core import (
     stationary_density_from_bdlp,
     ts_remainder_decompose,
 )
-from tsousim.rand_core import CtsParams
+from tsousim.rand_core import CtsParams, cts_cumulants
 
 CTS_REF = CtsParams(0.5, 1.4, 0.8)
 GAMMA_REF = CtsParams(0.0, 1.0, 1.0)
@@ -47,17 +46,17 @@ class TestARemainderTriplet:
     def test_degenerate_scale_limit(self):
         t = LevyTriplet.from_cts(CTS_REF)
         rem = aremainder_triplet(t, 1.0 - 1e-7)
-        assert abs(rem.gamma_a) < 1e-5
-        assert rem.sigma_a == 0.0
+        assert abs(rem.gamma_drift) < 1e-5
+        assert rem.sigma == 0.0
         x = np.array([0.3, 1.0, 4.0])
-        assert np.all(np.abs(rem.nu_a(x)) < 1e-5 * t.nu(x))
+        assert np.all(np.abs(rem.nu(x)) < 1e-5 * t.nu(x))
 
     def test_gamma_law_remainder_density(self):
         a = 0.5
         rem = aremainder_triplet(LevyTriplet.from_cts(GAMMA_REF), a)
         x = np.array([0.1, 1.0, 10.0])
         direct = np.exp(-x) * (1.0 - np.exp(-x * (1.0 / a - 1.0))) / x
-        assert np.allclose(rem.nu_a(x), direct, rtol=1e-12, atol=0)
+        assert np.allclose(rem.nu(x), direct, rtol=1e-12, atol=0)
 
     def test_compound_mass_matches_step_rate(self):
         # integral of nu_a - nu_1 equals the compound-Poisson rate of the
@@ -70,7 +69,7 @@ class TestARemainderTriplet:
         shrink = 1.0 - a**CTS_REF.alpha
 
         def nu2(x):
-            return rem.nu_a(x) - shrink * t.nu(x)
+            return rem.nu(x) - shrink * t.nu(x)
 
         breaks = [np.log(1e-16), -4.0, 0.0, np.log(200.0)]
         val = sum(
@@ -84,7 +83,7 @@ class TestARemainderTriplet:
         nu = lambda x: np.exp(-np.abs(x)) / np.abs(x)
         t = LevyTriplet(0.0, 0.5, nu, subordinator=False)
         rem = aremainder_triplet(t, 0.4)
-        assert rem.sigma_a == pytest.approx(0.5 * np.sqrt(1.0 - 0.16), rel=1e-15)
+        assert rem.sigma == pytest.approx(0.5 * np.sqrt(1.0 - 0.16), rel=1e-15)
 
     def test_scale_domain(self):
         t = LevyTriplet.from_cts(CTS_REF)
@@ -97,6 +96,14 @@ class TestARemainderTriplet:
         t.self_decomposable = False
         with pytest.raises(NotSelfDecomposableError):
             aremainder_triplet(t, 0.5)
+
+    def test_remainder_of_a_remainder_is_refused(self):
+        # the gamma remainder's k_a(x) = e^(-x) - e^(-2x) rises from 0, so
+        # a remainder is not flagged self-decomposable
+        rem = aremainder_triplet(LevyTriplet.from_cts(GAMMA_REF), 0.5)
+        assert isinstance(rem, LevyTriplet) and not rem.self_decomposable
+        with pytest.raises(NotSelfDecomposableError):
+            aremainder_triplet(rem, 0.5)
 
     def test_detects_negative_remainder_density(self):
         # bump density: k(x) = x nu(x) increases, so nu_a goes negative
@@ -155,7 +162,7 @@ class TestLkLogChf:
                 rem = aremainder_triplet(
                     LevyTriplet.from_cts(CtsParams(alpha, 1.4, 0.8)), a
                 )
-                assert np.all(rem.nu_a(grid) >= 0.0)
+                assert np.all(rem.nu(grid) >= 0.0)
 
 
 class TestTsRemainderDecompose:
@@ -188,7 +195,8 @@ class TestTsRemainderDecompose:
     def test_jump_density_normalised(self):
         for a in (0.9, 0.3):
             dec = ts_remainder_decompose(CTS_REF, a)
-            assert quad_positive(dec.jump_density) == pytest.approx(1.0, abs=1e-8)
+            jump_density = lambda x: dec.nu2(x) / dec.lambda_a
+            assert quad_positive(jump_density) == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_tempering_that_violates_small_x_hypothesis(self):
         # q(x) - q(x/a) ~ x^0.2 is not o(x^alpha) for alpha = 0.5
@@ -353,6 +361,22 @@ class TestCumulants:
         with pytest.raises(ValueError):
             cts_cumulants(CTS_REF, 0)
 
+    @pytest.mark.parametrize("dt", [-1.0, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "cumulant",
+        [
+            lambda dt: cts_ou.cumulants_ctsou(cts_ou.CtsOuProcess(CTS_REF, 10.0), 0.0, dt, 2),
+            lambda dt: ou_cts.cumulants_oucts(ou_cts.OuCtsProcess(CTS_REF, 10.0), 0.0, dt, 2),
+            lambda dt: ou_cumulants_from_stationary([1.0, 2.0], 0.0, 10.0, dt, 2),
+            lambda dt: ou_cumulants_from_bdlp([1.0, 2.0], 0.0, 10.0, 1.0, dt, 2),
+        ],
+        ids=["ctsou", "oucts", "from-stationary", "from-bdlp"],
+    )
+    def test_negative_or_nan_step_is_refused(self, cumulant, dt):
+        # a negative dt gave a huge negative variance (-2.1e8 for CTS-OU at dt = -1)
+        with pytest.raises(ValueError, match="dt must be nonnegative"):
+            cumulant(dt)
+
 
 class TestQuadrature:
     """The adaptive 21-point Gauss-Kronrod rule behind every oracle."""
@@ -419,7 +443,7 @@ class TestDensityWarnings:
 
     def test_remainder_jump_density_is_silent_for_positive_x(self):
         dec = ts_remainder_decompose(CTS_REF, 0.5)
-        vals = dec.jump_density(self.X)
+        vals = dec.nu2(self.X) / dec.lambda_a
         assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
 
     def test_cts_density_at_zero_is_inf_with_numpys_warning(self):

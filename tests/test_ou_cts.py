@@ -10,7 +10,7 @@ from scipy.special import gamma as gamma_fn
 
 from _helpers import chi2_pvalue, envelope_acceptance, z_score
 from tsousim import ou_cts, rand_core
-from tsousim.levy_core import cts_cumulants, ou_cumulants_from_bdlp
+from tsousim.levy_core import ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
     OuCtsStepLaw,
@@ -28,7 +28,7 @@ from tsousim.ou_cts import (
     step_law_oucts,
     x1_only_law,
 )
-from tsousim.rand_core import CtsParams, RngStream
+from tsousim.rand_core import CtsParams, RngStream, cts_cumulants
 
 B, C, BETA = 10.0, 0.8, 1.4
 PROC = OuCtsProcess(CtsParams(0.5, BETA, C), B)

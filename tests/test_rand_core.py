@@ -56,6 +56,18 @@ class TestUniform:
         d = stats.kstest(u, "uniform").statistic
         assert d < 1.36 / np.sqrt(n) * 1.5
 
+    @pytest.mark.parametrize("seed,stream_id", [(2**64, 0), (-1, 0), (0, 2**64), (0, -1)])
+    def test_out_of_range_address_is_refused(self, seed, stream_id):
+        # each would wrap onto the stream of its value mod 2^64
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
+            RngStream(seed, stream_id)
+
+    def test_largest_address_is_a_stream_of_its_own(self):
+        top = 2**64 - 1
+        assert not np.array_equal(
+            RngStream(top, top).gen.random(8), RngStream(0, 0).gen.random(8)
+        )
+
 
 class TestGamma:
     def test_exponential_special_case(self):
