@@ -21,19 +21,14 @@ as one :class:`CtsOuStepLaw`, whose ``sample`` draws the transition.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
 from ._util import gamma as gamma_fn
-from .rand_core import (
-    CtsParams,
-    RngStream,
-    StepLaw,
-    _gamma_shape_rate,
-    _squeeze,
-)
+from .rand_core import CtsParams, RngStream, StepLaw, _finite_start, _gamma_shape_rate
 
 __all__ = [
     "CtsOuProcess",
@@ -80,9 +75,9 @@ class CtsOuStepLaw(StepLaw):
             return x
         # gamma(1-alpha, beta*V) with V on [1, 1/a]
         alpha = self.x1_params.alpha
-        v = sample_v_ctsou(self.a, alpha, stream, size=m)
+        v = sample_v_ctsou(self.a, alpha, stream, m)
         v *= self.beta
-        return _gamma_shape_rate(stream, 1.0 - alpha, v, size=m)
+        return _gamma_shape_rate(stream, 1.0 - alpha, v, m)
 
     def jump_moment(self, k: int) -> float:
         """k-th jump moment by quadrature over the mixing law of V on [1, 1/a],
@@ -113,35 +108,33 @@ def step_law(p: CtsOuProcess, dt: float) -> StepLaw:
     return CtsOuStepLaw(a, CtsParams(alpha, beta, c * shrink), lam, beta, p.b * dt)
 
 
-def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size=None):
-    """Mixing rate factor V on [1, 1/a], density alpha*v^(alpha-1)/(a^-alpha - 1).
+def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size: int = 1):
+    """``size`` mixing rate factors V on [1, 1/a], density alpha*v^(alpha-1)/(a^-alpha - 1).
 
     Plain inverse transform of the CDF F(v) = (v^alpha - 1)/(a^-alpha - 1):
     V = (1 + (a^-alpha - 1) U)^(1/alpha), hitting 1 at U=0 and 1/a at U=1.
     """
+    size = operator.index(size)
     if not (0.0 < a < 1.0):
         raise ValueError(f"a must be in (0, 1), got {a}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    v = stream.gen.random(1 if size is None else size)  # U, turned into V in place
+    v = stream.gen.random(size)  # U, turned into V in place
     v *= a ** -alpha - 1.0
     v += 1.0
     v **= 1.0 / alpha
-    return _squeeze(v, size)
+    return v
 
 
-def sample_transition_ctsou(p: CtsOuProcess, x0, dt: float, stream: RngStream, size=None):
-    """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``);
+def sample_transition_ctsou(p: CtsOuProcess, x0, dt: float, stream: RngStream, size: int = 1):
+    """``size`` exact draws of X(dt) given X(0) = x0, shape (size,);
     see :func:`step_law` for the law."""
     return step_law(p, dt).sample(x0, stream, size)
 
 
-def simulate_skeleton_ctsou(p: CtsOuProcess, x0, grid, stream: RngStream, size=None):
-    """Exact skeleton X(t_1), ..., X(t_M) from X(0) = x0 on an increasing grid.
-
-    Returns an array of shape (M,) for scalar use or (M, size) when
-    ``size`` paths are drawn in lockstep from one stream.
-    """
+def simulate_skeleton_ctsou(p: CtsOuProcess, x0, grid, stream: RngStream, size: int = 1):
+    """Exact skeleton X(t_1), ..., X(t_M) from X(0) = x0 on an increasing grid,
+    shape (M, size): ``size`` paths drawn in lockstep from one stream."""
     return simulate_skeleton(
         lambda x, dt: sample_transition_ctsou(p, x, dt, stream, size), x0, grid, size
     )
@@ -152,6 +145,7 @@ def cumulants_ctsou(p: CtsOuProcess, x0: float, dt: float, k: int) -> float:
     x0 e^(-b dt) [k=1] + c beta^(alpha-k) Gamma(k-alpha) (1 - e^(-k b dt))."""
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
+    _finite_start(x0)
     if not dt >= 0.0:  # dt = inf is the stationary limit
         raise ValueError(f"dt must be nonnegative, got {dt}")
     alpha, beta, c = p.stationary.alpha, p.stationary.beta, p.stationary.c

@@ -442,7 +442,7 @@ def _check_envelopes(report: ValidationReport) -> None:
         for a in a_cells:
             env = ou_cts.build_envelope(alpha, a)
             gap = float(np.max(ou_cts.f_w_density(grid, a, alpha) - env.value(grid)))
-            w, made = ou_cts._sample_w(env, a, alpha, stream, _ENVELOPE_DRAWS)
+            w, made = ou_cts.sample_w(env, a, alpha, stream, _ENVELOPE_DRAWS)
             in_range = bool(np.all((w >= 0.0) & (w <= 1.0)))
             accept = _ENVELOPE_DRAWS / made
             ok = (

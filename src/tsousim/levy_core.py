@@ -40,7 +40,7 @@ import numpy as np
 
 from ._util import _one_minus_pow, gammainc
 from ._util import gamma as gamma_fn
-from .rand_core import CtsParams
+from .rand_core import CtsParams, _finite_start
 
 __all__ = [
     "LevyTriplet",
@@ -553,11 +553,15 @@ def cts_log_chf(p: CtsParams, u: float) -> complex:
     return g * (p.beta**p.alpha - (p.beta - 1j * u) ** p.alpha)
 
 
-def _cumulant_at(cumulants, k: int, dt: float) -> float:
-    """The k-th of ``cumulants`` (a sequence, or a callable of k), once k
-    and dt pass the checks both OU maps below make."""
+def _cumulant_at(cumulants, k: int, x0: float, b: float, dt: float, T: float = 1.0) -> float:
+    """The k-th of ``cumulants`` (a sequence, or a callable of k), once k,
+    x0, b, dt and T pass the checks both OU maps below make."""
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
+    _finite_start(x0)
+    for name, value in (("b", b), ("T", T)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if not dt >= 0.0:  # dt = inf is the stationary limit
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if callable(cumulants):
@@ -576,7 +580,7 @@ def ou_cumulants_from_stationary(
 
     k=1: x0 e^(-b dt) + c1 (1 - e^(-b dt)); k>=2: ck (1 - e^(-k b dt)).
     """
-    ck = _cumulant_at(stat_cumulants, k, dt)
+    ck = _cumulant_at(stat_cumulants, k, x0, b, dt)
     if k == 1:
         return x0 * np.exp(-b * dt) + ck * (1.0 - np.exp(-b * dt))
     return ck * (1.0 - np.exp(-k * b * dt))
@@ -593,7 +597,7 @@ def ou_cumulants_from_bdlp(
     """OU transition cumulant from the cumulants of the driving increment
     over one time unit T: ck / (k b T) * (1 - e^(-k b dt)), plus the decayed
     initial condition for k=1."""
-    ck = _cumulant_at(bdlp_cumulants, k, dt)
+    ck = _cumulant_at(bdlp_cumulants, k, x0, b, dt, T)
     val = ck / (k * b * T) * (1.0 - np.exp(-k * b * dt))
     if k == 1:
         val += x0 * np.exp(-b * dt)

@@ -28,6 +28,7 @@ because lambda_a = O(dt^2) here, and badly biased for coarse steps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,9 +40,9 @@ from .rand_core import (
     CtsParams,
     RngStream,
     StepLaw,
+    _finite_start,
     _gamma_shape_rate,
     _rejection_loop,
-    _squeeze,
 )
 
 __all__ = [
@@ -89,7 +90,7 @@ class Envelope:
     Chords over ``segment_count`` intervals of [0, 1]; since f_W is convex,
     every chord lies above it.  ``masses`` are the per-segment areas q_l,
     ``total_mass`` is G_L = sum q_l >= 1 and 1/G_L is the acceptance rate
-    of the rejection sampler built on this envelope.
+    of the rejection sampler, which picks segments by ``cum_probabilities``.
     """
 
     segment_count: int
@@ -97,7 +98,6 @@ class Envelope:
     f_values: np.ndarray = field(repr=False)
     slopes: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
-    probabilities: np.ndarray = field(repr=False)
     cum_probabilities: np.ndarray = field(repr=False)
     total_mass: float
 
@@ -168,11 +168,10 @@ def build_envelope(alpha: float, a: float, *, force_segments: int | None = None)
                 f"envelope did not reach G_L <= {DEFAULT_TARGET_G} at {n_seg} segments"
             )
         n_seg *= 2
-    probs = masses / total
-    cum = np.cumsum(probs)
+    cum = np.cumsum(masses / total)
     cum[-1] = 1.0
     slopes = np.diff(f) / dw
-    return Envelope(n_seg, w, f, slopes, masses, probs, cum, total)
+    return Envelope(n_seg, w, f, slopes, masses, cum, total)
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,9 @@ class OuCtsStepLaw(StepLaw):
 
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
         # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
-        v = sample_v_oucts(self, stream, size=m)
+        v = sample_v_oucts(self, stream, m)
         v *= self.jump_beta
-        return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, v, size=m)
+        return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, v, m)
 
     def jump_moment(self, k: int) -> float:
         """k-th jump moment by quadrature over the mixing density (v^alpha - 1)/v
@@ -255,19 +254,15 @@ def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
     return CtsParams(alpha, beta / a, c * _one_minus_pow(a, alpha) / (p.T * alpha * p.b))
 
 
-def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size=None):
-    """Draw W from f_W by rejection under the chord envelope.
+def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size: int = 1):
+    """``size`` draws of W from f_W by rejection under the chord envelope,
+    and the number of proposals they took: ``(w, proposals)``.
 
     Per proposal: pick a segment with the envelope's probabilities, invert
     the chord's quadratic CDF in closed form, accept with probability
     f_W / g_L.  Acceptance rate is exactly 1/G_L.
     """
-    w, _ = _sample_w(envelope, a, alpha, stream, 1 if size is None else size)
-    return _squeeze(w, size)
-
-
-def _sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, n: int):
-    """n draws of W from :func:`sample_w`'s sampler and the number of proposals they took."""
+    size = operator.index(size)
     g = stream.gen
     bp, fv, slopes = envelope.breakpoints, envelope.f_values, envelope.slopes
     masses, cum = envelope.masses, envelope.cum_probabilities
@@ -308,40 +303,39 @@ def _sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, n: 
         del sl
         return s, r <= f_w_density(s, a, alpha)
 
-    return _rejection_loop(propose, n, "envelope rejection")
+    return _rejection_loop(propose, size, "envelope rejection")
 
 
-def sample_v_oucts(law: OuCtsStepLaw, stream: RngStream, size=None):
-    """Mixing factor V = a^-W on [1, 1/a], density
+def sample_v_oucts(law: OuCtsStepLaw, stream: RngStream, size: int = 1):
+    """``size`` draws of the mixing factor V = a^-W on [1, 1/a], density
     alpha a^alpha (v^alpha - 1) / ((1 - a^alpha + a^alpha log a^alpha) v);
     at alpha = 0 (no envelope) the limiting law of :func:`sample_v_alpha0`."""
     if law.envelope is None:
         return sample_v_alpha0(law.a, stream, size)
-    # in place on W; a scalar W becomes a 0-d array
-    v = np.asarray(sample_w(law.envelope, law.a, law.x1_params.alpha, stream, size), dtype=float)
+    v, _ = sample_w(law.envelope, law.a, law.x1_params.alpha, stream, size)  # in place on W
     v *= -np.log(law.a)
     np.exp(v, out=v)
-    return float(v) if size is None else v
+    return v
 
 
-def sample_v_alpha0(a: float, stream: RngStream, size=None):
-    """alpha -> 0 limit of the mixing factor: density 2 log v / (v log^2 a)
+def sample_v_alpha0(a: float, stream: RngStream, size: int = 1):
+    """``size`` draws of the alpha -> 0 limit of V: density 2 log v / (v log^2 a)
     on [1, 1/a], sampled by inversion as V = a^(-sqrt(U)) (no rejection)."""
+    size = operator.index(size)
     if not (0.0 < a < 1.0):
         raise ValueError(f"a must be in (0, 1), got {a}")
-    u = stream.gen.random(1 if size is None else size)
-    v = np.exp(-np.sqrt(u) * np.log(a))
-    return _squeeze(v, size)
+    u = stream.gen.random(size)
+    return np.exp(-np.sqrt(u) * np.log(a))
 
 
-def sample_transition_oucts(p: OuCtsProcess, x0, dt: float, stream: RngStream, size=None):
-    """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``);
-    see :func:`step_law_oucts` for the law and its alpha = 0 limit."""
+def sample_transition_oucts(p: OuCtsProcess, x0, dt: float, stream: RngStream, size: int = 1):
+    """``size`` exact draws of X(dt) given X(0) = x0, shape (size,); see
+    :func:`step_law_oucts` for the law and its alpha = 0 limit."""
     return step_law_oucts(p, dt).sample(x0, stream, size)
 
 
-def simulate_skeleton_oucts(p: OuCtsProcess, x0, grid, stream: RngStream, size=None):
-    """Exact skeleton on an increasing grid, one step law per step."""
+def simulate_skeleton_oucts(p: OuCtsProcess, x0, grid, stream: RngStream, size: int = 1):
+    """Exact skeleton on an increasing grid, one step law per step, shape (M, size)."""
     return simulate_skeleton(
         lambda x, dt: sample_transition_oucts(p, x, dt, stream, size), x0, grid, size
     )
@@ -352,6 +346,7 @@ def cumulants_oucts(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     x0 e^(-b dt) [k=1] + c Gamma(k-alpha) (1 - e^(-k b dt)) / (T b k beta^(k-alpha))."""
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
+    _finite_start(x0)
     if not dt >= 0.0:  # dt = inf is the stationary limit
         raise ValueError(f"dt must be nonnegative, got {dt}")
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c

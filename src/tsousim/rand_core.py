@@ -17,6 +17,7 @@ tilting would reject almost everything.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +50,18 @@ class RngStream:
     The Philox key is the pair ``(seed, stream_id)``, so streams can be
     handed out to path blocks without any sequential jump-ahead.  A stream
     must be owned by exactly one worker at a time.  Both parts are 64-bit
-    key words: a value outside [0, 2^64) raises ValueError rather than
-    wrapping onto another stream.
+    key words: a value that is not an integer in [0, 2^64) raises
+    ValueError rather than truncating or wrapping onto another stream.
     """
 
     __slots__ = ("seed", "stream_id", "_bitgen", "gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
+        for name, value in (("seed", seed), ("stream id", stream_id)):
+            if not (isinstance(value, (int, np.integer)) and 0 <= value < 1 << 64):
+                raise ValueError(f"{name} must be in [0, 2**64) and integral, got {value!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        for name, value in (("seed", self.seed), ("stream id", self.stream_id)):
-            if not 0 <= value < 1 << 64:
-                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self.gen = np.random.Generator(self._bitgen)
@@ -106,13 +107,7 @@ def cts_cumulants(p: CtsParams, k: int) -> float:
     return p.c * p.beta ** (p.alpha - k) * gamma_fn(k - p.alpha)
 
 
-def _squeeze(x: np.ndarray, size):
-    if size is None:
-        return float(x[0])
-    return x
-
-
-def _gamma_shape_rate(stream: RngStream, shape: float, rate, size=None):
+def _gamma_shape_rate(stream: RngStream, shape: float, rate, n: int):
     """Gamma draws with scalar shape and scalar or vector rate.
 
     For shape < 1 the shape-boosting identity is used: if G has shape
@@ -121,7 +116,6 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, size=None):
     mode at zero.
     """
     g = stream.gen
-    n = 1 if size is None else size
     if shape >= 1.0:
         x = g.standard_gamma(shape, size=n)
     else:
@@ -130,17 +124,15 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, size=None):
         u **= 1.0 / shape
         x *= u
     x /= rate
-    return _squeeze(x, size)
+    return x
 
 
-def sample_poisson(mean: float, stream: RngStream, size=None):
-    """Poisson draw(s); inversion for small means, rejection for large ones."""
+def sample_poisson(mean: float, stream: RngStream, size: int = 1):
+    """``size`` Poisson draws; inversion for small means, rejection for large ones."""
+    size = operator.index(size)
     if not (mean >= 0.0):
         raise ValueError(f"Poisson mean must be nonnegative, got {mean}")
-    x = stream.gen.poisson(mean, size=1 if size is None else size)
-    if size is None:
-        return int(x[0])
-    return x
+    return stream.gen.poisson(mean, size=size)
 
 
 def _compound_poisson(rate: float, draw_jumps, stream: RngStream, n: int) -> np.ndarray:
@@ -201,6 +193,7 @@ class StepLaw:
         plus lambda_a times the k-th jump moment, plus a*x0 at k = 1."""
         if k < 1:
             raise ValueError(f"cumulant order must be >= 1, got {k}")
+        _finite_start(x0)
         val = 0.0 if self.x1_params is None else cts_cumulants(self.x1_params, k)
         if self.lambda_a > 0.0:
             val += self.lambda_a * self.jump_moment(k)
@@ -208,13 +201,16 @@ class StepLaw:
             val += self.a * x0
         return float(val)
 
-    def sample(self, x0, stream: RngStream, size=None):
-        """One exact draw of X(dt) given X(0) = x0 (vectorised over ``size``)."""
+    def sample(self, x0, stream: RngStream, size: int = 1):
+        """``size`` exact draws of X(dt) given X(0) = x0, shape (size,); an
+        array x0 holds one start per path."""
+        size = operator.index(size)
         x0 = _finite_start(x0)
-        n = 1 if size is None else size
-        x1 = 0.0 if self.x1_params is None else sample_cts(self.x1_params, stream, size=n)
-        x2 = _compound_poisson(self.lambda_a, lambda m: self.draw_jumps(stream, m), stream, n)
-        return _squeeze(self.a * x0 + x1 + x2, size)
+        if x0.shape not in ((), (size,)):
+            raise ValueError(f"x0 of shape {x0.shape} does not match size {size}")
+        x1 = 0.0 if self.x1_params is None else sample_cts(self.x1_params, stream, size)
+        x2 = _compound_poisson(self.lambda_a, lambda m: self.draw_jumps(stream, m), stream, size)
+        return self.a * x0 + x1 + x2
 
 
 def _rejection_loop(propose, n: int, what: str):
@@ -251,8 +247,8 @@ def _redraw_zeros(g: np.random.Generator, x: np.ndarray, draw) -> np.ndarray:
     return x
 
 
-def sample_stable_subordinator(alpha: float, stream: RngStream, size=None):
-    """Positive stable draw(s) with Laplace transform exp(-u**alpha).
+def sample_stable_subordinator(alpha: float, stream: RngStream, size: int = 1):
+    """``size`` positive stable draws with Laplace transform exp(-u**alpha).
 
     Kanter / Chambers-Mallows-Stuck representation: with Theta uniform on
     (0, pi) and E a unit exponential,
@@ -261,13 +257,13 @@ def sample_stable_subordinator(alpha: float, stream: RngStream, size=None):
         A(t) = (sin(alpha*t)**alpha * sin((1-alpha)*t)**(1-alpha) / sin(t))
                ** (1/(1-alpha)).
     """
+    size = operator.index(size)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"stable index must be in (0, 1), got {alpha}")
     g = stream.gen
-    n = 1 if size is None else size
-    u = _redraw_zeros(g, g.random(n), lambda g_, m: g_.random(m))
+    u = _redraw_zeros(g, g.random(size), lambda g_, m: g_.random(m))
     e = _redraw_zeros(
-        g, g.standard_exponential(n), lambda g_, m: g_.standard_exponential(m)
+        g, g.standard_exponential(size), lambda g_, m: g_.standard_exponential(m)
     )
     theta = np.pi * u
     log_a = (
@@ -275,8 +271,7 @@ def sample_stable_subordinator(alpha: float, stream: RngStream, size=None):
         + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * theta))
         - np.log(np.sin(theta))
     ) / (1.0 - alpha)
-    s = np.exp((1.0 - alpha) / alpha * (log_a - np.log(e)))
-    return _squeeze(s, size)
+    return np.exp((1.0 - alpha) / alpha * (log_a - np.log(e)))
 
 
 def cts_tilting_acceptance(params: CtsParams) -> float:
@@ -291,8 +286,8 @@ def cts_tilting_acceptance(params: CtsParams) -> float:
     return float(np.exp(-c * gamma_fn(1.0 - a) * b**a / a))
 
 
-def sample_cts(params: CtsParams, stream: RngStream, size=None, method: str = "auto"):
-    """Exact draw(s) from a one-sided CTS law.
+def sample_cts(params: CtsParams, stream: RngStream, size: int = 1, method: str = "auto"):
+    """``size`` exact draws from a one-sided CTS law.
 
     ``method`` selects the sampling route for ``alpha > 0``:
 
@@ -303,6 +298,7 @@ def sample_cts(params: CtsParams, stream: RngStream, size=None, method: str = "a
 
     ``alpha == 0`` is the gamma special case and ignores ``method``.
     """
+    size = operator.index(size)
     if method not in ("auto", "tilting", "double-rejection"):
         raise ValueError(f"unknown CTS sampling method {method!r}")
     a, b, c = params.alpha, params.beta, params.c
@@ -324,12 +320,9 @@ def sample_cts(params: CtsParams, stream: RngStream, size=None, method: str = "a
         accept = cts_tilting_acceptance(params)
         method = "tilting" if accept >= TILTING_ACCEPTANCE_FLOOR else "double-rejection"
 
-    n = 1 if size is None else size
     if method == "tilting":
-        x = _cts_tilting(a, b, sigma, stream, n)
-    else:
-        x = sigma * _tilted_stable_double_rejection(a, lam, stream, n)
-    return _squeeze(x, size)
+        return _cts_tilting(a, b, sigma, stream, size)
+    return sigma * _tilted_stable_double_rejection(a, lam, stream, size)
 
 
 def _cts_tilting(alpha: float, beta: float, sigma: float, stream: RngStream, n: int):
@@ -460,24 +453,23 @@ def _tilted_stable_double_rejection(
     return _rejection_loop(propose, n, "double rejection")[0] ** (-b)
 
 
-def sample_inverse_gaussian(mu: float, lambda_ig: float, stream: RngStream, size=None):
-    """Exact inverse Gaussian draw(s) by the many-to-one transformation.
+def sample_inverse_gaussian(mu: float, lambda_ig: float, stream: RngStream, size: int = 1):
+    """``size`` exact inverse Gaussian draws by the many-to-one transformation.
 
     Michael-Schucany-Haas method: one chi-square root of the defining
     quadratic plus a uniform coin choosing between the two preimages; no
     rejection loop.
     """
+    size = operator.index(size)
     if not (mu > 0.0):
         raise ValueError(f"IG mean must be positive, got {mu}")
     if not (lambda_ig > 0.0):
         raise ValueError(f"IG shape must be positive, got {lambda_ig}")
     g = stream.gen
-    n = 1 if size is None else size
-    nrm = g.standard_normal(n)
+    nrm = g.standard_normal(size)
     y = nrm * nrm
     x = mu + mu * mu * y / (2.0 * lambda_ig) - mu / (2.0 * lambda_ig) * np.sqrt(
         4.0 * mu * lambda_ig * y + (mu * y) ** 2
     )
-    u = g.random(n)
-    x = np.where(u <= mu / (mu + x), x, mu * mu / x)
-    return _squeeze(x, size)
+    u = g.random(size)
+    return np.where(u <= mu / (mu + x), x, mu * mu / x)

@@ -16,7 +16,7 @@ from tsousim.levy_core import (
     stationary_density_from_bdlp,
     ts_remainder_decompose,
 )
-from tsousim.ou_cts import _sample_w
+from tsousim.ou_cts import sample_w
 from tsousim.rand_core import CtsParams
 
 
@@ -33,11 +33,9 @@ class FixedStream:
         self._values = np.asarray(values, dtype=float)
         self.gen = self
 
-    def random(self, size=None):
-        n = 1 if size is None else int(size)
-        reps = int(np.ceil(n / self._values.size))
-        out = np.tile(self._values, reps)[:n]
-        return out if size is not None else out
+    def random(self, size):
+        reps = int(np.ceil(size / self._values.size))
+        return np.tile(self._values, reps)[:size]
 
 
 def force_single_chord(monkeypatch) -> None:
@@ -65,7 +63,7 @@ def chi2_pvalue(draws, cdf, lo: float, hi: float, bins: int = 50) -> float:
 
 def envelope_acceptance(env, a: float, alpha: float, stream, n: int) -> float:
     """Measured acceptance rate of the chord-envelope rejection sampler."""
-    return n / _sample_w(env, a, alpha, stream, n)[1]
+    return n / sample_w(env, a, alpha, stream, n)[1]
 
 
 def levy_core_oracle_values() -> list:

@@ -150,7 +150,7 @@ CASES = {
         "dbc2a0c8225be62020ed87892e37fbe4c5908015b41438086dc57c3e27977ee3",
     ),
     "skeleton-ctsou": (
-        _skeleton("cts-ou", None),
+        _skeleton("cts-ou", 1),
         "f63c15657440f3bb49fbd6e116565852278121a8ff2c05119556aa535f45c92b",
     ),
     "skeleton-oucts": (

@@ -137,11 +137,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             make_cfg(**bad).validate()
 
+    def test_non_integer_seed_rejected(self):
+        # the stream of seed 1.5 was the stream of seed 1
+        with pytest.raises(ValueError, match="seed must be in .* and integral"):
+            make_cfg(seed=1.5).validate()
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
     @pytest.mark.parametrize(
         "x0,size",
-        [(float("nan"), None), (float("inf"), None), (np.array([0.0, np.nan]), 2)],
+        [(float("nan"), 1), (float("inf"), 1), (np.array([0.0, np.nan]), 2)],
         ids=["nan", "inf", "nan-in-array"],
     )
     def test_every_step_law_rejects_non_finite_start(self, alpha, process, method, x0, size):

@@ -377,6 +377,39 @@ class TestCumulants:
         with pytest.raises(ValueError, match="dt must be nonnegative"):
             cumulant(dt)
 
+    @pytest.mark.parametrize("value", [-10.0, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "cumulant",
+        [
+            lambda v: ou_cumulants_from_stationary([1.0, 2.0], 0.0, v, 1.0, 2),
+            lambda v: ou_cumulants_from_bdlp([1.0, 2.0], 0.0, v, 1.0, 1.0, 2),
+            lambda v: ou_cumulants_from_bdlp([1.0, 2.0], 0.0, 10.0, v, 1.0, 2),
+        ],
+        ids=["from-stationary-b", "from-bdlp-b", "from-bdlp-T"],
+    )
+    def test_non_positive_rate_or_time_scale_is_refused(self, cumulant, value):
+        # b = -10 gave a variance of -9.7e8 from the stationary cumulants
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            cumulant(value)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("x0", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "cumulant",
+        [
+            lambda x0, k: cts_ou.cumulants_ctsou(cts_ou.CtsOuProcess(CTS_REF, 10.0), x0, 0.01, k),
+            lambda x0, k: ou_cts.cumulants_oucts(ou_cts.OuCtsProcess(CTS_REF, 10.0), x0, 0.01, k),
+            lambda x0, k: ou_cumulants_from_stationary([1.0, 2.0, 3.0, 4.0], x0, 10.0, 0.01, k),
+            lambda x0, k: ou_cumulants_from_bdlp([1.0, 2.0, 3.0, 4.0], x0, 10.0, 1.0, 0.01, k),
+            lambda x0, k: cts_ou.step_law(cts_ou.CtsOuProcess(CTS_REF, 10.0), 0.01).cumulant(k, x0),
+        ],
+        ids=["ctsou", "oucts", "from-stationary", "from-bdlp", "step-law"],
+    )
+    def test_non_finite_start_is_refused(self, cumulant, x0, k):
+        # as StepLaw.sample does; a NaN start gave a NaN cumulant
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            cumulant(x0, k)
+
 
 class TestQuadrature:
     """The adaptive 21-point Gauss-Kronrod rule behind every oracle."""

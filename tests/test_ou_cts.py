@@ -14,7 +14,6 @@ from tsousim.levy_core import ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
     OuCtsStepLaw,
-    _sample_w,
     build_envelope,
     cumulants_oucts,
     f_w_density,
@@ -140,7 +139,8 @@ class TestEnvelope:
         w = np.linspace(0.0, 1.0, 1001)
         assert np.max(f_w_density(w, a, alpha) - env.value(w)) <= 0.0
         assert env.total_mass >= 1.0
-        assert abs(env.probabilities.sum() - 1.0) < 1e-12
+        assert abs(np.sum(env.masses / env.total_mass) - 1.0) < 1e-12
+        assert env.cum_probabilities[-1] == 1.0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("a", A_CELLS)
@@ -173,14 +173,14 @@ class TestSampleW:
     def test_density_chi2(self):
         a, alpha = 0.44, 0.5
         env = build_envelope(alpha, a)
-        w = sample_w(env, a, alpha, RngStream(31, 4), size=10**5)
+        w, _ = sample_w(env, a, alpha, RngStream(31, 4), size=10**5)
         assert chi2_pvalue(w, lambda x: f_w_cdf(x, a, alpha), 0.0, 1.0) > 0.05
 
     def test_near_degenerate_scale(self):
         # b*dt = 1e-4: the density is nearly linear and must stay finite
         a = np.exp(-1e-4)
         env = build_envelope(0.5, a)
-        w = sample_w(env, a, 0.5, RngStream(31, 3), size=10**4)
+        w, _ = sample_w(env, a, 0.5, RngStream(31, 3), size=10**4)
         assert np.all((w >= 0.0) & (w <= 1.0))
         assert np.all(np.isfinite(f_w_density(w, a, 0.5)))
 
@@ -221,7 +221,7 @@ class TestMemory:
     def test_w_sampler_peaks_below_six_arrays(self):
         env, n = self.LAW.envelope, 1 << 18
         peak = self._traced_peak(
-            lambda: _sample_w(env, self.LAW.a, 0.9, RngStream(5, 1), n)
+            lambda: sample_w(env, self.LAW.a, 0.9, RngStream(5, 1), n)
         )
         assert peak <= 6 * 8 * n
 

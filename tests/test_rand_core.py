@@ -62,6 +62,14 @@ class TestUniform:
         with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
             RngStream(seed, stream_id)
 
+    @pytest.mark.parametrize(
+        "seed,stream_id", [(1.5, 0), (0, 2.5), (np.float64(3.0), 0), ("7", 0)]
+    )
+    def test_non_integer_address_is_refused(self, seed, stream_id):
+        # int() would truncate 1.5 onto the stream of seed 1
+        with pytest.raises(ValueError, match="integral"):
+            RngStream(seed, stream_id)
+
     def test_largest_address_is_a_stream_of_its_own(self):
         top = 2**64 - 1
         assert not np.array_equal(
