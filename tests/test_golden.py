@@ -18,6 +18,14 @@ alpha * (1 - alpha) below 1 and one above, so both proposal mixtures of
 the first stage run, followed by the next 16 uniforms of the same
 stream, so how many draws each round consumes is pinned too.
 
+The ``chunked-*`` cases pin stages that draw or compute in blocks of
+8192 elements by drawing far more than one block in one call: one
+2**14-path OU-CTS step at alpha 0.9, b dt = 3 (about 230 000 jumps), one
+2**14-path CTS-OU step at alpha 0.9, dt = 30/365 (about 98 000 jumps),
+one ``sample_w`` call of 3 * 8192 + 17 draws and one 2**14-path OU-CTS
+step at alpha 0, whose CTS part is a gamma law of shape 0.24.  Each is followed by
+the next 16 uniforms of the same stream, as in the ``cts-dr-*`` cases.
+
 The ``cumulants-scaled-bdlp`` case draws the decayed driving increment
 through the plain step law ``a*x0 + CTS(alpha, beta/a, c a^alpha dt/T)``,
 which CTS scaling makes equal in law to ``a * (x0 + L(dt))``; the two
@@ -49,8 +57,8 @@ from scipy.special import gamma as gamma_fn
 
 from _helpers import levy_core_oracle_values
 from tsousim.cli import main
-from tsousim.cts_ou import CtsOuProcess, simulate_skeleton_ctsou
-from tsousim.ou_cts import OuCtsProcess, simulate_skeleton_oucts
+from tsousim.cts_ou import CtsOuProcess, simulate_skeleton_ctsou, step_law
+from tsousim.ou_cts import OuCtsProcess, sample_w, simulate_skeleton_oucts, step_law_oucts
 from tsousim.rand_core import CtsParams, RngStream, sample_cts
 
 PARAMS = ["--beta", "1.4", "--c", "0.8", "--b", "10", "--x0", "0"]
@@ -101,6 +109,22 @@ def _cts_dr(alpha, c, seed, heavy):
         assert (gamma_ >= 1.0) == heavy
         stream = RngStream(seed, 3)
         x = sample_cts(params, stream, size=10**4, method="double-rejection")
+        return np.concatenate([x, stream.gen.random(16)]).tobytes()
+
+    return run
+
+
+def _chunked(kind, seed):
+    def run(tmp_path):
+        params = CtsParams(0.0 if kind == "oucts-alpha0-step" else 0.9, 1.4, 0.8)
+        stream = RngStream(seed, 5)
+        if kind == "ctsou-step":
+            x = step_law(CtsOuProcess(params, 10.0), 30.0 / 365.0).sample(0.5, stream, 1 << 14)
+        elif kind in ("oucts-step", "oucts-alpha0-step"):
+            x = step_law_oucts(OuCtsProcess(params, 10.0), 0.3).sample(0.5, stream, 1 << 14)
+        else:
+            law = step_law_oucts(OuCtsProcess(params, 10.0), 0.3)
+            x, _ = sample_w(law.envelope, law.a, 0.9, stream, 3 * 8192 + 17)
         return np.concatenate([x, stream.gen.random(16)]).tobytes()
 
     return run
@@ -188,6 +212,22 @@ CASES = {
     "cts-dr-alpha0.9-heavy": (
         _cts_dr(0.9, 3.0, 37, heavy=True),
         "f9738eecf4bd4fed6a31237b0fc9e250c9d4d425b55c95403716c94bd29ab7e7",
+    ),
+    "chunked-ctsou-step": (
+        _chunked("ctsou-step", 40),
+        "ded8898d87c83b2d2c954ee4af3fe145d4f1753b3aa32125ce55fd9424b11467",
+    ),
+    "chunked-oucts-step": (
+        _chunked("oucts-step", 41),
+        "b37e8d62be01b42c97b50d74ae7f7da78ffbee7b818af564885e6df067b34869",
+    ),
+    "chunked-sample-w": (
+        _chunked("w", 42),
+        "af95d5f9c01ce5b01f42dd250c0aade6bb0457ce8e79458a905822c7977cb2d5",
+    ),
+    "chunked-oucts-alpha0-step": (
+        _chunked("oucts-alpha0-step", 43),
+        "a935d5333e86eadc44516ff8cb6100663c605f728487f748547072a58b711b8c",
     ),
     "levy-core-quadrature": (
         _levy_core_quadrature,
