@@ -37,6 +37,7 @@ import numpy as np
 from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
 from ._util import gamma as gamma_fn
 from .rand_core import (
+    _CHUNK,
     CtsParams,
     RngStream,
     StepLaw,
@@ -268,40 +269,28 @@ def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size
     masses, cum = envelope.masses, envelope.cum_probabilities
 
     def propose(m):
-        seg = np.searchsorted(cum, g.random(m), side="right")  # <= L-1: cum[-1] = 1 > u
-        sl = slopes[seg]
-        q = masses[seg]
-        s = g.random(m)  # u, turned into the offset s in place
-        # solve y0*s + sl*s^2/2 = u*q for the offset s into the segment by
-        # s = 2uq / (y0 + sqrt(y0^2 + 2 sl u q)), stable for flat chords
-        # (sl -> 0 gives u*q/y0).  Everything below runs in place with only
-        # exact reorderings (x*y = y*x, x+y = y+x), so it rounds as the
-        # written formulas do while at most five length-m arrays are alive;
-        # y0 = fv[seg] is gathered twice rather than held.
-        den = sl * 2.0
-        den *= s
-        den *= q
-        s *= 2.0
-        s *= q
-        del q
-        y0_sq = fv[seg]
-        y0_sq *= y0_sq
-        den += y0_sq
-        del y0_sq
-        np.sqrt(den, out=den)
-        y0 = fv[seg]
-        den += y0
-        s /= den
-        del den
-        sl *= s
-        sl += y0  # the envelope value y0 + sl*s
-        del y0
-        s += bp[seg]  # the proposal w = bp + s
-        del seg
-        r = g.random(m)
-        r *= sl
-        del sl
-        return s, r <= f_w_density(s, a, alpha)
+        # The stream holds all m segment uniforms, then all m offset
+        # uniforms, then all m acceptance uniforms.  The first two are drawn
+        # whole; the rest runs one block at a time, so only these two
+        # arrays, the accept mask and one block of temporaries are alive.
+        # The segment uniforms become the envelope values g_L(w), the
+        # offset uniforms the proposals w.
+        env = g.random(m)
+        w = g.random(m)
+        accept = np.empty(m, dtype=bool)
+        for lo in range(0, m, _CHUNK):
+            e, u = env[lo : lo + _CHUNK], w[lo : lo + _CHUNK]
+            seg = np.searchsorted(cum, e, side="right")  # <= L-1: cum[-1] = 1 > e
+            y0, sl, q = fv[seg], slopes[seg], masses[seg]
+            # solve y0*s + sl*s^2/2 = u*q for the offset s into the segment,
+            # stable for flat chords (sl -> 0 gives u*q/y0)
+            s = 2.0 * u * q / (y0 + np.sqrt(y0 * y0 + 2.0 * sl * u * q))
+            np.add(sl * s, y0, out=e)
+            np.add(s, bp[seg], out=u)
+            r = g.random(u.size)
+            r *= e
+            np.less_equal(r, f_w_density(u, a, alpha), out=accept[lo : lo + _CHUNK])
+        return w, accept
 
     return _rejection_loop(propose, size, "envelope rejection")
 

@@ -43,6 +43,12 @@ TILTING_ACCEPTANCE_FLOOR = 0.1
 
 _MAX_REJECTION_ROUNDS = 10**6
 
+# Elements per block of a stage that draws or computes one block at a
+# time (64 KiB of float64).  Philox spends one 64-bit word per double, so
+# k successive calls of ``random(n_i)`` return the doubles of one
+# ``random(sum n_i)`` call, and the block size never changes a draw.
+_CHUNK = 8192
+
 
 class RngStream:
     """Deterministic random stream addressed by ``(seed, stream_id)``.
@@ -113,16 +119,20 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, n: int):
     For shape < 1 the shape-boosting identity is used: if G has shape
     ``shape + 1`` and U is uniform then G * U**(1/shape) has shape
     ``shape``.  This keeps the generator away from the density's infinite
-    mode at zero.
+    mode at zero.  The n uniforms follow the n gamma draws in the stream,
+    so they are drawn and applied one block at a time: the result is the
+    same while only the gammas, the rate and one block are alive.
     """
     g = stream.gen
     if shape >= 1.0:
         x = g.standard_gamma(shape, size=n)
     else:
         x = g.standard_gamma(shape + 1.0, size=n)
-        u = g.random(n)
-        u **= 1.0 / shape
-        x *= u
+        for lo in range(0, n, _CHUNK):
+            xs = x[lo : lo + _CHUNK]
+            u = g.random(xs.size)
+            u **= 1.0 / shape
+            xs *= u
     x /= rate
     return x
 
@@ -240,10 +250,9 @@ def _rejection_loop(propose, n: int, what: str):
 
 def _redraw_zeros(g: np.random.Generator, x: np.ndarray, draw) -> np.ndarray:
     # Measure-zero endpoints would produce log(0) below; redraw them.
-    bad = x == 0.0
-    while bad.any():
-        x[bad] = draw(g, int(bad.sum()))
+    while not x.all():
         bad = x == 0.0
+        x[bad] = draw(g, int(bad.sum()))
     return x
 
 
@@ -256,22 +265,37 @@ def sample_stable_subordinator(alpha: float, stream: RngStream, size: int = 1):
         S = (A(Theta) / E) ** ((1-alpha)/alpha),
         A(t) = (sin(alpha*t)**alpha * sin((1-alpha)*t)**(1-alpha) / sin(t))
                ** (1/(1-alpha)).
+
+    Computed in place, in the operation order of
+    ``log A = (alpha log sin(alpha t) + (1-alpha) log sin((1-alpha) t)
+    - log sin t) / (1-alpha)`` and ``S = exp((1-alpha)/alpha (log A - log E))``.
     """
     size = operator.index(size)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"stable index must be in (0, 1), got {alpha}")
     g = stream.gen
-    u = _redraw_zeros(g, g.random(size), lambda g_, m: g_.random(m))
+    theta = _redraw_zeros(g, g.random(size), lambda g_, m: g_.random(m))
     e = _redraw_zeros(
         g, g.standard_exponential(size), lambda g_, m: g_.standard_exponential(m)
     )
-    theta = np.pi * u
-    log_a = (
-        alpha * np.log(np.sin(alpha * theta))
-        + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * theta))
-        - np.log(np.sin(theta))
-    ) / (1.0 - alpha)
-    return np.exp((1.0 - alpha) / alpha * (log_a - np.log(e)))
+    theta *= np.pi
+    log_a = np.multiply(theta, alpha)
+    np.sin(log_a, out=log_a)
+    np.log(log_a, out=log_a)
+    log_a *= alpha
+    t = np.multiply(theta, 1.0 - alpha)
+    np.sin(t, out=t)
+    np.log(t, out=t)
+    t *= 1.0 - alpha
+    log_a += t
+    np.sin(theta, out=theta)
+    np.log(theta, out=theta)
+    log_a -= theta
+    log_a /= 1.0 - alpha
+    np.log(e, out=e)
+    log_a -= e
+    log_a *= (1.0 - alpha) / alpha
+    return np.exp(log_a, out=log_a)
 
 
 def cts_tilting_acceptance(params: CtsParams) -> float:
@@ -338,12 +362,13 @@ def _cts_tilting(alpha: float, beta: float, sigma: float, stream: RngStream, n: 
 def _sinc(x, sin_x):
     # sin(x)/x from a precomputed sin(x), with a series near zero
     # (unnormalised, unlike np.sinc).
-    small = np.abs(x) < 6e-3
-    xs = np.where(small, x, 1.0)
-    series = 1.0 - xs * xs / 6.0 * (1.0 - xs * xs / 20.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = sin_x / x
-    return np.where(small, series, direct)
+        out = sin_x / x
+    small = np.abs(x) < 6e-3
+    if small.any():
+        xs = x[small]
+        out[small] = 1.0 - xs * xs / 6.0 * (1.0 - xs * xs / 20.0)
+    return out
 
 
 def _tilted_stable_double_rejection(
@@ -385,50 +410,92 @@ def _tilted_stable_double_rejection(
 
     def propose(m):
         v = g.random(m)
-        w = g.random(m)
+        u = g.random(m)  # w, turned into the angle u in place
         nrm = g.standard_normal(m)
+        # u is the mixture's second component pi (1 - w^2), overwritten
+        # where v picks the first one
         if gamma_ >= 1.0:
-            u = np.where(v < w1 / (w1 + w2), np.abs(nrm) / sqrt_gamma, np.pi * (1.0 - w * w))
+            first = v < w1 / (w1 + w2)
+            alt = np.abs(nrm, out=nrm)
+            alt /= sqrt_gamma
         else:
-            u = np.where(v < w3 / (w2 + w3), np.pi * w, np.pi * (1.0 - w * w))
+            first = v < w3 / (w2 + w3)
+            alt = np.multiply(u, np.pi)
+        u *= u
+        np.subtract(1.0, u, out=u)
+        u *= np.pi
+        np.copyto(u, alt, where=first)
+        del v, nrm, alt, first
         inside = (u > 0.0) & (u < np.pi)
 
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             # stage 1, every candidate: zeta = sqrt(B(u)/B(0)) in Devroye's
-            # notation, written with sinc for stability
-            au = alpha * u
-            bu = (1.0 - alpha) * u
-            sin_u, sin_au, sin_bu = np.sin(u), np.sin(au), np.sin(bu)
-            zeta = np.sqrt(
-                _sinc(u, sin_u)
-                / (_sinc(au, sin_au) ** alpha * _sinc(bu, sin_bu) ** (1.0 - alpha))
-            )
-            z = 1.0 / (1.0 - (1.0 + alpha * zeta / sqrt_gamma) ** (-1.0 / alpha))
-            d = np.where(inside, psi / np.sqrt(np.pi - u), 0.0)
+            # notation, written with sinc for stability.  In place, in the
+            # operation order of zeta = sqrt(sinc(u) / (sinc(alpha u)^alpha
+            # sinc((1-alpha) u)^(1-alpha))), z = 1 / (1 - (1 + alpha zeta /
+            # sqrt_gamma)^(-1/alpha)) and rho = pi exp(-lam^alpha (1 - 1/zeta^2))
+            # d / ((1+c1) sqrt_gamma / zeta + z); x*y = y*x and x+y = y+x are
+            # the only reorderings, so every value rounds as written there.
+            sin_u = np.sin(u)
+            t = np.multiply(u, alpha)
+            sin_au = np.sin(t)
+            zeta = _sinc(t, sin_au)
+            zeta **= alpha
+            np.multiply(u, 1.0 - alpha, out=t)
+            sin_bu = np.sin(t)
+            t = _sinc(t, sin_bu)
+            t **= 1.0 - alpha
+            zeta *= t
+            np.divide(_sinc(u, sin_u), zeta, out=zeta)
+            np.sqrt(zeta, out=zeta)
+            z = np.multiply(zeta, alpha)
+            z /= sqrt_gamma
+            z += 1.0
+            z **= -1.0 / alpha
+            np.subtract(1.0, z, out=z)
+            np.divide(1.0, z, out=z)
+            # d = psi / sqrt(pi - u) inside (0, pi), else 0, plus the normal
+            # or constant part of the bound
+            d = np.subtract(np.pi, u)
+            np.sqrt(d, out=d)
+            np.divide(psi, d, out=d)
+            d[~inside] = 0.0
             if gamma_ >= 1.0:
-                d = d + xi * np.exp(-gamma_ * u * u / 2.0)
+                np.multiply(u, -gamma_, out=t)
+                t *= u
+                t /= 2.0
+                np.exp(t, out=t)
+                t *= xi
+                d += t
             else:
-                d = d + xi
-            rho = (
-                np.pi
-                * np.exp(-lam_alpha * (1.0 - 1.0 / (zeta * zeta)))
-                * d
-                / ((1.0 + c1) * sqrt_gamma / zeta + z)
-            )
-            big_z = g.random(m) * rho
-            v2 = g.random(m)
-            nrm2 = g.standard_normal(m)
-            u3 = g.random(m)
-            e1 = g.standard_exponential(m)
+                d += xi
+            rho = np.multiply(zeta, zeta)
+            np.divide(1.0, rho, out=rho)
+            np.subtract(1.0, rho, out=rho)
+            rho *= -lam_alpha
+            np.exp(rho, out=rho)
+            rho *= np.pi
+            rho *= d
+            np.divide((1.0 + c1) * sqrt_gamma, zeta, out=zeta)
+            zeta += z
+            rho /= zeta
+            del u, t, zeta, d
+            big_z = g.random(m)
+            big_z *= rho
+            del rho
 
             # stage 2, survivors only (elementwise, so the same values as
-            # on the full arrays)
+            # on the full arrays); its four draws are gathered at the
+            # survivors as they are drawn
             k = np.flatnonzero(inside & (big_z <= 1.0))
-            z, v2, nrm2, u3, e1 = z[k], v2[k], nrm2[k], u3[k], e1[k]
+            z, big_z = z[k], big_z[k]
+            sin_u, sin_au, sin_bu = sin_u[k], sin_au[k], sin_bu[k]
+            v2 = g.random(m)[k]
+            nrm2 = g.standard_normal(m)[k]
+            u3 = g.random(m)[k]
+            e1 = g.standard_exponential(m)[k]
             # Zolotarev's function A(u) entering the stable density
-            a_zol = (
-                sin_au[k] ** alpha * sin_bu[k] ** (1.0 - alpha) / sin_u[k]
-            ) ** (1.0 / (1.0 - alpha))
+            a_zol = (sin_au**alpha * sin_bu ** (1.0 - alpha) / sin_u) ** (1.0 / (1.0 - alpha))
             mm = (b / a_zol) ** alpha * lam_alpha
             delta = np.sqrt(mm * alpha / a_zol)
             a1 = delta * c1
@@ -439,7 +506,7 @@ def _tilted_stable_double_rejection(
                 mm - delta * np.abs(nrm2),
                 np.where(v2 < (a1 + delta) / s, mm + delta * u3, mm + delta + e1 * a3),
             )
-            e2 = -np.log(big_z[k])
+            e2 = -np.log(big_z)
             log_accept = a_zol * (x - mm) + lam * mm ** (-b) * ((mm / x) ** b - 1.0)
             log_accept = log_accept - np.where(x < mm, nrm2 * nrm2 / 2.0, 0.0)
             log_accept = log_accept - np.where(x > mm + delta, e1, 0.0)

@@ -10,6 +10,7 @@ from scipy.special import gamma as gamma_fn
 
 from _helpers import chi2_pvalue, envelope_acceptance, z_score
 from tsousim import ou_cts, rand_core
+from tsousim.cts_ou import CtsOuProcess, step_law
 from tsousim.levy_core import ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
@@ -187,13 +188,25 @@ class TestSampleW:
 
 class TestMemory:
     """Peak traced memory of the jump pipeline, in float64 arrays of its
-    jump count, at alpha 0.9 and b dt = 3 (about 14 jumps per transition,
-    932 557 for one 65 536-path block).  The in-place pipeline peaks at
-    5.1 arrays for the whole step and 5.0 for the W sampler alone; the
-    out-of-place arithmetic it replaced peaked at 13.1 and 13.0.  The
-    envelope is built before tracing starts."""
+    jump count.  The W sampler and the shape < 1 gamma stage hold two
+    whole arrays and run the rest one block of ``rand_core._CHUNK``
+    elements at a time.  Measured peaks (numpy 2.4.6), with the figures
+    before blocking in brackets:
 
-    LAW = step_law_oucts(OuCtsProcess(CtsParams(0.9, BETA, C), B), 0.3)
+    * OU-CTS step at alpha 0.9, b dt = 3 (about 14 jumps per transition,
+      932 557 for one 65 536-path block): 2.45 arrays [5.24];
+    * CTS-OU step at alpha 0.9, dt = 30/365 (about 6 jumps per transition,
+      392 082 for 65 536 paths): 2.84 arrays [3.33], of which the
+      per-path arrays (the CTS part, the Poisson counts and the offsets of
+      ``segment_sums``) weigh 1/6 of a jump array each;
+    * ``sample_w`` alone, 2**18 draws: 2.44 arrays [5.00].
+
+    The out-of-place arithmetic before that peaked at 13.1 and 13.0 arrays
+    for the OU-CTS step and ``sample_w``.  The envelope is built before
+    tracing starts."""
+
+    OUCTS = step_law_oucts(OuCtsProcess(CtsParams(0.9, BETA, C), B), 0.3)
+    CTSOU = step_law(CtsOuProcess(CtsParams(0.9, BETA, C), B), 30.0 / 365.0)
 
     @staticmethod
     def _traced_peak(fn):
@@ -204,26 +217,30 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_step_peaks_below_six_jump_arrays(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "law, n_jumps", [(OUCTS, 932557), (CTSOU, 392082)], ids=["oucts", "ctsou"]
+    )
+    def test_step_peaks_below_three_jump_arrays(self, law, n_jumps, monkeypatch):
         jumps = []
-        draw = OuCtsStepLaw.draw_jumps
+        cls = type(law)
+        draw = cls.draw_jumps
 
         def counted(law, stream, m):
             jumps.append(m)
             return draw(law, stream, m)
 
-        monkeypatch.setattr(OuCtsStepLaw, "draw_jumps", counted)
-        assert self.LAW.envelope is not None  # built before tracing starts
-        peak = self._traced_peak(lambda: self.LAW.sample(0.0, RngStream(5, 0), 1 << 16))
-        assert jumps == [932557]
-        assert peak <= 6 * 8 * jumps[0]
+        monkeypatch.setattr(cls, "draw_jumps", counted)
+        assert self.OUCTS.envelope is not None  # built before tracing starts
+        peak = self._traced_peak(lambda: law.sample(0.0, RngStream(5, 0), 1 << 16))
+        assert jumps == [n_jumps]
+        assert peak <= 3 * 8 * n_jumps
 
-    def test_w_sampler_peaks_below_six_arrays(self):
-        env, n = self.LAW.envelope, 1 << 18
+    def test_w_sampler_peaks_below_three_arrays(self):
+        env, n = self.OUCTS.envelope, 1 << 18
         peak = self._traced_peak(
-            lambda: sample_w(env, self.LAW.a, 0.9, RngStream(5, 1), n)
+            lambda: sample_w(env, self.OUCTS.a, 0.9, RngStream(5, 1), n)
         )
-        assert peak <= 6 * 8 * n
+        assert peak <= 3 * 8 * n
 
 
 class TestMixingFactorV:
