@@ -37,6 +37,12 @@ central moments are formed decides the last bits of the estimates and
 their standard errors.  The ``validate-report`` hash pins the proposal
 counts of the envelope draws on stream 901.
 
+The ``estimate-cumulants`` case pins the estimator on its own:
+``float.hex`` of k1..k4 and se1..se4 for 10^6 shifted exponentials in
+100 batches and for 2**18 + 37 gamma(0.5) values in 7 batches, where
+the sample is truncated to a multiple of the batch count and the rows
+are not a whole number of 8192-element blocks.
+
 The ``levy-core-quadrature`` case pins the Levy-Khintchine quadrature
 oracle bit for bit: ``float.hex`` of ``lk_log_chf`` on the gamma and
 CTS(0.5, 1.4, 0.8) remainder triplets (the values the validation report
@@ -58,6 +64,7 @@ from scipy.special import gamma as gamma_fn
 from _helpers import levy_core_oracle_values
 from tsousim.cli import main
 from tsousim.cts_ou import CtsOuProcess, simulate_skeleton_ctsou, step_law
+from tsousim.harness import estimate_cumulants
 from tsousim.ou_cts import OuCtsProcess, sample_w, simulate_skeleton_oucts, step_law_oucts
 from tsousim.rand_core import CtsParams, RngStream, sample_cts
 
@@ -134,6 +141,16 @@ def _validate(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["validate", "--out", str(out)]) == 0
     return out.read_bytes()
+
+
+def _estimate_cumulants(tmp_path):
+    gen = RngStream(44, 6).gen
+    samples = [(gen.standard_exponential(10**6) - 1.0, 100), (gen.standard_gamma(0.5, 2**18 + 37), 7)]
+    values = []
+    for x, batches in samples:
+        cv = estimate_cumulants(x, batches)
+        values += [cv.k(k) for k in (1, 2, 3, 4)] + [cv.se(k) for k in (1, 2, 3, 4)]
+    return "\n".join(float(v).hex() for v in values).encode()
 
 
 def _levy_core_quadrature(tmp_path):
@@ -228,6 +245,10 @@ CASES = {
     "chunked-oucts-alpha0-step": (
         _chunked("oucts-alpha0-step", 43),
         "a935d5333e86eadc44516ff8cb6100663c605f728487f748547072a58b711b8c",
+    ),
+    "estimate-cumulants": (
+        _estimate_cumulants,
+        "c5afd59327d370cb4ba8986584ee9c207a6a472a10f0813dd4995d5f850d4e4c",
     ),
     "levy-core-quadrature": (
         _levy_core_quadrature,

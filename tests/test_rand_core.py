@@ -9,6 +9,7 @@ from scipy.special import erfc, gamma as gamma_fn
 
 from _helpers import z_score
 from tsousim import cts_ou, rand_core
+from tsousim._util import segment_sums
 from tsousim.rand_core import (
     CtsParams,
     RngStream,
@@ -115,6 +116,40 @@ class TestPoisson:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             sample_poisson(-1.0, RngStream(3, 4))
+
+
+def two_array_segment_sums(values, counts):
+    """Reference: differences of one prefix-sum array with a leading 0,
+    taken at the group offsets."""
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    prefix = np.empty(values.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(values, out=prefix[1:])
+    return prefix[offsets[1:]] - prefix[offsets[:-1]]
+
+
+class TestSegmentSums:
+    """``segment_sums`` equals the two-array reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[0, 0, 3, 1, 2], [2, 1, 0, 0], [1, 0, 0, 4, 0, 2], [0, 0, 0], [5], [0], []],
+        ids=["leading-empty", "trailing-empty", "inner-empty", "all-empty", "one-group",
+             "one-empty-group", "no-groups"],
+    )
+    def test_small_layouts(self, counts):
+        counts = np.array(counts, dtype=np.int64)
+        values = RngStream(8, 1).gen.standard_normal(int(counts.sum()))
+        want = two_array_segment_sums(values, counts)
+        assert segment_sums(values.copy(), counts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate", [0.046, 14.0])
+    def test_poisson_counts(self, rate):
+        stream = RngStream(8, 2)
+        counts = sample_poisson(rate, stream, size=1 << 16)
+        values = stream.gen.standard_normal(int(counts.sum()))
+        want = two_array_segment_sums(values, counts)
+        assert segment_sums(values.copy(), counts).tobytes() == want.tobytes()
 
 
 class TestStableSubordinator:
