@@ -108,12 +108,20 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum ``values`` into ``len(counts)`` consecutive groups of the given sizes.
 
     Empty groups contribute 0.  ``values.size`` must equal ``counts.sum()``.
+    ``values`` is consumed: its prefix sums are written into it.  Each
+    occupied group's sum is the difference of the prefix sums at its last
+    element and at the last element of the occupied group before it.
     """
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    prefix = np.empty(values.size + 1)
-    prefix[0] = 0.0
-    np.cumsum(values, out=prefix[1:])
-    return prefix[offsets[1:]] - prefix[offsets[:-1]]
+    if values.size != counts.sum():
+        raise ValueError(f"need counts.sum() == values.size, got {counts.sum()} and {values.size}")
+    occupied = np.flatnonzero(counts)
+    ends = np.cumsum(counts[occupied])
+    ends -= 1
+    np.cumsum(values, out=values)
+    out = np.zeros(counts.size)
+    out[occupied] = values[ends]
+    out[occupied[1:]] -= values[ends[:-1]]
+    return out
 
 
 def decay(b: float, dt: float) -> float:

@@ -14,6 +14,7 @@ bit-identical for any worker count and any run.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -23,7 +24,7 @@ import numpy as np
 from . import cts_ou, levy_core, ou_cts
 from ._util import decay
 from ._util import gamma as gamma_fn
-from .rand_core import CtsParams, RngStream, StepLaw, cts_cumulants
+from .rand_core import _CHUNK, CtsParams, RngStream, StepLaw, cts_cumulants
 
 __all__ = [
     "BLOCK_SIZE",
@@ -87,6 +88,12 @@ class ExperimentConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
+        for name in ("paths", "steps", "batches", "workers"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         if check_batches and self.steps < 1:
@@ -175,19 +182,30 @@ class ErrTable:
             raise OSError(f"cannot write err table to {path!r}: {exc}") from exc
 
 
-def _central_cumulants(x: np.ndarray, axis=None):
-    # Central moments by in-place products: numpy's float pow takes a scalar
+def _central_cumulants(rows: np.ndarray, scratch: np.ndarray, axis=None):
+    # Central moments of ``rows`` (shape (batches, per)) by in-place products
+    # in the one same-shaped ``scratch``: numpy's float pow takes a scalar
     # path for negative bases (about half of a centred sample) that is some
-    # 30 times slower than a multiply.  ``d`` and ``d2`` are fresh arrays, so
-    # the in-place updates never write into ``x``.
-    m = np.mean(x, axis=axis, keepdims=axis is not None)
-    d = x - m
-    d2 = d * d
-    m2 = np.mean(d2, axis=axis)
-    d *= d2  # d**3
-    m3 = np.mean(d, axis=axis)
-    d2 *= d2  # d**4
-    m4 = np.mean(d2, axis=axis)
+    # 30 times slower than a multiply.  With d = rows - m, the scratch holds
+    # d, then d*d, then (d*d)*(d*d); then it is refilled with (d*d)*d one
+    # block of whole rows at a time, d of the block going into one block
+    # buffer.  Every mean runs over the whole scratch, which fixes numpy's
+    # pairwise-summation order; ``rows`` is never written to.  axis=None
+    # takes the moments of the whole sample, axis=1 those of each row.
+    m = np.mean(rows, axis=axis, keepdims=axis is not None)
+    np.subtract(rows, m, out=scratch)
+    scratch *= scratch  # d**2
+    m2 = np.mean(scratch, axis=axis)
+    scratch *= scratch  # d**4
+    m4 = np.mean(scratch, axis=axis)
+    block = -(-_CHUNK // rows.shape[1])
+    buf = np.empty((min(block, rows.shape[0]), rows.shape[1]))
+    for lo in range(0, rows.shape[0], block):
+        x = rows[lo : lo + block]
+        d = np.subtract(x, m if axis is None else m[lo : lo + block], out=buf[: len(x)])
+        d3 = np.multiply(d, d, out=scratch[lo : lo + block])
+        d3 *= d  # d**3
+    m3 = np.mean(scratch, axis=axis)
     k1 = np.squeeze(m, axis=axis) if axis is not None else float(m)
     return k1, m2, m3, m4 - 3.0 * m2 * m2
 
@@ -198,7 +216,8 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
     The sample is truncated to a multiple of ``batches``; each batch yields
     its own cumulant estimates, and the SE of each order is the batch
     spread over sqrt(batches).  Central moments are computed with
-    multiplications, not ``pow``; ``samples`` is never written to.
+    multiplications, not ``pow``, in one scratch array of the sample's
+    size; ``samples`` is never written to.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     if batches < 2:
@@ -206,10 +225,10 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
     if samples.size < batches:
         raise ValueError(f"need at least {batches} samples, got {samples.size}")
     per = samples.size // batches
-    x = samples[: per * batches]
-    full = _central_cumulants(x)
-    grid = x.reshape(batches, per)
-    bk = _central_cumulants(grid, axis=1)
+    rows = samples[: per * batches].reshape(batches, per)
+    scratch = np.empty_like(rows)
+    full = _central_cumulants(rows, scratch)
+    bk = _central_cumulants(rows, scratch, axis=1)
     ses = tuple(float(np.std(col, ddof=1) / np.sqrt(batches)) for col in bk)
     return CumulantVector(*(float(v) for v in full), *ses)
 

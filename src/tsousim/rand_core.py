@@ -150,7 +150,7 @@ def _compound_poisson(rate: float, draw_jumps, stream: RngStream, n: int) -> np.
 
     Counts are drawn first, then ``draw_jumps(total)`` draws every jump at
     once, so the stream consumption is a deterministic function of the
-    counts.
+    counts.  The jump array is summed in place.
     """
     counts = sample_poisson(rate, stream, size=n)
     total = int(counts.sum())
@@ -191,7 +191,8 @@ class StepLaw:
             raise ValueError(f"jump rate must be nonnegative, got {self.lambda_a}")
 
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
-        """m independent jumps of the compound-Poisson part."""
+        """m independent jumps of the compound-Poisson part, in a fresh
+        array that the caller may overwrite."""
         raise NotImplementedError(f"{type(self).__name__} defines no jump law")
 
     def jump_moment(self, k: int) -> float:

@@ -142,6 +142,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="seed must be in .* and integral"):
             make_cfg(seed=1.5).validate()
 
+    @pytest.mark.parametrize(
+        "field,value", [("paths", 2000.0), ("steps", 1.5), ("batches", 10.0), ("workers", 2.0)]
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        # each used to pass validate and then fail in a range, a slice or
+        # not at all (workers=2.0 ran)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_cfg(**{field: value}).validate()
+
+    def test_numpy_integer_counts_accepted(self):
+        fields = dict(paths=np.int64(1000), steps=np.int64(2), batches=np.int64(10), workers=np.int64(1))
+        make_cfg(**fields).validate()
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from scipy.special import gamma as gamma_fn
 from _helpers import chi2_pvalue, envelope_acceptance, z_score
 from tsousim import ou_cts, rand_core
 from tsousim.cts_ou import CtsOuProcess, step_law
+from tsousim.harness import estimate_cumulants
 from tsousim.levy_core import ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
@@ -188,22 +189,28 @@ class TestSampleW:
 
 class TestMemory:
     """Peak traced memory of the jump pipeline, in float64 arrays of its
-    jump count.  The W sampler and the shape < 1 gamma stage hold two
-    whole arrays and run the rest one block of ``rand_core._CHUNK``
-    elements at a time.  Measured peaks (numpy 2.4.6), with the figures
-    before blocking in brackets:
+    jump count, and of the cumulant estimator, in arrays of its sample
+    size.  The W sampler and the shape < 1 gamma stage hold two whole
+    arrays and run the rest one block of ``rand_core._CHUNK`` elements at
+    a time; ``segment_sums`` writes the prefix sums into the jump values
+    and indexes only the paths that have jumps.  Measured peaks (numpy
+    2.4.6), with earlier figures in brackets:
 
     * OU-CTS step at alpha 0.9, b dt = 3 (about 14 jumps per transition,
-      932 557 for one 65 536-path block): 2.45 arrays [5.24];
+      932 557 for one 65 536-path block): 2.35 arrays [5.24 before
+      blocking];
     * CTS-OU step at alpha 0.9, dt = 30/365 (about 6 jumps per transition,
-      392 082 for 65 536 paths): 2.84 arrays [3.33], of which the
-      per-path arrays (the CTS part, the Poisson counts and the offsets of
-      ``segment_sums``) weigh 1/6 of a jump array each;
-    * ``sample_w`` alone, 2**18 draws: 2.44 arrays [5.00].
+      392 082 for 65 536 paths): 2.38 arrays [2.84 with a separate prefix
+      array and five path-length index arrays in ``segment_sums``, 3.33
+      before blocking];
+    * ``sample_w`` alone, 2**18 draws: 2.44 arrays [5.00 before blocking];
+    * ``estimate_cumulants`` on 10**6 values in 100 batches: 1.01 arrays,
+      its one scratch plus one block buffer [2.00 with d and d**2 held
+      whole].
 
-    The out-of-place arithmetic before that peaked at 13.1 and 13.0 arrays
-    for the OU-CTS step and ``sample_w``.  The envelope is built before
-    tracing starts."""
+    The out-of-place arithmetic before blocking peaked at 13.1 and 13.0
+    arrays for the OU-CTS step and ``sample_w``.  The envelope and the
+    estimator's sample are made before tracing starts."""
 
     OUCTS = step_law_oucts(OuCtsProcess(CtsParams(0.9, BETA, C), B), 0.3)
     CTSOU = step_law(CtsOuProcess(CtsParams(0.9, BETA, C), B), 30.0 / 365.0)
@@ -220,7 +227,7 @@ class TestMemory:
     @pytest.mark.parametrize(
         "law, n_jumps", [(OUCTS, 932557), (CTSOU, 392082)], ids=["oucts", "ctsou"]
     )
-    def test_step_peaks_below_three_jump_arrays(self, law, n_jumps, monkeypatch):
+    def test_step_peaks_below_2_6_jump_arrays(self, law, n_jumps, monkeypatch):
         jumps = []
         cls = type(law)
         draw = cls.draw_jumps
@@ -233,7 +240,7 @@ class TestMemory:
         assert self.OUCTS.envelope is not None  # built before tracing starts
         peak = self._traced_peak(lambda: law.sample(0.0, RngStream(5, 0), 1 << 16))
         assert jumps == [n_jumps]
-        assert peak <= 3 * 8 * n_jumps
+        assert peak <= 2.6 * 8 * n_jumps
 
     def test_w_sampler_peaks_below_three_arrays(self):
         env, n = self.OUCTS.envelope, 1 << 18
@@ -241,6 +248,12 @@ class TestMemory:
             lambda: sample_w(env, self.OUCTS.a, 0.9, RngStream(5, 1), n)
         )
         assert peak <= 3 * 8 * n
+
+    def test_estimate_cumulants_peaks_at_one_sample_array(self):
+        n = 10**6
+        x = RngStream(5, 2).gen.standard_exponential(n)
+        peak = self._traced_peak(lambda: estimate_cumulants(x, 100))
+        assert peak <= 1.1 * 8 * n
 
 
 class TestMixingFactorV:

@@ -151,6 +151,11 @@ class TestSegmentSums:
         want = two_array_segment_sums(values, counts)
         assert segment_sums(values.copy(), counts).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_size_mismatch_rejected(self, size):
+        with pytest.raises(ValueError, match="counts.sum"):
+            segment_sums(np.ones(size), np.array([2, 0, 3]))
+
 
 class TestStableSubordinator:
     def test_levy_half_closed_form_cdf(self):
