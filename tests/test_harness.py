@@ -94,6 +94,50 @@ class TestEstimateCumulants:
             estimate_cumulants(np.ones(5), 10)
 
 
+def _pairwise_reference(x):
+    """``np.add.reduce`` of a contiguous 1-D run, written as numpy's
+    pairwise summation tree: a run longer than 8192 values splits at
+    h = n//2 - (n//2) % 8 and its two halves are summed in turn; a shorter
+    run is reduced whole."""
+    n = x.size
+    if n <= 8192:
+        return np.add.reduce(x)
+    h = n // 2
+    h -= h % 8
+    return _pairwise_reference(x[:h]) + _pairwise_reference(x[h:])
+
+
+class TestSummationTree:
+    """The estimator's moment sums are bit-equal to ``np.mean`` only while
+    numpy sums in the pairwise tree above; a numpy whose tree differs
+    fails here by name."""
+
+    @staticmethod
+    def _values(n, seed=0):
+        gen = RngStream(530, seed).gen
+        # magnitudes over six decades, so a different summation order
+        # changes the last bits of the sum
+        return gen.standard_normal(n) * np.exp(3.0 * gen.standard_normal(n))
+
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 16385, 10**5 + 3, 2**18 + 37, 10**6]
+    )
+    def test_reference_matches_add_reduce(self, n):
+        x = self._values(n)
+        assert _pairwise_reference(x) == np.add.reduce(x)
+
+    def test_reference_matches_2d_reduce_over_all_axes(self):
+        r = self._values(7 * 37449, 1).reshape(7, 37449)
+        assert _pairwise_reference(r.ravel()) == np.add.reduce(r, axis=None)
+        assert np.mean(r) == _pairwise_reference(r.ravel()) / r.size
+
+    def test_row_means_are_per_row_reduces(self):
+        r = self._values(7 * 37449, 2).reshape(7, 37449)
+        rows = [np.add.reduce(row) / r.shape[1] for row in r]
+        assert np.array_equal(np.mean(r, axis=1), rows)
+        assert np.array_equal(np.mean(r, axis=1), [_pairwise_reference(row) / r.shape[1] for row in r])
+
+
 class TestRunExperiment:
     def test_smoke_small(self):
         table = run_experiment(make_cfg(paths=10, batches=2))
