@@ -55,6 +55,13 @@ PROCESS_KINDS = tuple(dict.fromkeys(process for process, _ in STEP_LAWS))
 METHODS = tuple(dict.fromkeys(method for _, method in STEP_LAWS))
 
 
+def _require_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: process parameters, horizon, sampling effort, seed."""
@@ -89,11 +96,7 @@ class ExperimentConfig:
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
         for name in ("paths", "steps", "batches", "workers"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            _require_integer(name, getattr(self, name))
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         if check_batches and self.steps < 1:
@@ -182,32 +185,30 @@ class ErrTable:
             raise OSError(f"cannot write err table to {path!r}: {exc}") from exc
 
 
-def _central_cumulants(rows: np.ndarray, scratch: np.ndarray, axis=None):
-    # Central moments of ``rows`` (shape (batches, per)) by in-place products
-    # in the one same-shaped ``scratch``: numpy's float pow takes a scalar
-    # path for negative bases (about half of a centred sample) that is some
-    # 30 times slower than a multiply.  With d = rows - m, the scratch holds
-    # d, then d*d, then (d*d)*(d*d); then it is refilled with (d*d)*d one
-    # block of whole rows at a time, d of the block going into one block
-    # buffer.  Every mean runs over the whole scratch, which fixes numpy's
-    # pairwise-summation order; ``rows`` is never written to.  axis=None
-    # takes the moments of the whole sample, axis=1 those of each row.
-    m = np.mean(rows, axis=axis, keepdims=axis is not None)
-    np.subtract(rows, m, out=scratch)
-    scratch *= scratch  # d**2
-    m2 = np.mean(scratch, axis=axis)
-    scratch *= scratch  # d**4
-    m4 = np.mean(scratch, axis=axis)
-    block = -(-_CHUNK // rows.shape[1])
-    buf = np.empty((min(block, rows.shape[0]), rows.shape[1]))
-    for lo in range(0, rows.shape[0], block):
-        x = rows[lo : lo + block]
-        d = np.subtract(x, m if axis is None else m[lo : lo + block], out=buf[: len(x)])
-        d3 = np.multiply(d, d, out=scratch[lo : lo + block])
-        d3 *= d  # d**3
-    m3 = np.mean(scratch, axis=axis)
-    k1 = np.squeeze(m, axis=axis) if axis is not None else float(m)
-    return k1, m2, m3, m4 - 3.0 * m2 * m2
+def _power_sums(x: np.ndarray, centre: float, buf: np.ndarray):
+    """Sums of d*d, (d*d)*d and (d*d)*(d*d) over the contiguous 1-D run
+    ``x``, where d = x - centre, added in the order ``np.add.reduce`` adds
+    those arrays.  numpy's pairwise summation (Higham 1993) splits a run of
+    n > 128 values at h = n//2 - (n//2) % 8; a run longer than
+    ``rand_core._CHUNK`` is split by that rule, and each shorter run, a
+    node of numpy's tree, is formed in the two rows of ``buf`` and reduced
+    whole.  Products, not ``pow``: numpy's float pow takes a scalar path
+    for negative bases that is some 30 times slower than a multiply."""
+    n = x.size
+    if n > _CHUNK:
+        h = n // 2
+        h -= h % 8
+        lo = _power_sums(x[:h], centre, buf)
+        hi = _power_sums(x[h:], centre, buf)
+        return tuple(a + b for a, b in zip(lo, hi))
+    d, p = buf[0, :n], buf[1, :n]
+    np.subtract(x, centre, out=d)
+    np.multiply(d, d, out=p)  # d**2
+    s2 = np.add.reduce(p)
+    d *= p  # d**3
+    s3 = np.add.reduce(d)
+    p *= p  # d**4
+    return s2, s3, np.add.reduce(p)
 
 
 def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
@@ -215,20 +216,29 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
 
     The sample is truncated to a multiple of ``batches``; each batch yields
     its own cumulant estimates, and the SE of each order is the batch
-    spread over sqrt(batches).  Central moments are computed with
-    multiplications, not ``pow``, in one scratch array of the sample's
-    size; ``samples`` is never written to.
+    spread over sqrt(batches).  The central moments are the bits of
+    ``np.mean`` over d**2, d**3 and d**4 held whole, but are formed one run
+    of at most ``rand_core._CHUNK`` values at a time (see
+    :func:`_power_sums`), so beyond the sample the estimator holds two
+    such runs; ``samples`` is never written to.
     """
     samples = np.asarray(samples, dtype=float).ravel()
+    _require_integer("batches", batches)
     if batches < 2:
         raise ValueError(f"need at least 2 batches, got {batches}")
     if samples.size < batches:
         raise ValueError(f"need at least {batches} samples, got {samples.size}")
     per = samples.size // batches
-    rows = samples[: per * batches].reshape(batches, per)
-    scratch = np.empty_like(rows)
-    full = _central_cumulants(rows, scratch)
-    bk = _central_cumulants(rows, scratch, axis=1)
+    flat = samples[: per * batches]
+    buf = np.empty((2, min(_CHUNK, flat.size)))
+
+    def cumulants(x, m, count):
+        m2, m3, m4 = (s / count for s in _power_sums(x, m, buf))
+        return m, m2, m3, m4 - 3.0 * m2 * m2
+
+    full = cumulants(flat, np.mean(flat), flat.size)
+    rows = flat.reshape(batches, per)
+    bk = zip(*(cumulants(x, m, per) for x, m in zip(rows, np.mean(rows, axis=1))))
     ses = tuple(float(np.std(col, ddof=1) / np.sqrt(batches)) for col in bk)
     return CumulantVector(*(float(v) for v in full), *ses)
 
@@ -253,30 +263,36 @@ def _block_layout(paths: int):
     return [(i, min(BLOCK_SIZE, paths - i * BLOCK_SIZE)) for i in range((paths + BLOCK_SIZE - 1) // BLOCK_SIZE)]
 
 
-def _run_blocks(cfg: ExperimentConfig, job: Callable, paths: int) -> list:
+def _run_blocks(cfg: ExperimentConfig, job: Callable, paths: int) -> None:
     """Run ``job(block_index, block_size)`` over the block layout, in
-    parallel when cfg.workers > 1; results come back in block order."""
+    parallel when cfg.workers > 1.  Jobs write their results into disjoint
+    slices of one output; a job's exception propagates."""
     layout = _block_layout(paths)
     if cfg.workers == 1 or len(layout) == 1:
-        return [job(i, n) for i, n in layout]
+        for i, n in layout:
+            job(i, n)
+        return
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [pool.submit(job, i, n) for i, n in layout]
-        return [f.result() for f in futures]
+        for f in [pool.submit(job, i, n) for i, n in layout]:
+            f.result()
 
 
 def simulate_terminal(cfg: ExperimentConfig) -> np.ndarray:
     """Terminal values X(steps * dt) of cfg.paths independent paths."""
     cfg.validate()
     step = _step_law(cfg).sample
+    out = np.empty(cfg.paths)
 
-    def job(block_index: int, n: int) -> np.ndarray:
+    def job(block_index: int, n: int) -> None:
         stream = RngStream(cfg.seed, block_index)
         x = np.full(n, float(cfg.x0))
         for _ in range(cfg.steps):
             x = step(x, stream, n)
-        return x
+        lo = block_index * BLOCK_SIZE
+        out[lo : lo + n] = x
 
-    return np.concatenate(_run_blocks(cfg, job, cfg.paths))
+    _run_blocks(cfg, job, cfg.paths)
+    return out
 
 
 def true_cumulant(cfg: ExperimentConfig, k: int) -> float:
@@ -348,9 +364,14 @@ def export_trajectories(cfg: ExperimentConfig) -> str:
     _check_writable(cfg.out, "trajectories")
     law = _step_law(cfg)
 
-    def job(block_index: int, n: int) -> np.ndarray:
+    # one table, time column first; each block job fills its own columns
+    table = np.empty((cfg.steps + 1, cfg.paths + 1))
+    table[:, 0] = cfg.dt * np.arange(cfg.steps + 1)
+
+    def job(block_index: int, n: int) -> None:
         stream = RngStream(cfg.seed, block_index)
-        rows = np.empty((cfg.steps + 1, n))
+        lo = 1 + block_index * BLOCK_SIZE
+        rows = table[:, lo : lo + n]
         rows[0] = cfg.x0
         chunk = max(1, BLOCK_SIZE // n)
         for start in range(0, cfg.steps, chunk):
@@ -358,11 +379,8 @@ def export_trajectories(cfg: ExperimentConfig) -> str:
             z = law.sample(0.0, stream, m * n).reshape(m, n)
             for i in range(start, start + m):
                 rows[i + 1] = law.a * rows[i] + z[i - start]
-        return rows
 
-    blocks = _run_blocks(cfg, job, cfg.paths)
-    times = cfg.dt * np.arange(cfg.steps + 1)
-    table = np.column_stack([times, *blocks])
+    _run_blocks(cfg, job, cfg.paths)
     try:
         with open(cfg.out, "w") as fh:
             fh.write("time," + ",".join(f"path_{j}" for j in range(cfg.paths)) + "\n")

@@ -93,6 +93,15 @@ class TestEstimateCumulants:
         with pytest.raises(ValueError):
             estimate_cumulants(np.ones(5), 10)
 
+    @pytest.mark.parametrize("batches", [10.0, "10", None])
+    def test_non_integer_batches_rejected(self, batches):
+        with pytest.raises(ValueError, match="batches must be an integer"):
+            estimate_cumulants(np.ones(100), batches)
+
+    def test_numpy_integer_batches_accepted(self):
+        x = RngStream(507).gen.standard_normal(1000)
+        assert estimate_cumulants(x, np.int64(10)) == estimate_cumulants(x, 10)
+
 
 def _pairwise_reference(x):
     """``np.add.reduce`` of a contiguous 1-D run, written as numpy's
@@ -107,6 +116,11 @@ def _pairwise_reference(x):
     return _pairwise_reference(x[:h]) + _pairwise_reference(x[h:])
 
 
+# run lengths on both sides of numpy's 8-way unrolled block (8), its
+# pairwise cut-off (128) and the 8192-value leaves of the reference
+TREE_SIZES = [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 16385, 10**5 + 3, 2**18 + 37, 10**6]
+
+
 class TestSummationTree:
     """The estimator's moment sums are bit-equal to ``np.mean`` only while
     numpy sums in the pairwise tree above; a numpy whose tree differs
@@ -119,9 +133,7 @@ class TestSummationTree:
         # changes the last bits of the sum
         return gen.standard_normal(n) * np.exp(3.0 * gen.standard_normal(n))
 
-    @pytest.mark.parametrize(
-        "n", [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 16385, 10**5 + 3, 2**18 + 37, 10**6]
-    )
+    @pytest.mark.parametrize("n", TREE_SIZES)
     def test_reference_matches_add_reduce(self, n):
         x = self._values(n)
         assert _pairwise_reference(x) == np.add.reduce(x)
@@ -136,6 +148,15 @@ class TestSummationTree:
         rows = [np.add.reduce(row) / r.shape[1] for row in r]
         assert np.array_equal(np.mean(r, axis=1), rows)
         assert np.array_equal(np.mean(r, axis=1), [_pairwise_reference(row) / r.shape[1] for row in r])
+
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_power_sums_match_add_reduce(self, n):
+        x = self._values(n, 3)
+        centre = np.mean(x)
+        d = x - centre
+        sums = harness._power_sums(x, centre, np.empty((2, min(8192, n))))
+        expected = [np.add.reduce(d * d), np.add.reduce((d * d) * d), np.add.reduce((d * d) * (d * d))]
+        assert [float(s).hex() for s in sums] == [float(s).hex() for s in expected]
 
 
 class TestRunExperiment:
@@ -264,16 +285,37 @@ class TestStepLawCumulants:
 
 class TestWorkers:
     def test_worker_count_invariance(self, monkeypatch):
+        # four threads write their blocks into slices of one output array,
+        # switching every 1 us; a misplaced or lost block changes the sample
         monkeypatch.setattr(harness, "BLOCK_SIZE", 1000)
-        samples = [
-            simulate_terminal(make_cfg(paths=5000, seed=506, workers=w)) for w in (1, 4)
-        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            samples = [
+                simulate_terminal(make_cfg(paths=5000, seed=506, workers=w)) for w in (1, 4)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(samples[0], samples[1])
 
     def test_block_streams_are_disjoint(self, monkeypatch):
         monkeypatch.setattr(harness, "BLOCK_SIZE", 1000)
         x = simulate_terminal(make_cfg(paths=3000, seed=507))
         assert np.unique(x[x > 0]).size > 2000  # no duplicated blocks
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_block_error_propagates(self, workers, monkeypatch):
+        monkeypatch.setattr(harness, "BLOCK_SIZE", 1000)
+        stream = harness.RngStream
+
+        def failing(seed, stream_id=0):
+            if stream_id == 2:
+                raise RuntimeError("block 2 failed")
+            return stream(seed, stream_id)
+
+        monkeypatch.setattr(harness, "RngStream", failing)
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            simulate_terminal(make_cfg(paths=5000, workers=workers))
 
 
 class TestTrajectories:

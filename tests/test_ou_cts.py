@@ -11,7 +11,7 @@ from scipy.special import gamma as gamma_fn
 from _helpers import chi2_pvalue, envelope_acceptance, z_score
 from tsousim import ou_cts, rand_core
 from tsousim.cts_ou import CtsOuProcess, step_law
-from tsousim.harness import estimate_cumulants
+from tsousim.harness import ExperimentConfig, estimate_cumulants, run_experiment
 from tsousim.levy_core import ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
@@ -189,12 +189,13 @@ class TestSampleW:
 
 class TestMemory:
     """Peak traced memory of the jump pipeline, in float64 arrays of its
-    jump count, and of the cumulant estimator, in arrays of its sample
-    size.  The W sampler and the shape < 1 gamma stage hold two whole
-    arrays and run the rest one block of ``rand_core._CHUNK`` elements at
-    a time; ``segment_sums`` writes the prefix sums into the jump values
-    and indexes only the paths that have jumps.  Measured peaks (numpy
-    2.4.6), with earlier figures in brackets:
+    jump count, and of the cumulant estimator and a whole cumulant cell,
+    in arrays of its sample size.  The W sampler and the shape < 1 gamma
+    stage hold two whole arrays and run the rest one block of
+    ``rand_core._CHUNK`` elements at a time; ``segment_sums`` writes the
+    prefix sums into the jump values and indexes only the paths that have
+    jumps.  Measured peaks (numpy 2.4.6), with earlier figures in
+    brackets:
 
     * OU-CTS step at alpha 0.9, b dt = 3 (about 14 jumps per transition,
       932 557 for one 65 536-path block): 2.35 arrays [5.24 before
@@ -204,9 +205,16 @@ class TestMemory:
       array and five path-length index arrays in ``segment_sums``, 3.33
       before blocking];
     * ``sample_w`` alone, 2**18 draws: 2.44 arrays [5.00 before blocking];
-    * ``estimate_cumulants`` on 10**6 values in 100 batches: 1.01 arrays,
-      its one scratch plus one block buffer [2.00 with d and d**2 held
-      whole].
+    * ``estimate_cumulants`` on 10**6 values: 0.022, 0.019 and 0.020
+      arrays in 100, 2 and 7 batches, its two-row buffer of
+      ``rand_core._CHUNK`` values [1.01, 1.50 and 1.14 with one scratch of
+      the sample's size and a block of whole rows; 2.00 with d and d**2
+      held whole];
+    * ``run_experiment`` on a 2**20-path CTS-OU cell at alpha 0.5,
+      dt = 1/365, seed 5: 1.40 arrays of its sample (1.31 at seed 3), the
+      terminal states written into one array plus one block's step [2.10,
+      2.01 at seed 3, with a list of block arrays joined by
+      ``np.concatenate`` and the estimator's scratch].
 
     The out-of-place arithmetic before blocking peaked at 13.1 and 13.0
     arrays for the OU-CTS step and ``sample_w``.  The envelope and the
@@ -249,11 +257,18 @@ class TestMemory:
         )
         assert peak <= 3 * 8 * n
 
-    def test_estimate_cumulants_peaks_at_one_sample_array(self):
+    @pytest.mark.parametrize("batches", [100, 2, 7])
+    def test_estimate_cumulants_holds_no_sample_sized_scratch(self, batches):
         n = 10**6
         x = RngStream(5, 2).gen.standard_exponential(n)
-        peak = self._traced_peak(lambda: estimate_cumulants(x, 100))
-        assert peak <= 1.1 * 8 * n
+        peak = self._traced_peak(lambda: estimate_cumulants(x, batches))
+        assert peak <= 0.05 * 8 * n
+
+    def test_cumulant_cell_peaks_below_1_5_sample_arrays(self):
+        paths = 1 << 20
+        cfg = ExperimentConfig("cts-ou", 0.5, BETA, C, B, 1.0 / 365.0, paths=paths, seed=5)
+        peak = self._traced_peak(lambda: run_experiment(cfg))
+        assert peak <= 1.5 * 8 * paths
 
 
 class TestMixingFactorV:
