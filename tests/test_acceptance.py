@@ -7,23 +7,18 @@ tolerance and prints one `[ACCEPTANCE] criterion N` pass/fail line
 Monte Carlo criteria use the pre-registered seed policy below; seeds are
 fixed per cell and not tuned.  Every statistical gate is reported per
 cell together with its measured z-scores and err% values, so a red line
-identifies exactly which sub-gate fired.
+identifies exactly which sub-gate fired.  Criteria 4-7 assert on the
+entries of one ``validate_suite()`` report, which computes those checks.
 """
 
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
-from _helpers import envelope_acceptance
-from tsousim import cts_ou, ou_cts
-from tsousim.harness import ExperimentConfig, run_experiment
-from tsousim.levy_core import (
-    LevyTriplet,
-    aremainder_triplet,
-    cts_log_chf,
-    lk_log_chf,
-)
+from tsousim import ou_cts
+from tsousim.harness import ExperimentConfig, run_experiment, validate_suite
 from tsousim.cli import main as cli_main
 from tsousim.rand_core import CtsParams, RngStream
 
@@ -165,85 +160,60 @@ def test_criterion_3_approximation_degradation():
     assert not failures, "\n".join(failures)
 
 
-def test_criterion_4_envelope_efficiency():
-    a_cells = (np.exp(-B / 365.0), np.exp(-B * 30.0 / 365.0), 0.05)
-    failures = []
-    for alpha in ALPHAS:
-        for a in a_cells:
-            env = ou_cts.build_envelope(alpha, a)
-            rate = envelope_acceptance(env, a, alpha, RngStream(SEED + 3000, 1), 10**5)
-            print(f"  alpha={alpha} a={a:.4f}: L={env.segment_count} "
-                  f"G_L={env.total_mass:.6f} acceptance={rate:.4f}")
-            if env.total_mass > 1.01:
-                failures.append(f"alpha={alpha} a={a:.4f}: G_L={env.total_mass:.6f}")
-            if rate < 0.98:
-                failures.append(f"alpha={alpha} a={a:.4f}: acceptance {rate:.4f}")
-    announce(4, "envelope efficiency", not failures,
-             "; ".join(failures) if failures else "G_L <= 1.01 and acceptance >= 0.98 on all 12 cells")
+@pytest.fixture(scope="module")
+def report():
+    return validate_suite()
+
+
+def _report_criterion(num: int, name: str, report, names, detail: str, failures=()) -> None:
+    """Announce criterion ``num``, which passes when ``failures`` is empty and every
+    named ``validate`` entry exists and passes; print each entry's line under it."""
+    entries = {e.name: e for e in report.entries}
+    lines = [entries[n].line() for n in names if n in entries]
+    failures = [*failures, *(f"no validate entry {n!r}" for n in names if n not in entries)]
+    failures += [line for line in lines if line.startswith("[FAIL]")]
+    announce(num, name, not failures, "; ".join(failures) or detail)
+    print("".join(f"  {line}\n" for line in lines), end="")
     assert not failures, "\n".join(failures)
 
 
-def test_criterion_5_remainder_triplet_identity():
-    worst = 0.0
-    for params in (CtsParams(0.0, 1.0, 1.0), CtsParams(0.5, 1.4, 0.8)):
-        triplet = LevyTriplet.from_cts(params)
-        for a in (0.9, 0.5, 0.1):
-            rem = aremainder_triplet(triplet, a)
-            for u in (0.25, 0.5, 1.0, 2.0, 4.0):
-                dev = abs(
-                    lk_log_chf(rem, u)
-                    - (cts_log_chf(params, u) - cts_log_chf(params, a * u))
-                )
-                worst = max(worst, dev)
-    ok = worst < 1e-6
-    announce(5, "remainder triplet identity", ok, f"max deviation {worst:.3e}")
-    assert ok
+def test_criterion_4_envelope_efficiency(report):
+    a_cells = (np.exp(-B / 365.0), np.exp(-B * 30.0 / 365.0), 0.05)
+    names = [f"envelope alpha={alpha} a={a:.4f}" for alpha in ALPHAS for a in a_cells]
+    _report_criterion(4, "envelope efficiency", report, names,
+                      "G_L <= 1.01 and acceptance >= 0.98 on all 12 cells")
 
 
-def test_criterion_6_cumulant_additivity():
-    worst = 0.0
-    where = ""
-    for alpha in ALPHAS:
-        for dt in DTS:
-            pc = cts_ou.CtsOuProcess(CtsParams(alpha, BETA, C), B)
-            law = cts_ou.step_law(pc, dt)
-            po = ou_cts.OuCtsProcess(CtsParams(alpha, BETA, C), B)
-            slaw = ou_cts.step_law_oucts(po, dt)
-            for k in (1, 2, 3, 4):
-                dev = abs(law.cumulant(k) / cts_ou.cumulants_ctsou(pc, 0.0, dt, k) - 1.0)
-                if dev > worst:
-                    worst, where = dev, f"cts-ou alpha={alpha} dt={dt:.4f} k={k}"
-                dev = abs(slaw.cumulant(k) / ou_cts.cumulants_oucts(po, 0.0, dt, k) - 1.0)
-                if dev > worst:
-                    worst, where = dev, f"ou-cts alpha={alpha} dt={dt:.4f} k={k}"
-    ok = worst < 1e-6
-    announce(6, "cumulant additivity oracles", ok, f"max rel dev {worst:.3e} at {where}")
-    assert ok
+def test_criterion_5_remainder_triplet_identity(report):
+    names = [f"remainder-triplet identity ({law})" for law in ("gamma", "cts")]
+    _report_criterion(5, "remainder triplet identity", report, names, "deviations < 1e-6")
 
 
-def test_criterion_7_alpha_zero_limits():
+def test_criterion_6_cumulant_additivity(report):
+    names = [f"cumulant additivity ({process})" for process in ("cts-ou", "ou-cts")]
+    _report_criterion(6, "cumulant additivity oracles", report, names, "rel devs < 1e-6")
+
+
+def test_criterion_7_alpha_zero_limits(report):
+    # the dt = 30/365 rate cell is validate's "alpha -> 0 jump rate limit"
+    proc = ou_cts.OuCtsProcess(CtsParams(1e-6, BETA, C), B)
     failures = []
-    for dt in DTS:
-        a = float(np.exp(-B * dt))
-        proc = ou_cts.OuCtsProcess(CtsParams(1e-6, BETA, C), B)
-        lam = ou_cts._lambda_a(proc, a)
-        limit = C * np.log(a) ** 2 / (2.0 * proc.T * B)
-        dev = abs(lam / limit - 1.0)
-        print(f"  dt={dt:.6f}: jump-rate relative deviation {dev:.2e}")
-        if dev > 1e-4:
-            failures.append(f"dt={dt:.6f}: rate deviation {dev:.2e} over 1e-4")
+    a = float(np.exp(-B * DTS[0]))
+    dev = abs(ou_cts._lambda_a(proc, a) / (C * np.log(a) ** 2 / (2.0 * proc.T * B)) - 1.0)
+    print(f"  dt={DTS[0]:.6f}: jump-rate relative deviation {dev:.2e}")
+    if dev > 1e-4:
+        failures.append(f"dt={DTS[0]:.6f}: rate deviation {dev:.2e} over 1e-4")
 
-    dt = DTS[1]
-    a = float(np.exp(-B * dt))
-    law = ou_cts.step_law_oucts(ou_cts.OuCtsProcess(CtsParams(1e-6, BETA, C), B), dt)
+    a = float(np.exp(-B * DTS[1]))
+    law = ou_cts.step_law_oucts(proc, DTS[1])
     v_small = ou_cts.sample_v_oucts(law, RngStream(SEED + 4000, 1), size=10**5)
     v_zero = ou_cts.sample_v_alpha0(a, RngStream(SEED + 4000, 2), size=10**5)
     p = stats.ks_2samp(v_small, v_zero).pvalue
     print(f"  two-sample KS p-value alpha=1e-6 vs limit law: {p:.4f}")
     if p <= 0.01:
         failures.append(f"KS p={p:.4f} <= 0.01")
-    announce(7, "alpha -> 0 limits", not failures, "; ".join(failures) or f"KS p={p:.3f}")
-    assert not failures, "\n".join(failures)
+    _report_criterion(7, "alpha -> 0 limits", report, ["alpha -> 0 jump rate limit"],
+                      f"KS p={p:.3f}", failures)
 
 
 def test_criterion_8_determinism(tmp_path):
