@@ -28,7 +28,7 @@ import numpy as np
 
 from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
 from ._util import gamma as gamma_fn
-from .rand_core import CtsParams, RngStream, StepLaw, _finite_start, _gamma_shape_rate
+from .rand_core import CtsParams, RngStream, StepLaw, _check_cumulant_args, _gamma_shape_rate
 
 __all__ = [
     "CtsOuProcess",
@@ -143,11 +143,7 @@ def simulate_skeleton_ctsou(p: CtsOuProcess, x0, grid, stream: RngStream, size: 
 def cumulants_ctsou(p: CtsOuProcess, x0: float, dt: float, k: int) -> float:
     """Closed-form transition cumulant:
     x0 e^(-b dt) [k=1] + c beta^(alpha-k) Gamma(k-alpha) (1 - e^(-k b dt))."""
-    if k < 1:
-        raise ValueError(f"cumulant order must be >= 1, got {k}")
-    _finite_start(x0)
-    if not dt >= 0.0:  # dt = inf is the stationary limit
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+    _check_cumulant_args(k, x0, dt)
     alpha, beta, c = p.stationary.alpha, p.stationary.beta, p.stationary.c
     val = c * beta ** (alpha - k) * gamma_fn(k - alpha) * (1.0 - np.exp(-k * p.b * dt))
     if k == 1:

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._util import _one_minus_pow, gammainc
 from ._util import gamma as gamma_fn
-from .rand_core import CtsParams, _finite_start
+from .rand_core import CtsParams, _check_cumulant_args
 
 __all__ = [
     "LevyTriplet",
@@ -556,14 +556,10 @@ def cts_log_chf(p: CtsParams, u: float) -> complex:
 def _cumulant_at(cumulants, k: int, x0: float, b: float, dt: float, T: float = 1.0) -> float:
     """The k-th of ``cumulants`` (a sequence, or a callable of k), once k,
     x0, b, dt and T pass the checks both OU maps below make."""
-    if k < 1:
-        raise ValueError(f"cumulant order must be >= 1, got {k}")
-    _finite_start(x0)
+    _check_cumulant_args(k, x0, dt)
     for name, value in (("b", b), ("T", T)):
         if not (0.0 < value < math.inf):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not dt >= 0.0:  # dt = inf is the stationary limit
-        raise ValueError(f"dt must be nonnegative, got {dt}")
     if callable(cumulants):
         return float(cumulants(k))
     return float(cumulants[k - 1])

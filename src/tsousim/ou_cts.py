@@ -41,7 +41,7 @@ from .rand_core import (
     CtsParams,
     RngStream,
     StepLaw,
-    _finite_start,
+    _check_cumulant_args,
     _gamma_shape_rate,
     _rejection_loop,
 )
@@ -333,11 +333,7 @@ def simulate_skeleton_oucts(p: OuCtsProcess, x0, grid, stream: RngStream, size: 
 def cumulants_oucts(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
     """Closed-form transition cumulant:
     x0 e^(-b dt) [k=1] + c Gamma(k-alpha) (1 - e^(-k b dt)) / (T b k beta^(k-alpha))."""
-    if k < 1:
-        raise ValueError(f"cumulant order must be >= 1, got {k}")
-    _finite_start(x0)
-    if not dt >= 0.0:  # dt = inf is the stationary limit
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+    _check_cumulant_args(k, x0, dt)
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
     val = (
         c

@@ -106,10 +106,27 @@ class CtsParams:
             raise ValueError(f"c must be positive and finite, got {self.c}")
 
 
-def cts_cumulants(p: CtsParams, k: int) -> float:
-    """k-th cumulant of a one-sided CTS law: c * beta^(alpha-k) * Gamma(k-alpha)."""
+def _finite_start(x0) -> np.ndarray:
+    """``x0`` as a float array; a NaN or infinite start is a ValueError."""
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
+    return x0
+
+
+def _check_cumulant_args(k: int, x0=0.0, dt: float = 0.0) -> None:
+    """The domain every cumulant oracle shares: an order k >= 1, a finite
+    start x0 and a step dt >= 0, where dt = inf is the stationary limit."""
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
+    _finite_start(x0)
+    if not dt >= 0.0:
+        raise ValueError(f"dt must be nonnegative, got {dt}")
+
+
+def cts_cumulants(p: CtsParams, k: int) -> float:
+    """k-th cumulant of a one-sided CTS law: c * beta^(alpha-k) * Gamma(k-alpha)."""
+    _check_cumulant_args(k)
     return p.c * p.beta ** (p.alpha - k) * gamma_fn(k - p.alpha)
 
 
@@ -159,14 +176,6 @@ def _compound_poisson(rate: float, draw_jumps, stream: RngStream, n: int) -> np.
     return segment_sums(draw_jumps(total), counts)
 
 
-def _finite_start(x0) -> np.ndarray:
-    """``x0`` as a float array; a NaN or infinite start is a ValueError."""
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0}")
-    return x0
-
-
 @dataclass(frozen=True)
 class StepLaw:
     """Transition law over one OU step, a = exp(-b*dt):
@@ -202,9 +211,7 @@ class StepLaw:
     def cumulant(self, k: int, x0: float = 0.0) -> float:
         """k-th cumulant of X(dt) given X(0) = x0: the CTS part's cumulant,
         plus lambda_a times the k-th jump moment, plus a*x0 at k = 1."""
-        if k < 1:
-            raise ValueError(f"cumulant order must be >= 1, got {k}")
-        _finite_start(x0)
+        _check_cumulant_args(k, x0)
         val = 0.0 if self.x1_params is None else cts_cumulants(self.x1_params, k)
         if self.lambda_a > 0.0:
             val += self.lambda_a * self.jump_moment(k)
