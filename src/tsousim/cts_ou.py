@@ -49,8 +49,8 @@ class CtsOuProcess:
     b: float
 
     def __post_init__(self):
-        if not (self.b > 0.0):
-            raise ValueError(f"mean-reversion rate must be positive, got {self.b}")
+        if not (0.0 < self.b < math.inf):
+            raise ValueError(f"mean-reversion rate must be positive and finite, got {self.b}")
 
 
 @dataclass(frozen=True)

@@ -78,10 +78,10 @@ class OuCtsProcess:
     T: float = 1.0
 
     def __post_init__(self):
-        if not (self.b > 0.0):
-            raise ValueError(f"mean-reversion rate must be positive, got {self.b}")
-        if not (self.T > 0.0):
-            raise ValueError(f"time scale must be positive, got {self.T}")
+        if not (0.0 < self.b < np.inf):
+            raise ValueError(f"mean-reversion rate must be positive and finite, got {self.b}")
+        if not (0.0 < self.T < np.inf):
+            raise ValueError(f"time scale must be positive and finite, got {self.T}")
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,12 @@ class TestStepLaw:
         assert law.x1_params is None
         assert law.lambda_a == C * B * 0.1
 
+    @pytest.mark.parametrize("b", [np.inf, np.nan, 0.0])
+    def test_rate_must_be_positive_and_finite(self, b):
+        # an infinite b used to pass and die in numpy's Poisson sampler
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            CtsOuProcess(CtsParams(0.0, BETA, C), b)
+
 
 class TestMixingFactor:
     def test_endpoints(self):

@@ -43,6 +43,12 @@ def f_w_cdf(w, a, alpha):
 
 
 class TestStepLaw:
+    @pytest.mark.parametrize("b, T", [(np.inf, 1.0), (B, np.inf), (B, 0.0), (np.nan, 1.0)])
+    def test_rate_and_time_scale_must_be_positive_and_finite(self, b, T):
+        # T = inf used to pass and die later in CtsParams (c = 0)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            OuCtsProcess(CtsParams(0.5, BETA, C), b, T)
+
     def test_small_step_rate_is_second_order(self):
         dt = 1e-4
         lam = step_law_oucts(PROC, dt).lambda_a
