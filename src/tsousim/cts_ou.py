@@ -81,15 +81,21 @@ class CtsOuStepLaw(StepLaw):
 
     def jump_moment(self, k: int) -> float:
         """k-th jump moment by quadrature over the mixing law of V on [1, 1/a],
-        f_V(v) = alpha v^(alpha-1) / (a^-alpha - 1).  At alpha = 0 the jump
-        E exp(-b_dt U) / beta has the closed form
+        through the density :func:`_f_w_ctsou` of W = -log(V)/log(a).  At
+        alpha = 0 the jump E exp(-b_dt U) / beta has the closed form
         k! (1 - exp(-k b_dt)) / (k b_dt beta^k), finite also when a underflows."""
         if self.x1_params is None:
             kb = k * self.b_dt
             return float(math.factorial(k) * -np.expm1(-kb) / (kb * self.beta**k))
-        alpha, a = self.x1_params.alpha, self.a
-        f_v = lambda v: alpha * v ** (alpha - 1.0) / (a ** -alpha - 1.0)
-        return gamma_mixture_moment(a, alpha, self.beta, k, f_v)
+        return gamma_mixture_moment(self.a, self.x1_params.alpha, self.beta, k, _f_w_ctsou)
+
+
+def _f_w_ctsou(w, a: float, alpha: float):
+    """Density of W = -log(V)/log(a) on [0, 1] for V of density
+    alpha v^(alpha-1) / (a^-alpha - 1) on [1, 1/a]:
+    theta e^(theta (w-1)) / (1 - e^-theta) with theta = log a^-alpha."""
+    theta = -alpha * np.log(a)
+    return theta * np.exp(theta * (w - 1.0)) / -np.expm1(-theta)
 
 
 def step_law(p: CtsOuProcess, dt: float) -> StepLaw:

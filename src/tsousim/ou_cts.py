@@ -199,16 +199,9 @@ class OuCtsStepLaw(StepLaw):
         return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, v, m)
 
     def jump_moment(self, k: int) -> float:
-        """k-th jump moment by quadrature over the mixing density (v^alpha - 1)/v
-        scaled to integrate to one on [1, 1/a]; at alpha = 0 its limit
-        2 log v / (v log^2 a)."""
-        a, alpha = self.a, self.x1_params.alpha
-        if alpha == 0.0:
-            f_v = lambda v: 2.0 * np.log(v) / (v * np.log(a) ** 2)
-        else:
-            norm = a**alpha * _expm1_minus_x(_theta(a, alpha))  # 1 - a^alpha + a^alpha log a^alpha
-            f_v = lambda v: alpha * a**alpha * (v**alpha - 1.0) / (norm * v)
-        return gamma_mixture_moment(a, alpha, self.jump_beta, k, f_v)
+        """k-th jump moment by quadrature over the density :func:`f_w_density`
+        of W = -log(V)/log(a), whose alpha = 0 limit is 2w."""
+        return gamma_mixture_moment(self.a, self.x1_params.alpha, self.jump_beta, k, f_w_density)
 
 
 def _lambda_a(p: OuCtsProcess, a: float) -> float:

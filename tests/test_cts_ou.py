@@ -208,10 +208,10 @@ class TestGammaOuStep:
 
     @pytest.mark.parametrize("b_dt", [0.1, 3.0])
     def test_jump_moment_matches_mixture_quadrature(self, b_dt):
-        # V = exp(b_dt U) has density 1/(v b_dt) on [1, 1/a]
+        # V = exp(b_dt U): W = -log(V)/log(a) = U is uniform on [0, 1]
         law = step_law(self.PROC0, b_dt / B)
         for k in (1, 2, 3, 4):
-            quad = gamma_mixture_moment(law.a, 0.0, BETA, k, lambda v: 1.0 / (v * b_dt))
+            quad = gamma_mixture_moment(law.a, 0.0, BETA, k, lambda w, a, alpha: np.ones_like(w))
             assert law.jump_moment(k) == pytest.approx(quad, rel=1e-10)
 
     def test_mean_against_generic_ou_formula(self):

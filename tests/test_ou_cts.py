@@ -10,7 +10,7 @@ from scipy.special import gamma as gamma_fn
 
 from _helpers import chi2_pvalue, envelope_acceptance, z_score
 from tsousim import ou_cts, rand_core
-from tsousim.cts_ou import CtsOuProcess, step_law
+from tsousim.cts_ou import CtsOuProcess, cumulants_ctsou, step_law
 from tsousim.harness import ExperimentConfig, estimate_cumulants, run_experiment
 from tsousim.levy_core import ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
@@ -440,6 +440,21 @@ class TestCumulants:
         for k in (1, 2, 3, 4):
             assert law.cumulant(k) == pytest.approx(
                 cumulants_oucts(PROC, 0.0, 30.0 / 365.0, k), rel=1e-8
+            )
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    @pytest.mark.parametrize("b_dt", [10.0, 30.0, 100.0])
+    def test_law_cumulant_at_coarse_steps(self, b_dt, alpha):
+        # both families' jump-moment quadratures run over W, which keeps the
+        # mixing mass near v = 1 that a rule linear in v missed from b dt = 10
+        dt, params = b_dt / B, CtsParams(alpha, BETA, C)
+        po, pc = OuCtsProcess(params, B), CtsOuProcess(params, B)
+        for k in (1, 2, 3, 4):
+            assert step_law_oucts(po, dt).cumulant(k) == pytest.approx(
+                cumulants_oucts(po, 0.0, dt, k), rel=1e-10
+            )
+            assert step_law(pc, dt).cumulant(k) == pytest.approx(
+                cumulants_ctsou(pc, 0.0, dt, k), rel=1e-10
             )
 
     def test_time_scale_parameter(self):
