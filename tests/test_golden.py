@@ -256,7 +256,7 @@ CASES = {
     ),
     "validate-report": (
         _validate,
-        "3dca26ec4d4670e7540d21e6ca3fe58b7c0cf2d14c304a7850f862ec84375ed1",
+        "e089f9e12bdb5a1fbae8c9a9b7ef52de5a6df4122cdf9859486e3b0383fedbdd",
     ),
 }
 
