@@ -346,6 +346,15 @@ def run_experiment(cfg: ExperimentConfig) -> ErrTable:
     return table
 
 
+def _write_csv_line(fh, n: int, texts: Callable) -> None:
+    """Write one CSV line of n fields, ``texts(lo, hi)`` giving fields lo..hi-1,
+    in slices of ``rand_core._CHUNK`` fields, so that the line's text never
+    exists whole as Python objects."""
+    for lo in range(0, n, _CHUNK):
+        fh.write(("," if lo else "") + ",".join(texts(lo, min(lo + _CHUNK, n))))
+    fh.write("\n")
+
+
 def export_trajectories(cfg: ExperimentConfig) -> str:
     """Write ``cfg.paths`` skeleton paths on the uniform grid dt, 2dt, ..., steps*dt.
 
@@ -381,13 +390,14 @@ def export_trajectories(cfg: ExperimentConfig) -> str:
                 rows[i + 1] = law.a * rows[i] + z[i - start]
 
     _run_blocks(cfg, job, cfg.paths)
+    n = cfg.paths + 1
+    names = lambda lo, hi: (f"path_{j - 1}" if j else "time" for j in range(lo, hi))
     try:
         with open(cfg.out, "w") as fh:
-            fh.write("time," + ",".join(f"path_{j}" for j in range(cfg.paths)) + "\n")
-            # tolist() gives Python floats, whose repr is the row's text; one
-            # row at a time, as a list of the whole table would raise peak RSS
+            _write_csv_line(fh, n, names)
+            # tolist() gives Python floats, whose repr is the value's text
             for row in table:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+                _write_csv_line(fh, n, lambda lo, hi: map(repr, row[lo:hi].tolist()))
     except OSError as exc:
         raise OSError(f"cannot write trajectories to {cfg.out!r}: {exc}") from exc
     return cfg.out

@@ -11,7 +11,12 @@ from scipy.special import gamma as gamma_fn
 from _helpers import chi2_pvalue, envelope_acceptance, z_score
 from tsousim import ou_cts, rand_core
 from tsousim.cts_ou import CtsOuProcess, cumulants_ctsou, step_law
-from tsousim.harness import ExperimentConfig, estimate_cumulants, run_experiment
+from tsousim.harness import (
+    ExperimentConfig,
+    estimate_cumulants,
+    export_trajectories,
+    run_experiment,
+)
 from tsousim.levy_core import ou_cumulants_from_bdlp
 from tsousim.ou_cts import (
     OuCtsProcess,
@@ -220,7 +225,11 @@ class TestMemory:
       dt = 1/365, seed 5: 1.40 arrays of its sample (1.31 at seed 3), the
       terminal states written into one array plus one block's step [2.10,
       2.01 at seed 3, with a list of block arrays joined by
-      ``np.concatenate`` and the estimator's scratch].
+      ``np.concatenate`` and the estimator's scratch];
+    * ``export_trajectories`` of 2**17 paths and no steps (one row): 1.73
+      tables of its (steps + 1) x (paths + 1) values, and 1.28 at 8 steps,
+      each CSV line written in slices of ``rand_core._CHUNK`` fields [12.6
+      and 2.53 with the header's and each row's text held whole].
 
     The out-of-place arithmetic before blocking peaked at 13.1 and 13.0
     arrays for the OU-CTS step and ``sample_w``.  The envelope and the
@@ -275,6 +284,15 @@ class TestMemory:
         cfg = ExperimentConfig("cts-ou", 0.5, BETA, C, B, 1.0 / 365.0, paths=paths, seed=5)
         peak = self._traced_peak(lambda: run_experiment(cfg))
         assert peak <= 1.5 * 8 * paths
+
+    def test_wide_export_peaks_below_three_tables(self, tmp_path):
+        paths = 1 << 17
+        cfg = ExperimentConfig(
+            "cts-ou", 0.5, BETA, C, B, 1.0 / 365.0, paths=paths, seed=5, steps=0,
+            out=str(tmp_path / "wide.csv"),
+        )
+        peak = self._traced_peak(lambda: export_trajectories(cfg))
+        assert peak <= 3 * 8 * (paths + 1)
 
 
 class TestMixingFactorV:
