@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from _helpers import force_single_chord
-from tsousim import cts_ou, harness, ou_cts
+from tsousim import cts_ou, harness, levy_core, ou_cts
 from tsousim.harness import (
     ExperimentConfig,
     estimate_cumulants,
@@ -513,3 +513,20 @@ class TestValidateSuite:
         failed = [e.name for e in report.entries if not e.passed]
         assert len(failed) == 8
         assert all(name.startswith("envelope alpha=") for name in failed)
+
+    def test_biased_jump_moment_is_detected(self, monkeypatch):
+        moment = ou_cts.OuCtsStepLaw.jump_moment
+        monkeypatch.setattr(
+            ou_cts.OuCtsStepLaw, "jump_moment", lambda law, k: 1.01 * moment(law, k)
+        )
+        failed = [e.name for e in validate_suite().entries if not e.passed]
+        assert failed == ["cumulant additivity (ou-cts)"]
+
+    def test_shifted_remainder_chf_is_detected(self, monkeypatch):
+        lk_log_chf = levy_core.lk_log_chf
+        monkeypatch.setattr(levy_core, "lk_log_chf", lambda rem, u: lk_log_chf(rem, u) + 1e-5)
+        failed = [e.name for e in validate_suite().entries if not e.passed]
+        assert failed == [
+            "remainder-triplet identity (gamma)",
+            "remainder-triplet identity (cts)",
+        ]
