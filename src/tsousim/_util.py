@@ -162,17 +162,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def gamma_mixture_moment(a: float, alpha: float, beta: float, k: int, f_w) -> float:
-    """k-th moment of a gamma(1-alpha, beta*V) jump whose mixing factor
-    V = a^-W on [1, 1/a] is given by W = log V / log(1/a), which has
-    density ``f_w(w, a, alpha)`` on [0, 1]:
+    """k-th moment of a gamma(1-alpha, beta*V) jump whose mixing factor V = a^-W
+    on [1, 1/a] has W of density ``f_w(w, a, alpha)`` on [0, 1]:
 
-        E[J^k] = Gamma(1-alpha+k) / (Gamma(1-alpha) beta^k) int_0^1 e^(-k b dt w) f_w(w) dw,
+        E[J^k] = Gamma(1-alpha+k) / (Gamma(1-alpha) beta^k) int_0^1 a^(k w) f_w(w) dw,
 
-    with b dt = log(1/a), by 64-node Gauss-Legendre in w.  The nodes
-    follow the mass near v = 1 that a rule linear in v misses once
-    b dt >= 10; the relative error stays below 1e-13 up to b dt = 100.
-    Deliberately independent of the closed-form cumulant paths it is
-    used to check.
+    by 64-node Gauss-Legendre in w, which keeps the mass near v = 1 that a
+    rule linear in v misses once b dt >= 10 (relative error below 1e-13 up
+    to b dt = 100).  Deliberately independent of the closed-form cumulant
+    paths it is used to check.
     """
     w = 0.5 * _GL_NODES + 0.5
     mix = 0.5 * np.sum(_GL_WEIGHTS * np.exp(k * math.log(a) * w) * f_w(w, a, alpha))

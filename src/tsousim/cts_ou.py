@@ -80,22 +80,16 @@ class CtsOuStepLaw(StepLaw):
         return _gamma_shape_rate(stream, 1.0 - alpha, v, m)
 
     def jump_moment(self, k: int) -> float:
-        """k-th jump moment by quadrature over the mixing law of V on [1, 1/a],
-        through the density :func:`_f_w_ctsou` of W = -log(V)/log(a).  At
+        """k-th jump moment by quadrature over W = log(V)/b_dt on [0, 1], of density
+        theta e^(theta (w-1)) / (1 - e^-theta) with theta = alpha b_dt.  At
         alpha = 0 the jump E exp(-b_dt U) / beta has the closed form
         k! (1 - exp(-k b_dt)) / (k b_dt beta^k), finite also when a underflows."""
         if self.x1_params is None:
             kb = k * self.b_dt
             return float(math.factorial(k) * -np.expm1(-kb) / (kb * self.beta**k))
-        return gamma_mixture_moment(self.a, self.x1_params.alpha, self.beta, k, _f_w_ctsou)
-
-
-def _f_w_ctsou(w, a: float, alpha: float):
-    """Density of W = -log(V)/log(a) on [0, 1] for V of density
-    alpha v^(alpha-1) / (a^-alpha - 1) on [1, 1/a]:
-    theta e^(theta (w-1)) / (1 - e^-theta) with theta = log a^-alpha."""
-    theta = -alpha * np.log(a)
-    return theta * np.exp(theta * (w - 1.0)) / -np.expm1(-theta)
+        theta = self.x1_params.alpha * self.b_dt
+        f_w = lambda w, *_: theta * np.exp(theta * (w - 1.0)) / -np.expm1(-theta)
+        return gamma_mixture_moment(self.a, self.x1_params.alpha, self.beta, k, f_w)
 
 
 def step_law(p: CtsOuProcess, dt: float) -> StepLaw:

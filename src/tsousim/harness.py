@@ -346,15 +346,6 @@ def run_experiment(cfg: ExperimentConfig) -> ErrTable:
     return table
 
 
-def _write_csv_line(fh, n: int, texts: Callable) -> None:
-    """Write one CSV line of n fields, ``texts(lo, hi)`` giving fields lo..hi-1,
-    in slices of ``rand_core._CHUNK`` fields, so that the line's text never
-    exists whole as Python objects."""
-    for lo in range(0, n, _CHUNK):
-        fh.write(("," if lo else "") + ",".join(texts(lo, min(lo + _CHUNK, n))))
-    fh.write("\n")
-
-
 def export_trajectories(cfg: ExperimentConfig) -> str:
     """Write ``cfg.paths`` skeleton paths on the uniform grid dt, 2dt, ..., steps*dt.
 
@@ -391,13 +382,19 @@ def export_trajectories(cfg: ExperimentConfig) -> str:
 
     _run_blocks(cfg, job, cfg.paths)
     n = cfg.paths + 1
-    names = lambda lo, hi: (f"path_{j - 1}" if j else "time" for j in range(lo, hi))
     try:
         with open(cfg.out, "w") as fh:
-            _write_csv_line(fh, n, names)
-            # tolist() gives Python floats, whose repr is the value's text
-            for row in table:
-                _write_csv_line(fh, n, lambda lo, hi: map(repr, row[lo:hi].tolist()))
+            # the header (i = -1) and each row go out in slices of _CHUNK fields,
+            # so a line's text never exists whole; float repr is a value's text
+            for i in range(-1, cfg.steps + 1):
+                for lo in range(0, n, _CHUNK):
+                    hi = min(lo + _CHUNK, n)
+                    if i < 0:
+                        texts = (f"path_{j - 1}" if j else "time" for j in range(lo, hi))
+                    else:
+                        texts = map(repr, table[i, lo:hi].tolist())
+                    fh.write(("," if lo else "") + ",".join(texts))
+                fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write trajectories to {cfg.out!r}: {exc}") from exc
     return cfg.out

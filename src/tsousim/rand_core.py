@@ -115,8 +115,7 @@ def _finite_start(x0) -> np.ndarray:
 
 
 def _check_cumulant_args(k: int, x0=0.0, dt: float = 0.0) -> None:
-    """The domain every cumulant oracle shares: an order k >= 1, a finite
-    start x0 and a step dt >= 0, where dt = inf is the stationary limit."""
+    """Every cumulant oracle's domain: k >= 1, finite x0, dt >= 0 (inf: stationary)."""
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
     _finite_start(x0)
