@@ -106,23 +106,6 @@ class CtsParams:
             raise ValueError(f"c must be positive and finite, got {self.c}")
 
 
-def _finite_start(x0) -> np.ndarray:
-    """``x0`` as a float array; a NaN or infinite start is a ValueError."""
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0}")
-    return x0
-
-
-def _check_cumulant_args(k: int, x0=0.0, dt: float = 0.0) -> None:
-    """Every cumulant oracle's domain: k >= 1, finite x0, dt >= 0 (inf: stationary)."""
-    if k < 1:
-        raise ValueError(f"cumulant order must be >= 1, got {k}")
-    _finite_start(x0)
-    if not dt >= 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-
-
 def cts_cumulants(p: CtsParams, k: int) -> float:
     """k-th cumulant of a one-sided CTS law: c * beta^(alpha-k) * Gamma(k-alpha)."""
     _check_cumulant_args(k)
@@ -173,6 +156,23 @@ def _compound_poisson(rate: float, draw_jumps, stream: RngStream, n: int) -> np.
     if total == 0:
         return np.zeros(n)
     return segment_sums(draw_jumps(total), counts)
+
+
+def _finite_start(x0) -> np.ndarray:
+    """``x0`` as a float array; a NaN or infinite start is a ValueError."""
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
+    return x0
+
+
+def _check_cumulant_args(k: int, x0=0.0, dt: float = 0.0) -> None:
+    """Every cumulant oracle's domain: k >= 1, finite x0, dt >= 0 (inf: stationary)."""
+    if k < 1:
+        raise ValueError(f"cumulant order must be >= 1, got {k}")
+    _finite_start(x0)
+    if not dt >= 0.0:
+        raise ValueError(f"dt must be nonnegative, got {dt}")
 
 
 @dataclass(frozen=True)
