@@ -255,30 +255,39 @@ def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size
     Per proposal: pick a segment with the envelope's probabilities, invert
     the chord's quadratic CDF in closed form, accept with probability
     f_W / g_L.  Acceptance rate is exactly 1/G_L.
+
+    The stream holds all m segment uniforms of a round, then its m offset
+    uniforms, then its m acceptance uniforms.  The segment uniforms are
+    drawn one block of ``_CHUNK`` at a time and only their segment
+    indices are kept, in the smallest unsigned integer type that holds L;
+    the offset uniforms are drawn whole and become the proposals w; the
+    rest runs one block at a time.  k successive draw calls return the
+    values of one call, so every proposal is the one that whole arrays
+    give, while at the peak only w, the indices, the accept mask and one
+    block of temporaries are alive.
     """
     size = operator.index(size)
     g = stream.gen
     bp, fv, slopes = envelope.breakpoints, envelope.f_values, envelope.slopes
     masses, cum = envelope.masses, envelope.cum_probabilities
+    seg_type = np.min_scalar_type(envelope.segment_count)
 
     def propose(m):
-        # The stream holds all m segment uniforms, then all m offset
-        # uniforms, then all m acceptance uniforms.  The first two are drawn
-        # whole; the rest runs one block at a time, so only these two
-        # arrays, the accept mask and one block of temporaries are alive.
-        # The segment uniforms become the envelope values g_L(w), the
-        # offset uniforms the proposals w.
-        env = g.random(m)
+        segs = np.empty(m, dtype=seg_type)
+        for lo in range(0, m, _CHUNK):
+            e = g.random(min(_CHUNK, m - lo))
+            # <= L-1 since cum[-1] = 1 > e
+            segs[lo : lo + _CHUNK] = np.searchsorted(cum, e, side="right")
         w = g.random(m)
         accept = np.empty(m, dtype=bool)
         for lo in range(0, m, _CHUNK):
-            e, u = env[lo : lo + _CHUNK], w[lo : lo + _CHUNK]
-            seg = np.searchsorted(cum, e, side="right")  # <= L-1: cum[-1] = 1 > e
+            seg, u = segs[lo : lo + _CHUNK], w[lo : lo + _CHUNK]
             y0, sl, q = fv[seg], slopes[seg], masses[seg]
             # solve y0*s + sl*s^2/2 = u*q for the offset s into the segment,
-            # stable for flat chords (sl -> 0 gives u*q/y0)
+            # stable for flat chords (sl -> 0 gives u*q/y0); e is g_L(w)
             s = 2.0 * u * q / (y0 + np.sqrt(y0 * y0 + 2.0 * sl * u * q))
-            np.add(sl * s, y0, out=e)
+            e = sl * s
+            e += y0
             np.add(s, bp[seg], out=u)
             r = g.random(u.size)
             r *= e

@@ -118,22 +118,46 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, n: int):
     For shape < 1 the shape-boosting identity is used: if G has shape
     ``shape + 1`` and U is uniform then G * U**(1/shape) has shape
     ``shape``.  This keeps the generator away from the density's infinite
-    mode at zero.  The n uniforms follow the n gamma draws in the stream,
-    so they are drawn and applied one block at a time: the result is the
-    same while only the gammas, the rate and one block are alive.
+    mode at zero.  The stream holds the n gammas, then the n uniforms.
+
+    A scalar rate gives a fresh array: the gammas are drawn whole and the
+    uniforms applied one block at a time, so one array and one block are
+    alive.  An array rate of length n is overwritten with the draws and
+    returned, and everything runs one block of ``_CHUNK`` at a time, so
+    only the rate and a few blocks are alive.  When the gammas span more
+    than one block at shape < 1, the stream first walks past them through
+    a one-block buffer, and a clone taken at the first gamma replays them
+    block by block beside the uniforms.  k successive draw calls return
+    the values of one call, so each block gets the gammas and uniforms of
+    the whole-array form, at the cost of drawing every gamma twice.
     """
     g = stream.gen
-    if shape >= 1.0:
-        x = g.standard_gamma(shape, size=n)
-    else:
-        x = g.standard_gamma(shape + 1.0, size=n)
+    boost = shape < 1.0
+    if np.ndim(rate) == 0:
+        x = g.standard_gamma(shape + 1.0 if boost else shape, size=n)
+        if boost:
+            for lo in range(0, n, _CHUNK):
+                xs = x[lo : lo + _CHUNK]
+                u = g.random(xs.size)
+                u **= 1.0 / shape
+                xs *= u
+        x /= rate
+        return x
+    gammas = g
+    if boost and n > _CHUNK:
+        gammas = stream.clone().gen
+        buf = np.empty(_CHUNK)
         for lo in range(0, n, _CHUNK):
-            xs = x[lo : lo + _CHUNK]
-            u = g.random(xs.size)
+            g.standard_gamma(shape + 1.0, out=buf[: min(_CHUNK, n - lo)])
+    for lo in range(0, n, _CHUNK):
+        r = rate[lo : lo + _CHUNK]
+        x = gammas.standard_gamma(shape + 1.0 if boost else shape, size=r.size)
+        if boost:
+            u = g.random(r.size)
             u **= 1.0 / shape
-            xs *= u
-    x /= rate
-    return x
+            x *= u
+        np.divide(x, r, out=r)
+    return rate
 
 
 def sample_poisson(mean: float, stream: RngStream, size: int = 1):

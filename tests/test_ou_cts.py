@@ -201,21 +201,24 @@ class TestSampleW:
 class TestMemory:
     """Peak traced memory of the jump pipeline, in float64 arrays of its
     jump count, and of the cumulant estimator and a whole cumulant cell,
-    in arrays of its sample size.  The W sampler and the shape < 1 gamma
-    stage hold two whole arrays and run the rest one block of
-    ``rand_core._CHUNK`` elements at a time; ``segment_sums`` writes the
-    prefix sums into the jump values and indexes only the paths that have
-    jumps.  Measured peaks (numpy 2.4.6), with earlier figures in
-    brackets:
+    in arrays of its sample size.  The W sampler holds its proposals whole
+    and keeps only a small-integer segment index per proposal; the gamma
+    stage writes the jumps into the mixing factors' array; both run the
+    rest one block of ``rand_core._CHUNK`` elements at a time.
+    ``segment_sums`` writes the prefix sums into the jump values and
+    indexes only the paths that have jumps.  Measured peaks (numpy
+    2.4.6), with earlier figures in brackets:
 
     * OU-CTS step at alpha 0.9, b dt = 3 (about 14 jumps per transition,
-      932 557 for one 65 536-path block): 2.35 arrays [5.24 before
-      blocking];
+      932 557 for one 65 536-path block): 1.59 arrays [2.45 with the
+      segment uniforms and the gammas held whole, 5.24 before blocking];
     * CTS-OU step at alpha 0.9, dt = 30/365 (about 6 jumps per transition,
-      392 082 for 65 536 paths): 2.38 arrays [2.84 with a separate prefix
-      array and five path-length index arrays in ``segment_sums``, 3.33
-      before blocking];
-    * ``sample_w`` alone, 2**18 draws: 2.44 arrays [5.00 before blocking];
+      392 082 for 65 536 paths): 2.17 arrays, set by the double-rejection
+      temporaries of its 65 536 CTS draws [2.38 with the gammas held
+      whole, 2.84 with a separate prefix array and five path-length index
+      arrays in ``segment_sums``, 3.33 before blocking];
+    * ``sample_w`` alone, 2**18 draws: 1.57 arrays [2.44 with the segment
+      uniforms held whole, 5.00 before blocking];
     * ``estimate_cumulants`` on 10**6 values: 0.022, 0.019 and 0.020
       arrays in 100, 2 and 7 batches, its two-row buffer of
       ``rand_core._CHUNK`` values [1.01, 1.50 and 1.14 with one scratch of
@@ -226,6 +229,10 @@ class TestMemory:
       terminal states written into one array plus one block's step [2.10,
       2.01 at seed 3, with a list of block arrays joined by
       ``np.concatenate`` and the estimator's scratch];
+    * ``run_experiment`` on the 2**18-path OU-CTS cell at alpha 0.9,
+      dt = 0.3, seed 5, the benchmark's coarse peak cell: 6.56 arrays of
+      its sample, most of it one 65 536-path block's jumps [9.63 with the
+      segment uniforms and the gammas held whole];
     * ``export_trajectories`` of 2**17 paths and no steps (one row): 1.73
       tables of its (steps + 1) x (paths + 1) values, and 1.28 at 8 steps,
       each CSV line written in slices of ``rand_core._CHUNK`` fields [12.6
@@ -248,9 +255,11 @@ class TestMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize(
-        "law, n_jumps", [(OUCTS, 932557), (CTSOU, 392082)], ids=["oucts", "ctsou"]
+        "law, n_jumps, bound",
+        [(OUCTS, 932557, 1.75), (CTSOU, 392082, 2.3)],
+        ids=["oucts", "ctsou"],
     )
-    def test_step_peaks_below_2_6_jump_arrays(self, law, n_jumps, monkeypatch):
+    def test_step_peak_in_jump_arrays(self, law, n_jumps, bound, monkeypatch):
         jumps = []
         cls = type(law)
         draw = cls.draw_jumps
@@ -263,14 +272,14 @@ class TestMemory:
         assert self.OUCTS.envelope is not None  # built before tracing starts
         peak = self._traced_peak(lambda: law.sample(0.0, RngStream(5, 0), 1 << 16))
         assert jumps == [n_jumps]
-        assert peak <= 2.6 * 8 * n_jumps
+        assert peak <= bound * 8 * n_jumps
 
-    def test_w_sampler_peaks_below_three_arrays(self):
+    def test_w_sampler_peaks_below_1_75_arrays(self):
         env, n = self.OUCTS.envelope, 1 << 18
         peak = self._traced_peak(
             lambda: sample_w(env, self.OUCTS.a, 0.9, RngStream(5, 1), n)
         )
-        assert peak <= 3 * 8 * n
+        assert peak <= 1.75 * 8 * n
 
     @pytest.mark.parametrize("batches", [100, 2, 7])
     def test_estimate_cumulants_holds_no_sample_sized_scratch(self, batches):
@@ -284,6 +293,12 @@ class TestMemory:
         cfg = ExperimentConfig("cts-ou", 0.5, BETA, C, B, 1.0 / 365.0, paths=paths, seed=5)
         peak = self._traced_peak(lambda: run_experiment(cfg))
         assert peak <= 1.5 * 8 * paths
+
+    def test_coarse_cumulant_cell_peaks_below_7_5_sample_arrays(self):
+        paths = 1 << 18
+        cfg = ExperimentConfig("ou-cts", 0.9, BETA, C, B, 0.3, paths=paths, seed=5)
+        peak = self._traced_peak(lambda: run_experiment(cfg))
+        assert peak <= 7.5 * 8 * paths
 
     def test_wide_export_peaks_below_three_tables(self, tmp_path):
         paths = 1 << 17
