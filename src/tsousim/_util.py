@@ -168,10 +168,22 @@ def gamma_mixture_moment(a: float, alpha: float, beta: float, k: int, f_w) -> fl
         E[J^k] = Gamma(1-alpha+k) / (Gamma(1-alpha) beta^k) int_0^1 a^(k w) f_w(w) dw,
 
     by 64-node Gauss-Legendre in w, which keeps the mass near v = 1 that a
-    rule linear in v misses once b dt >= 10 (relative error below 1e-13 up
-    to b dt = 100).  Deliberately independent of the closed-form cumulant
-    paths it is used to check.
+    rule linear in v misses once b dt >= 10.  a^(k w) = e^(-k b dt w) varies
+    on the scale w = 1/(b dt), so for b dt > 1 the rule runs on each of
+    [0, s], [s, 2s], [2s, 4s], ... up to 1 with s = 1/(b dt): on [t, 2t]
+    the integrand has fallen by e^(-k b dt t) wherever it varies faster
+    than the nodes resolve.  At b dt <= 1, [0, 1] is the one interval.
+    Deliberately independent of the closed-form cumulant paths it is used
+    to check.
     """
-    w = 0.5 * _GL_NODES + 0.5
-    mix = 0.5 * np.sum(_GL_WEIGHTS * np.exp(k * math.log(a) * w) * f_w(w, a, alpha))
+    edges = [0.0]
+    t = -1.0 / math.log(a)
+    while t < 1.0:
+        edges.append(t)
+        t *= 2.0
+    edges = np.append(edges, 1.0)
+    half = 0.5 * np.diff(edges)
+    w = (np.outer(half, _GL_NODES) + (half + edges[:-1])[:, None]).ravel()
+    weights = np.outer(half, _GL_WEIGHTS).ravel()
+    mix = np.sum(weights * np.exp(k * math.log(a) * w) * f_w(w, a, alpha))
     return float(gamma(1.0 - alpha + k) / (gamma(1.0 - alpha) * beta**k) * mix)

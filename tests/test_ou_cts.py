@@ -476,10 +476,12 @@ class TestCumulants:
             )
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
-    @pytest.mark.parametrize("b_dt", [10.0, 30.0, 100.0])
+    @pytest.mark.parametrize("b_dt", [10.0, 30.0, 100.0, 300.0, 700.0])
     def test_law_cumulant_at_coarse_steps(self, b_dt, alpha):
         # both families' jump-moment quadratures run over W, which keeps the
-        # mixing mass near v = 1 that a rule linear in v missed from b dt = 10
+        # mixing mass near v = 1 that a rule linear in v missed from b dt = 10,
+        # on intervals that double from w = 1/(b dt), which resolve
+        # a^(k w) = e^(-k b dt w) that one rule on [0, 1] missed from b dt = 300
         dt, params = b_dt / B, CtsParams(alpha, BETA, C)
         po, pc = OuCtsProcess(params, B), CtsOuProcess(params, B)
         for k in (1, 2, 3, 4):
