@@ -256,7 +256,7 @@ CASES = {
     ),
     "validate-report": (
         _validate,
-        "e089f9e12bdb5a1fbae8c9a9b7ef52de5a6df4122cdf9859486e3b0383fedbdd",
+        "c666ccd03a3766f12f2294f51eb64abaca57a695a2113e8aae09858fd510654e",
     ),
 }
 
