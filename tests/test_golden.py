@@ -50,7 +50,8 @@ prints to four digits only), their remainder drifts, the compound-Poisson
 rate of a general-tempering decomposition and the stationary density
 from a driving density, one-sided and two-sided.
 
-The hashes assume numpy 2.4.6: they pin its Philox bit stream and the
+The hashes assume numpy 2.4.6, which every failure message names beside
+the running version: they pin its Philox bit stream and the
 ziggurat normal, exponential and gamma generators built on it.  Another
 numpy version may legitimately produce different bytes.
 """
@@ -265,4 +266,8 @@ CASES = {
 def test_golden_hash(name, tmp_path):
     produce, want = CASES[name]
     got = hashlib.sha256(produce(tmp_path)).hexdigest()
-    assert got == want, f"{name}: output bytes changed (sha256 {got})"
+    assert got == want, (
+        f"{name}: output bytes changed (sha256 {got}) on numpy {np.__version__}; "
+        "the hashes were recorded on numpy 2.4.6, and another numpy "
+        "version may legitimately draw other bytes"
+    )
