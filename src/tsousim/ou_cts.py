@@ -281,7 +281,8 @@ def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size
         w = g.random(m)
         accept = np.empty(m, dtype=bool)
         for lo in range(0, m, _CHUNK):
-            seg, u = segs[lo : lo + _CHUNK], w[lo : lo + _CHUNK]
+            # one cast per block: numpy gathers with intp indices only
+            seg, u = segs[lo : lo + _CHUNK].astype(np.intp), w[lo : lo + _CHUNK]
             y0, sl, q = fv[seg], slopes[seg], masses[seg]
             # solve y0*s + sl*s^2/2 = u*q for the offset s into the segment,
             # stable for flat chords (sl -> 0 gives u*q/y0); e is g_L(w)

@@ -217,7 +217,7 @@ class TestMemory:
       temporaries of its 65 536 CTS draws [2.38 with the gammas held
       whole, 2.84 with a separate prefix array and five path-length index
       arrays in ``segment_sums``, 3.33 before blocking];
-    * ``sample_w`` alone, 2**18 draws: 1.57 arrays [2.44 with the segment
+    * ``sample_w`` alone, 2**18 draws: 1.60 arrays [2.44 with the segment
       uniforms held whole, 5.00 before blocking];
     * ``estimate_cumulants`` on 10**6 values: 0.022, 0.019 and 0.020
       arrays in 100, 2 and 7 batches, its two-row buffer of
