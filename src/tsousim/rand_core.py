@@ -133,8 +133,9 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, n: int):
     """
     g = stream.gen
     boost = shape < 1.0
+    draw_shape = shape + 1.0 if boost else shape
     if np.ndim(rate) == 0:
-        x = g.standard_gamma(shape + 1.0 if boost else shape, size=n)
+        x = g.standard_gamma(draw_shape, size=n)
         if boost:
             for lo in range(0, n, _CHUNK):
                 xs = x[lo : lo + _CHUNK]
@@ -148,10 +149,10 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, n: int):
         gammas = stream.clone().gen
         buf = np.empty(_CHUNK)
         for lo in range(0, n, _CHUNK):
-            g.standard_gamma(shape + 1.0, out=buf[: min(_CHUNK, n - lo)])
+            g.standard_gamma(draw_shape, out=buf[: min(_CHUNK, n - lo)])
     for lo in range(0, n, _CHUNK):
         r = rate[lo : lo + _CHUNK]
-        x = gammas.standard_gamma(shape + 1.0 if boost else shape, size=r.size)
+        x = gammas.standard_gamma(draw_shape, size=r.size)
         if boost:
             u = g.random(r.size)
             u **= 1.0 / shape
