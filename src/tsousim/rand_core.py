@@ -43,10 +43,17 @@ TILTING_ACCEPTANCE_FLOOR = 0.1
 
 _MAX_REJECTION_ROUNDS = 10**6
 
+# Largest expected jump count lambda_a * size of one StepLaw.sample call:
+# 2^26 jumps are about 0.9 GiB at the jump stages' peak.  A call that
+# expects more is refused before it draws, not left to exhaust memory.
+_MAX_EXPECTED_JUMPS = 1 << 26
+
 # Elements per block of a stage that draws or computes one block at a
-# time (64 KiB of float64).  Philox spends one 64-bit word per double, so
-# k successive calls of ``random(n_i)`` return the doubles of one
-# ``random(sum n_i)`` call, and the block size never changes a draw.
+# time (64 KiB of float64), the gamma stage's gammas and uniforms among
+# them.  A draw call hands the next one nothing but the bit generator's
+# position, so k successive calls of ``random(n_i)`` or
+# ``standard_gamma(s, n_i)`` return the values of one call for
+# ``sum n_i``, and the block size never changes a draw.
 _CHUNK = 8192
 
 
@@ -120,45 +127,26 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, n: int):
     ``shape``.  This keeps the generator away from the density's infinite
     mode at zero.  The stream holds the n gammas, then the n uniforms.
 
-    A scalar rate gives a fresh array: the gammas are drawn whole and the
-    uniforms applied one block at a time, so one array and one block are
-    alive.  An array rate of length n is overwritten with the draws and
-    returned, and everything runs one block of ``_CHUNK`` at a time, so
-    only the rate and a few blocks are alive.  When the gammas span more
-    than one block at shape < 1, the stream first walks past them through
-    a one-block buffer, and a clone taken at the first gamma replays them
-    block by block beside the uniforms.  k successive draw calls return
-    the values of one call, so each block gets the gammas and uniforms of
-    the whole-array form, at the cost of drawing every gamma twice.
+    Two passes over one output, one block of ``_CHUNK`` at a time: the
+    first writes G / rate, the second (shape < 1 only) multiplies by
+    U**(1/shape).  An array rate of length n is that output, overwritten
+    and returned; a scalar rate fills a fresh one.  So each gamma is drawn
+    once, and only the output and one block are alive.
     """
     g = stream.gen
     boost = shape < 1.0
     draw_shape = shape + 1.0 if boost else shape
-    if np.ndim(rate) == 0:
-        x = g.standard_gamma(draw_shape, size=n)
-        if boost:
-            for lo in range(0, n, _CHUNK):
-                xs = x[lo : lo + _CHUNK]
-                u = g.random(xs.size)
-                u **= 1.0 / shape
-                xs *= u
-        x /= rate
-        return x
-    gammas = g
-    if boost and n > _CHUNK:
-        gammas = stream.clone().gen
-        buf = np.empty(_CHUNK)
-        for lo in range(0, n, _CHUNK):
-            g.standard_gamma(draw_shape, out=buf[: min(_CHUNK, n - lo)])
+    out = np.full(n, rate, dtype=float) if np.ndim(rate) == 0 else rate
     for lo in range(0, n, _CHUNK):
-        r = rate[lo : lo + _CHUNK]
-        x = gammas.standard_gamma(draw_shape, size=r.size)
-        if boost:
-            u = g.random(r.size)
+        x = out[lo : lo + _CHUNK]
+        np.divide(g.standard_gamma(draw_shape, size=x.size), x, out=x)
+    if boost:
+        for lo in range(0, n, _CHUNK):
+            x = out[lo : lo + _CHUNK]
+            u = g.random(x.size)
             u **= 1.0 / shape
             x *= u
-        np.divide(x, r, out=r)
-    return rate
+    return out
 
 
 def sample_poisson(mean: float, stream: RngStream, size: int = 1):
@@ -245,11 +233,18 @@ class StepLaw:
 
     def sample(self, x0, stream: RngStream, size: int = 1):
         """``size`` exact draws of X(dt) given X(0) = x0, shape (size,); an
-        array x0 holds one start per path."""
+        array x0 holds one start per path.  A call expecting more than
+        ``_MAX_EXPECTED_JUMPS`` jumps raises ValueError before any draw."""
         size = operator.index(size)
         x0 = _finite_start(x0)
         if x0.shape not in ((), (size,)):
             raise ValueError(f"x0 of shape {x0.shape} does not match size {size}")
+        if self.lambda_a * size > _MAX_EXPECTED_JUMPS:
+            raise ValueError(
+                f"jump rate lambda_a = {self.lambda_a:.4g} per path times size = {size} "
+                f"expects more than the cap of {_MAX_EXPECTED_JUMPS} jumps per call; "
+                "use fewer paths per call or a shorter step"
+            )
         x1 = 0.0 if self.x1_params is None else sample_cts(self.x1_params, stream, size)
         x2 = _compound_poisson(self.lambda_a, lambda m: self.draw_jumps(stream, m), stream, size)
         return self.a * x0 + x1 + x2

@@ -1,12 +1,19 @@
-"""Bit-for-bit pins of the two jump stages against whole-array references.
+"""Pins of the two jump stages against whole-array references.
 
-The shape < 1 gamma stage with an array rate (``rand_core._gamma_shape_rate``)
-and the chord-envelope W sampler (``ou_cts.sample_w``) hold as little of
-their input size as they can and draw in blocks of ``rand_core._CHUNK``.
-The references below hold every intermediate array whole.  Both must give
-the same doubles and leave the stream at the same place, for sizes on
-either side of a block boundary and for every segment-index width of
-the envelope.
+The gamma stage (``rand_core._gamma_shape_rate``) and the chord-envelope
+W sampler (``ou_cts.sample_w``) hold as little of their input size as
+they can and draw in blocks of ``rand_core._CHUNK``.  The references
+below hold every intermediate array whole.  For sizes on either side of
+a block boundary, and for every segment-index width of the envelope:
+
+- both stages give the same doubles as their reference, bit for bit,
+  and leave the stream at the same place;
+- the gamma stage divides each gamma by its rate before the shape < 1
+  boost multiplies it by U**(1/shape).  A second reference boosts first
+  and divides last, ``(G * U**(1/shape)) / rate``.  It draws the same
+  variates in the same stream order, so the stage leaves the stream where
+  it does, each jump lies within 4 ulp of it (two roundings on each
+  side), and at shape >= 1, with no boost, the two are bit for bit equal.
 """
 
 import numpy as np
@@ -22,17 +29,28 @@ A, ALPHA = float(np.exp(-3.0)), 0.9  # the coarse OU-CTS step, b dt = 3
 
 
 def gamma_reference(stream, shape, rate, n):
-    # shape-boosting G * U**(1/shape) / rate, the n gammas before the n uniforms
+    # shape-boosting G / rate * U**(1/shape), the n gammas before the n uniforms
+    g = stream.gen
+    boost = shape < 1.0
+    x = g.standard_gamma(shape + 1.0 if boost else shape, size=n)
+    x /= rate
+    if boost:
+        u = g.random(n)
+        u **= 1.0 / shape
+        x *= u
+    return x
+
+
+def gamma_reference_rate_last(stream, shape, rate, n):
+    # the same variates rounded as G * U**(1/shape) / rate
     g = stream.gen
     if shape >= 1.0:
         x = g.standard_gamma(shape, size=n)
     else:
         x = g.standard_gamma(shape + 1.0, size=n)
-        for lo in range(0, n, _CHUNK):
-            xs = x[lo : lo + _CHUNK]
-            u = g.random(xs.size)
-            u **= 1.0 / shape
-            xs *= u
+        u = g.random(n)
+        u **= 1.0 / shape
+        x *= u
     x /= rate
     return x
 
@@ -72,12 +90,19 @@ def _tail(stream):
 
 
 def assert_gamma_matches(shape, n, seed):
-    rates = _rates(n, seed)
-    s_lib, s_ref = RngStream(seed, 8), RngStream(seed, 8)
-    got = _gamma_shape_rate(s_lib, shape, rates.copy(), n)
-    want = gamma_reference(s_ref, shape, rates.copy(), n)
-    assert got.tobytes() == want.tobytes()
-    assert _tail(s_lib).tobytes() == _tail(s_ref).tobytes()
+    # the jump stages' array of rates, and sample_cts's scalar rate at alpha = 0
+    for rate in (_rates(n, seed), 1.4):
+        s_lib, s_ref, s_last = RngStream(seed, 8), RngStream(seed, 8), RngStream(seed, 8)
+        got = _gamma_shape_rate(s_lib, shape, np.copy(rate), n)
+        want = gamma_reference(s_ref, shape, np.copy(rate), n)
+        last = gamma_reference_rate_last(s_last, shape, np.copy(rate), n)
+        assert got.tobytes() == want.tobytes()
+        tail = _tail(s_lib).tobytes()
+        assert tail == _tail(s_ref).tobytes() == _tail(s_last).tobytes()
+        # nonnegative doubles order like their bit patterns: this is the ulp distance
+        assert np.abs(got.view(np.int64) - last.view(np.int64)).max() <= 4
+        if shape >= 1.0:
+            assert got.tobytes() == last.tobytes()
 
 
 def assert_w_matches(envelope, n, seed):

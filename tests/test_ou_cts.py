@@ -107,6 +107,15 @@ class TestStepLaw:
         assert "envelope" in vars(lazy)
         assert x.tobytes() == eager.sample(0.0, RngStream(41, 0), 64).tobytes()
 
+    def test_jump_count_beyond_the_cap_is_refused_before_any_draw(self):
+        # alpha 0.9, b dt = 30: lambda_a is about 6.8e11 jumps per path,
+        # terabytes of jump arrays for a single path
+        law = step_law_oucts(OuCtsProcess(CtsParams(0.9, BETA, C), B), 3.0)
+        stream = RngStream(42, 0)
+        with pytest.raises(ValueError, match=r"lambda_a = 6\.767e\+11 .*size = 1 .*67108864 jumps"):
+            law.sample(0.0, stream, 1)
+        assert stream.gen.random(16).tobytes() == RngStream(42, 0).gen.random(16).tobytes()
+
     def test_alpha0_limiting_law(self):
         law = step_law_oucts(OuCtsProcess(CtsParams(0.0, BETA, C), B), 0.1)
         assert law.envelope is None
