@@ -161,7 +161,7 @@ def _levy_core_quadrature(tmp_path):
 CASES = {
     "simulate-ctsou-alpha0.5-day": (
         _simulate("cts-ou", "0.5", DAY, 30, 8, 11),
-        "015be1323dd26660fd5662abc6cb8b4e6e06759933a475be9f207371d538daa2",
+        "23ba696b46776f3bbec9ff861c62ad6bf1905434ece21a4ea8f74e946b2dbc68",
     ),
     "simulate-ctsou-alpha0-day": (
         _simulate("cts-ou", "0", DAY, 30, 8, 12),
@@ -173,15 +173,15 @@ CASES = {
     ),
     "simulate-oucts-alpha0-day": (
         _simulate("ou-cts", "0", DAY, 30, 8, 14),
-        "41c170120790d010cd578a83cadb661a463c9fe7839d7d3cebf0acb38f04c6ec",
+        "94def41247856447e198ef15b9c86cadaf7054830a5c5b40eeed127fc5e947a9",
     ),
     "simulate-ctsou-alpha0.9-month": (
         _simulate("cts-ou", "0.9", MONTH, 12, 64, 15),
-        "453321735283b364dfe359c16574b4411770154ac2ca7f2708f99e33424de6ab",
+        "eaa61fcba39ae5bc19596c2e1be32adb869323fd192453e2c43328b1da6318d8",
     ),
     "simulate-oucts-alpha0.9-wide": (
         _simulate("ou-cts", "0.9", "0.3", 10, 64, 16),
-        "a4845cb87808597f85d629d4f38e201a5b62db1618849080de79b2dc177f34de",
+        "2acf4addb931d156d2690e1652902f5f1da6a1b5e16b6a83f22630938bec487c",
     ),
     "cumulants-x1-only": (
         _cumulants("x1-only", "0.5", 17),
@@ -193,7 +193,7 @@ CASES = {
     ),
     "skeleton-ctsou": (
         _skeleton("cts-ou", 1),
-        "f63c15657440f3bb49fbd6e116565852278121a8ff2c05119556aa535f45c92b",
+        "8aa670541594b569c3bde865dc98da7c6d4fd58384bd8d4e1c57d85d04a44a0c",
     ),
     "skeleton-oucts": (
         _skeleton("ou-cts", 4),
@@ -233,11 +233,11 @@ CASES = {
     ),
     "chunked-ctsou-step": (
         _chunked("ctsou-step", 40),
-        "ded8898d87c83b2d2c954ee4af3fe145d4f1753b3aa32125ce55fd9424b11467",
+        "0b1b1d55ccaa85b5e65d29832270b554f09544f89fd20616a8e683a37b16ddc1",
     ),
     "chunked-oucts-step": (
         _chunked("oucts-step", 41),
-        "b37e8d62be01b42c97b50d74ae7f7da78ffbee7b818af564885e6df067b34869",
+        "63c98ee992a8fdc6876a0444714df7335dc618f05803ab3220576f9893ccf978",
     ),
     "chunked-sample-w": (
         _chunked("w", 42),
@@ -245,7 +245,7 @@ CASES = {
     ),
     "chunked-oucts-alpha0-step": (
         _chunked("oucts-alpha0-step", 43),
-        "a935d5333e86eadc44516ff8cb6100663c605f728487f748547072a58b711b8c",
+        "6499396ae0dedf411d4869bdce123503e244ff3ac5d305c5f5cba801b69f393e",
     ),
     "estimate-cumulants": (
         _estimate_cumulants,
