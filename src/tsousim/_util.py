@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -137,25 +136,16 @@ def _one_minus_pow(a: float, alpha: float) -> float:
         return float(-np.expm1(alpha * np.log(a)))
 
 
-def simulate_skeleton(step, x0, grid, size):
-    """Skeleton X(t_1), ..., X(t_M) from X(0) = x0 on an increasing grid.
-
-    ``step(x, dt)`` draws the ``size`` states one step of length dt ahead.
-    Returns an array of shape (M, size): ``size`` paths drawn in lockstep.
-    """
-    size = operator.index(size)
+def grid_steps(grid) -> np.ndarray:
+    """Step lengths t_1, t_2 - t_1, ... of a skeleton from t = 0 over a
+    nonempty, strictly increasing grid of positive times."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array of times")
     steps = np.diff(np.concatenate(([0.0], grid)))
     if np.any(steps <= 0.0):
         raise ValueError("grid times must be strictly increasing and positive")
-    out = np.empty((grid.size, size))
-    x = x0
-    for i, dt in enumerate(steps):
-        x = step(x, float(dt))
-        out[i] = x
-    return out
+    return steps
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)

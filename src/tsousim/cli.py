@@ -99,10 +99,12 @@ def _build_config(args: argparse.Namespace, file_values: dict) -> ExperimentConf
     ]
     if missing:
         raise SystemExit(f"missing required parameters: {', '.join(missing)}")
+    cfg = ExperimentConfig(**merged)
     try:
-        return ExperimentConfig(**merged).validate(check_batches=args.command == "cumulants")
+        cfg.validate(check_batches=args.command == "cumulants")
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from exc
+    return cfg
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
+from ._util import _one_minus_pow, decay, gamma_mixture_moment, grid_steps
 from ._util import gamma as gamma_fn
 from .rand_core import CtsParams, RngStream, StepLaw, _check_cumulant_args, _gamma_shape_rate
+from .rand_core import path_states
 
 __all__ = [
     "CtsOuProcess",
@@ -127,17 +128,15 @@ def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size: int = 1):
 
 
 def sample_transition_ctsou(p: CtsOuProcess, x0, dt: float, stream: RngStream, size: int = 1):
-    """``size`` exact draws of X(dt) given X(0) = x0, shape (size,);
-    see :func:`step_law` for the law."""
+    """``size`` exact draws of X(dt) given X(0) = x0, shape (size,); see :func:`step_law`."""
     return step_law(p, dt).sample(x0, stream, size)
 
 
 def simulate_skeleton_ctsou(p: CtsOuProcess, x0, grid, stream: RngStream, size: int = 1):
     """Exact skeleton X(t_1), ..., X(t_M) from X(0) = x0 on an increasing grid,
-    shape (M, size): ``size`` paths drawn in lockstep from one stream."""
-    return simulate_skeleton(
-        lambda x, dt: sample_transition_ctsou(p, x, dt, stream, size), x0, grid, size
-    )
+    shape (M, size): ``size`` paths in lockstep, one step law per grid gap."""
+    runs = [(step_law(p, dt), 1) for dt in grid_steps(grid).tolist()]
+    return np.array(list(path_states(runs, x0, stream, size, size)))
 
 
 def cumulants_ctsou(p: CtsOuProcess, x0: float, dt: float, k: int) -> float:

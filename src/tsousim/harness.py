@@ -22,9 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cts_ou, levy_core, ou_cts
-from ._util import decay
 from ._util import gamma as gamma_fn
-from .rand_core import _CHUNK, CtsParams, RngStream, StepLaw, cts_cumulants
+from .rand_core import _CHUNK, CtsParams, RngStream, StepLaw, cts_cumulants, path_states
 
 __all__ = [
     "BLOCK_SIZE",
@@ -82,10 +81,12 @@ class ExperimentConfig:
     workers: int = 1
     out: Optional[str] = None
 
-    def validate(self, check_batches: bool = True) -> "ExperimentConfig":
-        """Parameter-domain checks; ``check_batches=False`` relaxes the
-        paths >= batches and steps >= 1 constraints, which only matter for
-        cumulant runs (at horizon 0 every cumulant is a constant)."""
+    def validate(self, check_batches: bool = True) -> StepLaw:
+        """Parameter-domain checks, returning the configuration's step law,
+        which must pass :meth:`StepLaw.check_size` for a run's largest call.
+        ``check_batches=False`` relaxes the paths >= batches and steps >= 1
+        constraints, which only matter for cumulant runs (at horizon 0 every
+        cumulant is a constant)."""
         if (self.process, self.method) not in STEP_LAWS:
             raise ValueError(
                 f"(process, method) must be one of {list(STEP_LAWS)}, "
@@ -109,24 +110,21 @@ class ExperimentConfig:
             raise ValueError(f"need paths >= batches, got {self.paths} < {self.batches}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        CtsParams(self.alpha, self.beta, self.c)  # parameter-domain check
         RngStream(self.seed)  # seed-range check
         if not (0.0 < self.b < math.inf):
             raise ValueError(f"b must be positive and finite, got {self.b}")
         if not (0.0 < self.T < math.inf):
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        if self.process == "ou-cts":
-            # the CTS part's rate beta/a is infinite once exp(-b dt) underflows
-            ou_cts._x1_params(self.process_object(), self.dt, decay(self.b, self.dt))
-        return self
-
-    def params(self) -> CtsParams:
-        return CtsParams(self.alpha, self.beta, self.c)
+        law = STEP_LAWS[(self.process, self.method)](self.process_object(), self)
+        n = min(self.paths, BLOCK_SIZE)  # the first block makes the largest calls
+        law.check_size(n * min(self.steps, max(1, BLOCK_SIZE // n)))
+        return law
 
     def process_object(self):
+        params = CtsParams(self.alpha, self.beta, self.c)
         if self.process == "cts-ou":
-            return cts_ou.CtsOuProcess(self.params(), self.b)
-        return ou_cts.OuCtsProcess(self.params(), self.b, self.T)
+            return cts_ou.CtsOuProcess(params, self.b)
+        return ou_cts.OuCtsProcess(params, self.b, self.T)
 
 
 @dataclass(frozen=True)
@@ -259,39 +257,38 @@ def _step_law(cfg: ExperimentConfig) -> StepLaw:
     return STEP_LAWS[(cfg.process, cfg.method)](cfg.process_object(), cfg)
 
 
-def _block_layout(paths: int):
-    return [(i, min(BLOCK_SIZE, paths - i * BLOCK_SIZE)) for i in range((paths + BLOCK_SIZE - 1) // BLOCK_SIZE)]
+def _run_blocks(cfg: ExperimentConfig, law: StepLaw, job: Callable) -> None:
+    """Run ``job(cols, states)`` for each block i of up to ``BLOCK_SIZE`` paths
+    ``cols``: ``states`` is :func:`rand_core.path_states` over cfg.steps steps
+    of ``law`` on stream i, ``BLOCK_SIZE`` draws per call.  Blocks run in parallel
+    when cfg.workers > 1; jobs write disjoint slices, and exceptions propagate."""
 
+    def run(i: int) -> None:
+        lo = i * BLOCK_SIZE
+        n = min(BLOCK_SIZE, cfg.paths - lo)
+        stream = RngStream(cfg.seed, i)
+        job(slice(lo, lo + n), path_states([(law, cfg.steps)], cfg.x0, stream, n, BLOCK_SIZE))
 
-def _run_blocks(cfg: ExperimentConfig, job: Callable, paths: int) -> None:
-    """Run ``job(block_index, block_size)`` over the block layout, in
-    parallel when cfg.workers > 1.  Jobs write their results into disjoint
-    slices of one output; a job's exception propagates."""
-    layout = _block_layout(paths)
-    if cfg.workers == 1 or len(layout) == 1:
-        for i, n in layout:
-            job(i, n)
+    blocks = range(-(-cfg.paths // BLOCK_SIZE))
+    if cfg.workers == 1 or len(blocks) == 1:
+        for i in blocks:
+            run(i)
         return
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        for f in [pool.submit(job, i, n) for i, n in layout]:
+        for f in [pool.submit(run, i) for i in blocks]:
             f.result()
 
 
 def simulate_terminal(cfg: ExperimentConfig) -> np.ndarray:
-    """Terminal values X(steps * dt) of cfg.paths independent paths."""
-    cfg.validate()
-    step = _step_law(cfg).sample
+    """X(steps * dt) of cfg.paths paths: :func:`export_trajectories`' last row, same draws."""
     out = np.empty(cfg.paths)
 
-    def job(block_index: int, n: int) -> None:
-        stream = RngStream(cfg.seed, block_index)
-        x = np.full(n, float(cfg.x0))
-        for _ in range(cfg.steps):
-            x = step(x, stream, n)
-        lo = block_index * BLOCK_SIZE
-        out[lo : lo + n] = x
+    def job(cols: slice, states) -> None:
+        for x in states:
+            pass
+        out[cols] = x
 
-    _run_blocks(cfg, job, cfg.paths)
+    _run_blocks(cfg, cfg.validate(), job)
     return out
 
 
@@ -349,38 +346,29 @@ def run_experiment(cfg: ExperimentConfig) -> ErrTable:
 def export_trajectories(cfg: ExperimentConfig) -> str:
     """Write ``cfg.paths`` skeleton paths on the uniform grid dt, 2dt, ..., steps*dt.
 
-    The increment Z of X(t+dt) = a X(t) + Z does not depend on the state,
-    so each block draws the increments of a chunk of up to
-    ``BLOCK_SIZE // n`` steps in one call of the step law and then runs
-    the recursion.  Chunks depend only on the block size, so the output is
-    the same for every worker count.
+    Z in X(t+dt) = a X(t) + Z does not depend on the state, so a block of n
+    paths draws the Z of up to ``BLOCK_SIZE // n`` steps per call (see
+    :func:`rand_core.path_states`); the CSV is the same for every worker count.
 
     CSV layout: header ``time,path_0,...,path_{paths-1}``, one row per grid
     time including t = 0.  Returns the output path.
     """
     if not cfg.out:
         raise ValueError("config must set an output file for trajectories")
-    cfg.validate(check_batches=False)
+    law = cfg.validate(check_batches=False)
     _check_writable(cfg.out, "trajectories")
-    law = _step_law(cfg)
 
-    # one table, time column first; each block job fills its own columns
+    # one table, time column first; each block job fills its own path columns
     table = np.empty((cfg.steps + 1, cfg.paths + 1))
     table[:, 0] = cfg.dt * np.arange(cfg.steps + 1)
+    table[0, 1:] = cfg.x0
+    paths = table[:, 1:]
 
-    def job(block_index: int, n: int) -> None:
-        stream = RngStream(cfg.seed, block_index)
-        lo = 1 + block_index * BLOCK_SIZE
-        rows = table[:, lo : lo + n]
-        rows[0] = cfg.x0
-        chunk = max(1, BLOCK_SIZE // n)
-        for start in range(0, cfg.steps, chunk):
-            m = min(chunk, cfg.steps - start)
-            z = law.sample(0.0, stream, m * n).reshape(m, n)
-            for i in range(start, start + m):
-                rows[i + 1] = law.a * rows[i] + z[i - start]
+    def job(cols: slice, states) -> None:
+        for i, x in enumerate(states, 1):
+            paths[i, cols] = x
 
-    _run_blocks(cfg, job, cfg.paths)
+    _run_blocks(cfg, law, job)
     n = cfg.paths + 1
     try:
         with open(cfg.out, "w") as fh:

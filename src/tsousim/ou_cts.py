@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import _one_minus_pow, decay, gamma_mixture_moment, simulate_skeleton
+from ._util import _one_minus_pow, decay, gamma_mixture_moment, grid_steps
 from ._util import gamma as gamma_fn
 from .rand_core import (
     _CHUNK,
@@ -44,6 +44,7 @@ from .rand_core import (
     _check_cumulant_args,
     _gamma_shape_rate,
     _rejection_loop,
+    path_states,
 )
 
 __all__ = [
@@ -321,16 +322,14 @@ def sample_v_alpha0(a: float, stream: RngStream, size: int = 1):
 
 
 def sample_transition_oucts(p: OuCtsProcess, x0, dt: float, stream: RngStream, size: int = 1):
-    """``size`` exact draws of X(dt) given X(0) = x0, shape (size,); see
-    :func:`step_law_oucts` for the law and its alpha = 0 limit."""
+    """``size`` exact draws of X(dt) given X(0) = x0, shape (size,); see :func:`step_law_oucts`."""
     return step_law_oucts(p, dt).sample(x0, stream, size)
 
 
 def simulate_skeleton_oucts(p: OuCtsProcess, x0, grid, stream: RngStream, size: int = 1):
-    """Exact skeleton on an increasing grid, one step law per step, shape (M, size)."""
-    return simulate_skeleton(
-        lambda x, dt: sample_transition_oucts(p, x, dt, stream, size), x0, grid, size
-    )
+    """Exact skeleton on an increasing grid, one step law per gap, shape (M, size)."""
+    runs = [(step_law_oucts(p, dt), 1) for dt in grid_steps(grid).tolist()]
+    return np.array(list(path_states(runs, x0, stream, size, size)))
 
 
 def cumulants_oucts(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:

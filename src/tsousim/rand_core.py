@@ -35,6 +35,7 @@ __all__ = [
     "cts_tilting_acceptance",
     "cts_cumulants",
     "StepLaw",
+    "path_states",
 ]
 
 # Tilting is used while its analytic acceptance probability stays above
@@ -43,7 +44,7 @@ TILTING_ACCEPTANCE_FLOOR = 0.1
 
 _MAX_REJECTION_ROUNDS = 10**6
 
-# Largest expected jump count lambda_a * size of one StepLaw.sample call:
+# Largest expected jump count lambda_a * size of one StepLaw.increments call:
 # 2^26 jumps are about 0.9 GiB at the jump stages' peak.  A call that
 # expects more is refused before it draws, not left to exhaust memory.
 _MAX_EXPECTED_JUMPS = 1 << 26
@@ -157,20 +158,6 @@ def sample_poisson(mean: float, stream: RngStream, size: int = 1):
     return stream.gen.poisson(mean, size=size)
 
 
-def _compound_poisson(rate: float, draw_jumps, stream: RngStream, n: int) -> np.ndarray:
-    """Compound-Poisson sums for n independent transitions.
-
-    Counts are drawn first, then ``draw_jumps(total)`` draws every jump at
-    once, so the stream consumption is a deterministic function of the
-    counts.  The jump array is summed in place.
-    """
-    counts = sample_poisson(rate, stream, size=n)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(n)
-    return segment_sums(draw_jumps(total), counts)
-
-
 def _finite_start(x0) -> np.ndarray:
     """``x0`` as a float array; a NaN or infinite start is a ValueError."""
     x0 = np.asarray(x0, dtype=float)
@@ -192,12 +179,12 @@ def _check_cumulant_args(k: int, x0=0.0, dt: float = 0.0) -> None:
 class StepLaw:
     """Transition law over one OU step, a = exp(-b*dt):
 
-        X(dt) = a*x0 + CTS(x1_params) + Poisson(lambda_a) jumps from draw_jumps,
+        X(dt) = a*x0 + Z,  Z = CTS(x1_params) + Poisson(lambda_a) jumps from draw_jumps,
 
     with no CTS part when ``x1_params`` is None and no jumps when ``lambda_a``
     is 0; the process families differ only in :meth:`draw_jumps` and its
-    :meth:`jump_moment`.  Build one per step length and call :meth:`sample`
-    for every step of that length; :meth:`cumulant` is the law's own oracle.
+    :meth:`jump_moment`.  Build one per step length; :meth:`increments` draws
+    Z, :func:`path_states` runs the steps and :meth:`cumulant` is the oracle.
     """
 
     a: float
@@ -231,23 +218,52 @@ class StepLaw:
             val += self.a * x0
         return float(val)
 
-    def sample(self, x0, stream: RngStream, size: int = 1):
-        """``size`` exact draws of X(dt) given X(0) = x0, shape (size,); an
-        array x0 holds one start per path.  A call expecting more than
-        ``_MAX_EXPECTED_JUMPS`` jumps raises ValueError before any draw."""
-        size = operator.index(size)
-        x0 = _finite_start(x0)
-        if x0.shape not in ((), (size,)):
-            raise ValueError(f"x0 of shape {x0.shape} does not match size {size}")
+    def check_size(self, size: int) -> None:
+        """Raise the ValueError of ``increments(stream, size)``, drawing nothing:
+        more than ``_MAX_EXPECTED_JUMPS`` jumps expected, or a CTS scale overflow."""
         if self.lambda_a * size > _MAX_EXPECTED_JUMPS:
             raise ValueError(
                 f"jump rate lambda_a = {self.lambda_a:.4g} per path times size = {size} "
                 f"expects more than the cap of {_MAX_EXPECTED_JUMPS} jumps per call; "
                 "use fewer paths per call or a shorter step"
             )
-        x1 = 0.0 if self.x1_params is None else sample_cts(self.x1_params, stream, size)
-        x2 = _compound_poisson(self.lambda_a, lambda m: self.draw_jumps(stream, m), stream, size)
-        return self.a * x0 + x1 + x2
+        if self.x1_params is not None and self.x1_params.alpha > 0.0:
+            _cts_scale(self.x1_params)
+
+    def increments(self, stream: RngStream, size: int) -> np.ndarray:
+        """``size`` independent increments Z, shape (size,).  The stream holds
+        the CTS part, the Poisson counts, then ``draw_jumps(total)``: every
+        jump at once, summed per path in place."""
+        size = operator.index(size)
+        self.check_size(size)
+        z = np.zeros(size) if self.x1_params is None else sample_cts(self.x1_params, stream, size)
+        counts = sample_poisson(self.lambda_a, stream, size)
+        if total := int(counts.sum()):
+            z += segment_sums(self.draw_jumps(stream, total), counts)
+        return z
+
+    def sample(self, x0, stream: RngStream, size: int = 1):
+        """``size`` exact draws of X(dt) given X(0) = x0 (a float or one start
+        per path), shape (size,): the one-step case of :func:`path_states`."""
+        return next(path_states(((self, 1),), x0, stream, size, size))
+
+
+def path_states(runs, x0, stream: RngStream, size: int, max_draws: int):
+    """Yield fresh (size,) arrays X(t_1), X(t_2), ... from X(0) = x0 (finite,
+    shape () or (size,), checked before any draw) by X' = law.a*X + Z, for
+    ``runs`` of ``(law, steps)`` pairs in turn.  Each :meth:`StepLaw.increments`
+    call draws Z for ``max(1, max_draws // size)`` steps of a run."""
+    size = operator.index(size)
+    x = _finite_start(x0)
+    if x.shape not in ((), (size,)):
+        raise ValueError(f"x0 of shape {x.shape} does not match size {size}")
+    per_call = max(1, max_draws // max(size, 1))
+    for law, steps in runs:
+        for start in range(0, steps, per_call):
+            m = min(per_call, steps - start)
+            for z in law.increments(stream, m * size).reshape(m, size):
+                x = law.a * x + z
+                yield x
 
 
 def _rejection_loop(propose, n: int, what: str):
@@ -356,16 +372,7 @@ def sample_cts(params: CtsParams, stream: RngStream, size: int = 1, method: str 
     if a == 0.0:
         return _gamma_shape_rate(stream, c, b, size)
 
-    # CTS(alpha, beta, c) = sigma * (standard stable tilted by lam), with
-    # sigma**alpha = c * Gamma(1-alpha) / alpha and lam = beta * sigma.
-    with np.errstate(over="ignore"):
-        sigma = (c * gamma_fn(1.0 - a) / a) ** (1.0 / a)
-    if math.isinf(sigma):
-        # both routes would reject every proposal until the round cap
-        raise ValueError(
-            f"CTS scale (c*Gamma(1-alpha)/alpha)^(1/alpha) overflows for alpha = {a!r}, "
-            f"c = {c!r}; alpha is too small for this c"
-        )
+    sigma = _cts_scale(params)
     lam = b * sigma
     if method == "auto":
         accept = cts_tilting_acceptance(params)
@@ -374,6 +381,20 @@ def sample_cts(params: CtsParams, stream: RngStream, size: int = 1, method: str 
     if method == "tilting":
         return _cts_tilting(a, b, sigma, stream, size)
     return sigma * _tilted_stable_double_rejection(a, lam, stream, size)
+
+
+def _cts_scale(params: CtsParams) -> float:
+    """sigma in CTS(alpha, beta, c) = sigma * (stable tilted by beta*sigma); inf raises."""
+    a, c = params.alpha, params.c
+    with np.errstate(over="ignore"):
+        sigma = (c * gamma_fn(1.0 - a) / a) ** (1.0 / a)
+    if math.isinf(sigma):
+        # both routes would reject every proposal until the round cap
+        raise ValueError(
+            f"CTS scale (c*Gamma(1-alpha)/alpha)^(1/alpha) overflows for alpha = {a!r}, "
+            f"c = {c!r}; alpha is too small for this c"
+        )
+    return sigma
 
 
 def _cts_tilting(alpha: float, beta: float, sigma: float, stream: RngStream, n: int):

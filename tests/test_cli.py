@@ -218,3 +218,24 @@ def test_simulate_without_steps_writes_the_start(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["simulate", *BASE, "--steps", "0", "--paths", "2", "--x0", "0.7", "--out", str(out)]) == 0
     assert out.read_text().splitlines() == ["time,path_0,path_1", "0.0,0.7,0.7"]
+
+
+REFUSED_LAWS = {
+    # alpha 0.9, b dt = 10: about 1.03e4 jumps per path, so a 65536-path
+    # block expects 6.7e8 jumps in one call, ten times the cap
+    "jump-cap": (["--alpha", "0.9", "--c", "0.8", "--dt", "1.0", "--paths", "100000"], "jump rate"),
+    # the CTS part's scale (c Gamma(1-alpha)/alpha)^(1/alpha) is about 10^1000
+    "cts-scale": (["--alpha", "0.001", "--c", "1", "--dt", "0.01", "--paths", "1000"], "CTS scale"),
+}
+
+
+@pytest.mark.parametrize("command", ["cumulants", "simulate"])
+@pytest.mark.parametrize("case", list(REFUSED_LAWS))
+def test_undrawable_step_law_is_a_configuration_error(command, case, tmp_path):
+    # both used to end in a traceback from the first draw
+    extra, what = REFUSED_LAWS[case]
+    out = tmp_path / "out.csv"
+    argv = [command, "--process", "ou-cts", "--beta", "1.4", "--b", "10", "--seed", "1", *extra]
+    with pytest.raises(SystemExit, match=f"invalid configuration: {what}"):
+        main([*argv, "--out", str(out)])
+    assert not out.exists()

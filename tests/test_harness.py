@@ -233,6 +233,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="x0 must be finite"):
             law.sample(x0, RngStream(510), size)
 
+    def test_largest_chunked_call_is_checked(self):
+        # OU-CTS alpha 0.9, b dt = 10: about 1.03e4 jumps per path.  One step
+        # of 100 paths expects 1.03e6 jumps, but 1000 steps are drawn 655 per
+        # call, 6.7e8 jumps, ten times the cap; validate refuses before any draw
+        cfg = make_cfg(process="ou-cts", alpha=0.9, dt=1.0, paths=100, steps=1)
+        assert cfg.validate(check_batches=False).lambda_a == pytest.approx(1.03e4, rel=1e-2)
+        cfg.steps = 1000
+        with pytest.raises(ValueError, match=r"size = 65500 expects more than the cap"):
+            cfg.validate(check_batches=False)
+
     def test_approx_target_differs_from_truth(self):
         cfg = make_cfg(process="ou-cts", method="scaled-bdlp", dt=30.0 / 365.0)
         assert harness.target_cumulant(cfg, 2) < harness.true_cumulant(cfg, 2)
@@ -384,6 +394,23 @@ class TestTrajectories:
         )
         export_trajectories(cfg)
         assert len(built) == 1, built
+
+
+@pytest.mark.parametrize("process", ["cts-ou", "ou-cts"])
+def test_terminal_values_are_the_last_exported_row(process, tmp_path, monkeypatch):
+    """simulate_terminal and export_trajectories run one driver: at x0 != 0,
+    over 5 steps, with 64-path blocks and a short last block of 22 paths
+    that draws 2 steps per call, the terminal values equal the CSV's last
+    row bit for bit (float repr round-trips)."""
+    monkeypatch.setattr(harness, "BLOCK_SIZE", 64)
+    cfg = make_cfg(
+        process=process, dt=30.0 / 365.0, steps=5, x0=0.7, paths=150, seed=20261020,
+        out=str(tmp_path / "t.csv"),
+    )
+    export_trajectories(cfg)
+    last = (tmp_path / "t.csv").read_text().splitlines()[-1].split(",")
+    exported_row = np.array([float(v) for v in last[1:]])
+    assert simulate_terminal(cfg).tobytes() == exported_row.tobytes()
 
 
 def exported(cfg: ExperimentConfig) -> np.ndarray:

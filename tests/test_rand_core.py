@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.special import erfc, gamma as gamma_fn
 
 from _helpers import z_score
-from tsousim import cts_ou, rand_core
+from tsousim import cts_ou, ou_cts, rand_core
 from tsousim._util import segment_sums
 from tsousim.rand_core import (
     CtsParams,
@@ -412,3 +412,64 @@ class TestReproducibility:
         for x, m1, m2 in cases:
             assert abs(z_score(x, m1, 1)) < 4.0
             assert abs(z_score(x, m2, 2)) < 4.0
+
+
+_CTSOU = cts_ou.CtsOuProcess(CtsParams(0.5, 1.4, 0.8), 10.0)
+_OUCTS = ou_cts.OuCtsProcess(CtsParams(0.9, 1.4, 0.8), 10.0)
+STEP_LAWS = {
+    "ctsou-alpha0.5": cts_ou.step_law(_CTSOU, 30.0 / 365.0),
+    "ctsou-alpha0": cts_ou.step_law(cts_ou.CtsOuProcess(CtsParams(0.0, 1.4, 0.8), 10.0), 0.1),
+    "oucts-alpha0.9": ou_cts.step_law_oucts(_OUCTS, 0.3),
+    "x1-only": ou_cts.x1_only_law(_OUCTS, 0.3),
+}
+
+
+class TestPathDriver:
+    @pytest.mark.parametrize("name", list(STEP_LAWS))
+    @pytest.mark.parametrize("x0", [0.0, 0.7, np.linspace(0.1, 2.0, 64)], ids=["0", "0.7", "array"])
+    def test_sample_is_the_decayed_start_plus_one_increment(self, name, x0):
+        # the same variates in the same rounding: a*x0 + (CTS part + jumps)
+        law = STEP_LAWS[name]
+        base = RngStream(11, 4)
+        base.gen.random(5)
+        got = law.sample(x0, base.clone(), 64)
+        want = law.a * np.asarray(x0) + law.increments(base.clone(), 64)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "skeleton, process",
+        [(cts_ou.simulate_skeleton_ctsou, _CTSOU), (ou_cts.simulate_skeleton_oucts, _OUCTS)],
+        ids=["cts-ou", "ou-cts"],
+    )
+    @pytest.mark.parametrize(
+        "x0, match",
+        [(np.nan, "x0 must be finite"), (np.array([0.0, np.inf, 1.0]), "x0 must be finite"),
+         (np.zeros(2), "does not match size")],
+        ids=["nan", "inf-in-array", "wrong-shape"],
+    )
+    def test_skeleton_refuses_a_bad_start_before_any_draw(self, skeleton, process, x0, match):
+        stream = RngStream(11, 5)
+        with pytest.raises(ValueError, match=match):
+            skeleton(process, x0, [0.1, 0.3], stream, 3)
+        assert stream.gen.random(8).tobytes() == RngStream(11, 5).gen.random(8).tobytes()
+
+    def test_runs_are_drawn_in_calls_of_at_most_max_draws(self):
+        # 7 steps of 10 paths with max_draws 30: calls of 3, 3 and 1 steps,
+        # then 2 steps of a second law in one call
+        calls = []
+        law, other = STEP_LAWS["ctsou-alpha0.5"], STEP_LAWS["x1-only"]
+
+        class Spy:
+            def __init__(self, inner):
+                self.a = inner.a
+                self.inner = inner
+
+            def increments(self, stream, size):
+                calls.append(size)
+                return self.inner.increments(stream, size)
+
+        states = list(
+            rand_core.path_states([(Spy(law), 7), (Spy(other), 2)], 0.5, RngStream(11, 6), 10, 30)
+        )
+        assert calls == [30, 30, 10, 20]
+        assert len(states) == 9 and all(x.shape == (10,) for x in states)
