@@ -185,15 +185,15 @@ CASES = {
     ),
     "cumulants-x1-only": (
         _cumulants("x1-only", "0.5", 17),
-        "3637c0bc0c2d6a07cb1e2777a3242b6fcaf2df8a7bfa3c7a4c6dd2936528247d",
+        "0fe877540d397c0fd3f0946c7390cb53d1cc0d17cc1b4e95fd2da00f712154a1",
     ),
     "cumulants-scaled-bdlp": (
         _cumulants("scaled-bdlp", "0.5", 18),
-        "dbc2a0c8225be62020ed87892e37fbe4c5908015b41438086dc57c3e27977ee3",
+        "05222b3e43d9d50221f35521077b5a7bcd0d23640e468c110580773dc7f862e6",
     ),
     "skeleton-ctsou": (
         _skeleton("cts-ou", 1),
-        "8aa670541594b569c3bde865dc98da7c6d4fd58384bd8d4e1c57d85d04a44a0c",
+        "45051141597b7cb4ee5d6ae3f19160fd56f80e6f5b0e9bea9c099655a13e9b94",
     ),
     "skeleton-oucts": (
         _skeleton("ou-cts", 4),
@@ -233,11 +233,11 @@ CASES = {
     ),
     "chunked-ctsou-step": (
         _chunked("ctsou-step", 40),
-        "0b1b1d55ccaa85b5e65d29832270b554f09544f89fd20616a8e683a37b16ddc1",
+        "24a7acf0f34d4db9e2a0e5c7123191f4a9a94d4276e054700dc98eed333c48c1",
     ),
     "chunked-oucts-step": (
         _chunked("oucts-step", 41),
-        "63c98ee992a8fdc6876a0444714df7335dc618f05803ab3220576f9893ccf978",
+        "db26c75bf7e455a022b939101e2de22e49bc3277ac7e184646fcc63827d6d21b",
     ),
     "chunked-sample-w": (
         _chunked("w", 42),
@@ -245,7 +245,7 @@ CASES = {
     ),
     "chunked-oucts-alpha0-step": (
         _chunked("oucts-alpha0-step", 43),
-        "6499396ae0dedf411d4869bdce123503e244ff3ac5d305c5f5cba801b69f393e",
+        "62e15c3b685af75f2e422979039f3a834629865463172039b722756cc6b55ef8",
     ),
     "estimate-cumulants": (
         _estimate_cumulants,
