@@ -26,6 +26,7 @@ from .harness import (
     PROCESS_KINDS,
     ExperimentConfig,
     _check_writable,
+    _writing,
     export_trajectories,
     run_experiment,
     validate_suite,
@@ -59,7 +60,10 @@ def load_config_file(path: str) -> dict:
                 key = key.replace("-", "_")
                 if key not in _FIELDS:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _TYPES[key](value)
+                try:
+                    values[key] = _TYPES[key](value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     except OSError as exc:
         raise OSError(f"cannot read config file {path!r}: {exc}") from exc
     return values
@@ -88,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args: argparse.Namespace, file_values: dict) -> ExperimentConfig:
     """Config from the file values, overridden by flags; unset fields keep
-    their ExperimentConfig defaults."""
+    their ExperimentConfig defaults.  The run validates it."""
     merged = dict(file_values)
     for key in _FIELDS:
         cli_val = getattr(args, key, None)
@@ -99,58 +103,44 @@ def _build_config(args: argparse.Namespace, file_values: dict) -> ExperimentConf
     ]
     if missing:
         raise SystemExit(f"missing required parameters: {', '.join(missing)}")
-    cfg = ExperimentConfig(**merged)
-    try:
-        cfg.validate(check_batches=args.command == "cumulants")
-    except ValueError as exc:
-        raise SystemExit(f"invalid configuration: {exc}") from exc
-    return cfg
+    return ExperimentConfig(**merged)
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one command; an OSError (its message names the file) or a
+    ValueError (an invalid configuration or a refused run) exits with a
+    one-line message."""
     args = build_parser().parse_args(argv)
-    file_values: dict = {}
-    config_path = os.environ.get(_CONFIG_ENV)
-    if config_path and args.command in ("simulate", "cumulants"):
-        try:
-            file_values = load_config_file(config_path)
-        except ValueError as exc:
-            raise SystemExit(f"invalid configuration: {exc}") from exc
-        except OSError as exc:  # its message names the file
-            raise SystemExit(str(exc)) from exc
+    try:
+        return _run(args)
+    except OSError as exc:
+        raise SystemExit(str(exc)) from exc
+    except ValueError as exc:
+        raise SystemExit(f"invalid configuration: {exc}") from exc
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "validate":
         if args.out:
-            try:
-                _check_writable(args.out, "report")
-            except OSError as exc:  # its message names the file
-                raise SystemExit(str(exc)) from exc
+            _check_writable(args.out, "report")
         report = validate_suite()
         text = report.to_text()
         sys.stdout.write(text)  # before the file, which may still fail
         if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise SystemExit(f"cannot write report to {args.out!r}: {exc}") from exc
+            with _writing(args.out, "report") as fh:
+                fh.write(text)
         return 0 if report.passed else 1
 
-    cfg = _build_config(args, file_values)
+    config_path = os.environ.get(_CONFIG_ENV)
+    cfg = _build_config(args, load_config_file(config_path) if config_path else {})
     if args.command == "simulate":
         if not cfg.out:
             raise SystemExit("simulate requires --out FILE")
-        try:
-            path = export_trajectories(cfg)
-        except OSError as exc:  # its message names the file
-            raise SystemExit(str(exc)) from exc
+        path = export_trajectories(cfg)
         print(f"wrote {cfg.paths} trajectories ({cfg.steps} steps) to {path}")
         return 0
 
-    try:
-        table = run_experiment(cfg)
-    except OSError as exc:  # its message names the file
-        raise SystemExit(str(exc)) from exc
+    table = run_experiment(cfg)
     for row in table.rows:
         print(
             f"k{row.k_order}: true={row.true:.6e} est={row.estimated:.6e} "

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -61,6 +62,17 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+@contextmanager
+def _writing(path: str, what: str, mode: str = "w"):
+    """``open(path, mode)``, turning an ``OSError`` from opening, writing or
+    closing into one that names ``what`` and ``path``."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path!r}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: process parameters, horizon, sampling effort, seed."""
@@ -81,12 +93,11 @@ class ExperimentConfig:
     workers: int = 1
     out: Optional[str] = None
 
-    def validate(self, check_batches: bool = True) -> StepLaw:
-        """Parameter-domain checks, returning the configuration's step law,
-        which must pass :meth:`StepLaw.check_size` for a run's largest call.
-        ``check_batches=False`` relaxes the paths >= batches and steps >= 1
-        constraints, which only matter for cumulant runs (at horizon 0 every
-        cumulant is a constant)."""
+    def validate(self) -> StepLaw:
+        """Check the configuration and build its step law, which must pass
+        :meth:`StepLaw.check_size` for a run's largest call; a run calls this
+        once and steps every path with the law it returns.  Raises
+        ValueError for any invalid field."""
         if (self.process, self.method) not in STEP_LAWS:
             raise ValueError(
                 f"(process, method) must be one of {list(STEP_LAWS)}, "
@@ -100,14 +111,10 @@ class ExperimentConfig:
             _require_integer(name, getattr(self, name))
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
-        if check_batches and self.steps < 1:
-            raise ValueError(f"a cumulant run needs steps >= 1, got {self.steps}")
         if self.batches < 2:
             raise ValueError(f"need at least 2 batches, got {self.batches}")
         if self.paths < 1:
             raise ValueError(f"need at least one path, got {self.paths}")
-        if check_batches and self.paths < self.batches:
-            raise ValueError(f"need paths >= batches, got {self.paths} < {self.batches}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         RngStream(self.seed)  # seed-range check
@@ -171,16 +178,13 @@ class ErrTable:
         return self.rows[k - 1]
 
     def to_csv(self, path: str) -> None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(_CSV_HEADER + "\n")
-                for r in self.rows:
-                    fh.write(
-                        f"{r.alpha!r},{r.dt!r},{r.method},{r.k_order},"
-                        f"{r.true!r},{r.estimated!r},{r.err_pct!r},{r.se!r}\n"
-                    )
-        except OSError as exc:
-            raise OSError(f"cannot write err table to {path!r}: {exc}") from exc
+        with _writing(path, "err table") as fh:
+            fh.write(_CSV_HEADER + "\n")
+            for r in self.rows:
+                fh.write(
+                    f"{r.alpha!r},{r.dt!r},{r.method},{r.k_order},"
+                    f"{r.true!r},{r.estimated!r},{r.err_pct!r},{r.se!r}\n"
+                )
 
 
 def _power_sums(x: np.ndarray, centre: float, buf: np.ndarray):
@@ -246,15 +250,8 @@ def _check_writable(path: str, what: str) -> None:
     writing; called before a run, so a bad path fails before any drawing.
     Append mode creates a missing file and leaves an existing one as it is
     until the final write."""
-    try:
-        open(path, "a").close()
-    except OSError as exc:
-        raise OSError(f"cannot write {what} to {path!r}: {exc}") from exc
-
-
-def _step_law(cfg: ExperimentConfig) -> StepLaw:
-    """The configuration's step law over one dt, built once per experiment."""
-    return STEP_LAWS[(cfg.process, cfg.method)](cfg.process_object(), cfg)
+    with _writing(path, what, "a"):
+        pass
 
 
 def _run_blocks(cfg: ExperimentConfig, law: StepLaw, job: Callable) -> None:
@@ -279,8 +276,9 @@ def _run_blocks(cfg: ExperimentConfig, law: StepLaw, job: Callable) -> None:
             f.result()
 
 
-def simulate_terminal(cfg: ExperimentConfig) -> np.ndarray:
-    """X(steps * dt) of cfg.paths paths: :func:`export_trajectories`' last row, same draws."""
+def simulate_terminal(cfg: ExperimentConfig, law: StepLaw) -> np.ndarray:
+    """X(steps * dt) of cfg.paths paths stepped by ``law``, the step law
+    ``cfg.validate()`` returned: :func:`export_trajectories`' last row, same draws."""
     out = np.empty(cfg.paths)
 
     def job(cols: slice, states) -> None:
@@ -288,7 +286,7 @@ def simulate_terminal(cfg: ExperimentConfig) -> np.ndarray:
             pass
         out[cols] = x
 
-    _run_blocks(cfg, cfg.validate(), job)
+    _run_blocks(cfg, law, job)
     return out
 
 
@@ -309,7 +307,7 @@ def target_cumulant(cfg: ExperimentConfig, k: int) -> float:
     """
     if cfg.method == "exact":
         return true_cumulant(cfg, k)
-    law = _step_law(cfg)
+    law = cfg.validate()
     a, m = law.a, cfg.steps
     geom = (1.0 - a ** (k * m)) / (1.0 - a**k)
     val = law.cumulant(k) * geom
@@ -323,11 +321,18 @@ def run_experiment(cfg: ExperimentConfig) -> ErrTable:
 
     True values are recomputed from closed forms at output time; they are
     never cached from simulation.  Writes CSV when cfg.out is set.
+    Besides :meth:`ExperimentConfig.validate`, a cumulant run needs
+    steps >= 1 (at horizon 0 every cumulant is a constant) and
+    paths >= batches.
     """
-    cfg.validate()
+    law = cfg.validate()
+    if cfg.steps < 1:
+        raise ValueError(f"a cumulant run needs steps >= 1, got {cfg.steps}")
+    if cfg.paths < cfg.batches:
+        raise ValueError(f"need paths >= batches, got {cfg.paths} < {cfg.batches}")
     if cfg.out:
         _check_writable(cfg.out, "err table")
-    samples = simulate_terminal(cfg)
+    samples = simulate_terminal(cfg, law)
     cv = estimate_cumulants(samples, cfg.batches)
     rows = []
     for k in (1, 2, 3, 4):
@@ -355,7 +360,7 @@ def export_trajectories(cfg: ExperimentConfig) -> str:
     """
     if not cfg.out:
         raise ValueError("config must set an output file for trajectories")
-    law = cfg.validate(check_batches=False)
+    law = cfg.validate()
     _check_writable(cfg.out, "trajectories")
 
     # one table, time column first; each block job fills its own path columns
@@ -370,21 +375,18 @@ def export_trajectories(cfg: ExperimentConfig) -> str:
 
     _run_blocks(cfg, law, job)
     n = cfg.paths + 1
-    try:
-        with open(cfg.out, "w") as fh:
-            # the header (i = -1) and each row go out in slices of _CHUNK fields,
-            # so a line's text never exists whole; float repr is a value's text
-            for i in range(-1, cfg.steps + 1):
-                for lo in range(0, n, _CHUNK):
-                    hi = min(lo + _CHUNK, n)
-                    if i < 0:
-                        texts = (f"path_{j - 1}" if j else "time" for j in range(lo, hi))
-                    else:
-                        texts = map(repr, table[i, lo:hi].tolist())
-                    fh.write(("," if lo else "") + ",".join(texts))
-                fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write trajectories to {cfg.out!r}: {exc}") from exc
+    with _writing(cfg.out, "trajectories") as fh:
+        # the header (i = -1) and each row go out in slices of _CHUNK fields,
+        # so a line's text never exists whole; float repr is a value's text
+        for i in range(-1, cfg.steps + 1):
+            for lo in range(0, n, _CHUNK):
+                hi = min(lo + _CHUNK, n)
+                if i < 0:
+                    texts = (f"path_{j - 1}" if j else "time" for j in range(lo, hi))
+                else:
+                    texts = map(repr, table[i, lo:hi].tolist())
+                fh.write(("," if lo else "") + ",".join(texts))
+            fh.write("\n")
     return cfg.out
 
 
@@ -497,8 +499,8 @@ def _check_additivity(report: ValidationReport) -> None:
         worst = 0.0
         for alpha in _ALPHA_GRID:
             for dt in (1.0 / 365.0, 30.0 / 365.0):
-                cfg = ExperimentConfig(process, alpha, beta, c, b, dt, paths=0, seed=0)
-                law = _step_law(cfg)
+                cfg = ExperimentConfig(process, alpha, beta, c, b, dt, paths=1, seed=0)
+                law = cfg.validate()
                 for k in (1, 2, 3, 4):
                     worst = max(worst, abs(law.cumulant(k) / true_cumulant(cfg, k) - 1.0))
         report.add(

@@ -100,11 +100,29 @@ def test_config_file_defaults_and_override(tmp_path, monkeypatch, capsys):
     assert rows_a != rows_b
 
 
-def test_config_file_rejects_unknown_key(tmp_path):
+@pytest.mark.parametrize(
+    "line, what",
+    [
+        ("alpa = 0.5", "unknown config key 'alpa'"),
+        ("alpha 0.5", "expected 'key = value'"),
+        ("alpha = abc", "alpha: could not convert string to float: 'abc'"),
+        ("paths = 1e3", "paths: invalid literal for int"),
+    ],
+    ids=["unknown-key", "no-equals", "bad-float", "bad-int"],
+)
+def test_config_file_errors_name_the_file_and_line(line, what, tmp_path, monkeypatch):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("alpa = 0.5\n")
-    with pytest.raises(ValueError, match="unknown config key"):
+    cfg.write_text(f"# defaults\n{line}\n")
+    where = f"{cfg}:2: "
+    with pytest.raises(ValueError) as exc:
         load_config_file(str(cfg))
+    assert str(exc.value).startswith(where + what)
+    monkeypatch.setenv("TSOUSIM_CONFIG", str(cfg))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *BASE, "--paths", "2", "--out", str(out)])
+    assert str(exc.value).startswith(f"invalid configuration: {where}{what}")
+    assert not out.exists()
 
 
 def test_byte_identical_csv_between_runs(tmp_path):
@@ -168,18 +186,26 @@ def _never(*args, **kwargs):
     raise AssertionError("ran before the output path was checked")
 
 
-@pytest.mark.parametrize(
-    "argv, what, module, name",
-    [
-        (["simulate", *BASE, "--paths", "2"], "trajectories", harness, "_step_law"),
-        (["cumulants", *BASE, "--batches", "10"], "err table", harness, "simulate_terminal"),
-        (["validate"], "report", cli, "validate_suite"),
-    ],
-    ids=["simulate", "cumulants", "validate"],
-)
-def test_unwritable_out_exits_with_its_path(argv, what, module, name, tmp_path, monkeypatch):
-    # the path is checked before any path is drawn or the suite runs
+# each command with the function that does its work, run only after the
+# output path is checked
+WRITERS = {
+    "simulate": (["simulate", *BASE, "--paths", "2"], "trajectories", harness, "_run_blocks"),
+    "cumulants": (["cumulants", *BASE, "--batches", "10"], "err table", harness, "_run_blocks"),
+    "validate": (["validate"], "report", cli, "validate_suite"),
+}
+
+
+@pytest.mark.parametrize("writable", [False, True], ids=["unwritable", "control"])
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_unwritable_out_exits_with_its_path(command, writable, tmp_path, monkeypatch):
+    # the path is checked before any path is drawn or the suite runs; the
+    # control shows that the patched function is on the command's path
+    argv, what, module, name = WRITERS[command]
     monkeypatch.setattr(module, name, _never)
+    if writable:
+        with pytest.raises(AssertionError, match="ran before"):
+            main([*argv, "--out", str(tmp_path / "out.csv")])
+        return
     out = tmp_path / "no-such-dir" / "out.csv"
     with pytest.raises(SystemExit, match=f"cannot write {what}") as exc:
         main([*argv, "--out", str(out)])
@@ -187,22 +213,52 @@ def test_unwritable_out_exits_with_its_path(argv, what, module, name, tmp_path, 
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
-def test_validate_prints_the_report_when_its_write_fails(monkeypatch, capsys):
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_failed_write_exits_with_its_path(command, monkeypatch, capsys):
+    argv, what, _, _ = WRITERS[command]
     report = harness.ValidationReport()
     report.add("stub check", True, "detail")
     monkeypatch.setattr(cli, "validate_suite", lambda: report)
     # /dev/full opens for writing, but every write fails with ENOSPC
-    with pytest.raises(SystemExit, match="cannot write report to '/dev/full'"):
-        main(["validate", "--out", "/dev/full"])
-    assert capsys.readouterr().out == report.to_text()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "/dev/full"])
+    message = str(exc.value)
+    assert message.startswith(f"cannot write {what} to '/dev/full': ")
+    assert "\n" not in message
+    if command == "validate":
+        # the report is printed before the file is written
+        assert capsys.readouterr().out == report.to_text()
 
 
-def test_cumulants_need_a_step(tmp_path):
-    # at horizon 0 every cumulant is a constant and err% would be NaN
+@pytest.mark.parametrize(
+    "extra, what",
+    [(["--steps", "0"], "a cumulant run needs steps >= 1"), (["--paths", "9"], "need paths >= batches")],
+    ids=["no-step", "paths-below-batches"],
+)
+def test_cumulants_need_a_step(extra, what, tmp_path):
+    # at horizon 0 every cumulant is a constant and err% would be NaN; a
+    # batch needs at least one path
     out = tmp_path / "table.csv"
-    with pytest.raises(SystemExit, match="invalid configuration: .*steps >= 1"):
-        main(["cumulants", *BASE, "--batches", "10", "--steps", "0", "--out", str(out)])
+    with pytest.raises(SystemExit, match=f"invalid configuration: {what}"):
+        main(["cumulants", *BASE, "--batches", "10", *extra, "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "cumulants"])
+def test_one_step_law_per_run(command, tmp_path, monkeypatch):
+    # the run validates its configuration once and steps every path with
+    # the law validate() built
+    built = []
+    check = rand_core.StepLaw.__post_init__
+
+    def counted(law):
+        built.append(type(law).__name__)
+        check(law)
+
+    monkeypatch.setattr(rand_core.StepLaw, "__post_init__", counted)
+    argv = [command, *BASE, "--steps", "3", "--batches", "10", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert len(built) == 1, built
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

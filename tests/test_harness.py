@@ -36,6 +36,11 @@ def make_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def terminal(cfg: ExperimentConfig) -> np.ndarray:
+    """Terminal values of cfg, stepped by the law its validate() returns."""
+    return simulate_terminal(cfg, cfg.validate())
+
+
 class TestEstimateCumulants:
     def test_constant_vector(self):
         cv = estimate_cumulants(np.full(1000, 3.25), 10)
@@ -238,10 +243,10 @@ class TestRunExperiment:
         # of 100 paths expects 1.03e6 jumps, but 1000 steps are drawn 655 per
         # call, 6.7e8 jumps, ten times the cap; validate refuses before any draw
         cfg = make_cfg(process="ou-cts", alpha=0.9, dt=1.0, paths=100, steps=1)
-        assert cfg.validate(check_batches=False).lambda_a == pytest.approx(1.03e4, rel=1e-2)
+        assert cfg.validate().lambda_a == pytest.approx(1.03e4, rel=1e-2)
         cfg.steps = 1000
         with pytest.raises(ValueError, match=r"size = 65500 expects more than the cap"):
-            cfg.validate(check_batches=False)
+            cfg.validate()
 
     def test_approx_target_differs_from_truth(self):
         cfg = make_cfg(process="ou-cts", method="scaled-bdlp", dt=30.0 / 365.0)
@@ -287,7 +292,7 @@ class TestStepLawCumulants:
             process="ou-cts", method=method, dt=30.0 / 365.0, steps=4, x0=0.3,
             paths=2 * 10**5, batches=100, seed=20261018,
         )
-        cv = estimate_cumulants(simulate_terminal(cfg), cfg.batches)
+        cv = estimate_cumulants(terminal(cfg), cfg.batches)
         for k in (1, 2, 3, 4):
             assert abs(cv.k(k) - harness.target_cumulant(cfg, k)) / cv.se(k) < 4.0
         assert abs(cv.k(2) - harness.true_cumulant(cfg, 2)) / cv.se(2) > 4.0
@@ -302,7 +307,7 @@ class TestWorkers:
         sys.setswitchinterval(1e-6)
         try:
             samples = [
-                simulate_terminal(make_cfg(paths=5000, seed=506, workers=w)) for w in (1, 4)
+                terminal(make_cfg(paths=5000, seed=506, workers=w)) for w in (1, 4)
             ]
         finally:
             sys.setswitchinterval(interval)
@@ -310,7 +315,7 @@ class TestWorkers:
 
     def test_block_streams_are_disjoint(self, monkeypatch):
         monkeypatch.setattr(harness, "BLOCK_SIZE", 1000)
-        x = simulate_terminal(make_cfg(paths=3000, seed=507))
+        x = terminal(make_cfg(paths=3000, seed=507))
         assert np.unique(x[x > 0]).size > 2000  # no duplicated blocks
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -325,7 +330,7 @@ class TestWorkers:
 
         monkeypatch.setattr(harness, "RngStream", failing)
         with pytest.raises(RuntimeError, match="block 2 failed"):
-            simulate_terminal(make_cfg(paths=5000, workers=workers))
+            terminal(make_cfg(paths=5000, workers=workers))
 
 
 class TestTrajectories:
@@ -410,7 +415,7 @@ def test_terminal_values_are_the_last_exported_row(process, tmp_path, monkeypatc
     export_trajectories(cfg)
     last = (tmp_path / "t.csv").read_text().splitlines()[-1].split(",")
     exported_row = np.array([float(v) for v in last[1:]])
-    assert simulate_terminal(cfg).tobytes() == exported_row.tobytes()
+    assert terminal(cfg).tobytes() == exported_row.tobytes()
 
 
 def exported(cfg: ExperimentConfig) -> np.ndarray:
