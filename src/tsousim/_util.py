@@ -153,7 +153,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 def gamma_mixture_moment(a: float, alpha: float, beta: float, k: int, f_w) -> float:
     """k-th moment of a gamma(1-alpha, beta*V) jump whose mixing factor V = a^-W
-    on [1, 1/a] has W of density ``f_w(w, a, alpha)`` on [0, 1]:
+    on [1, 1/a] has W of density ``f_w(w)`` on [0, 1]:
 
         E[J^k] = Gamma(1-alpha+k) / (Gamma(1-alpha) beta^k) int_0^1 a^(k w) f_w(w) dw,
 
@@ -175,5 +175,5 @@ def gamma_mixture_moment(a: float, alpha: float, beta: float, k: int, f_w) -> fl
     half = 0.5 * np.diff(edges)
     w = (np.outer(half, _GL_NODES) + (half + edges[:-1])[:, None]).ravel()
     weights = np.outer(half, _GL_WEIGHTS).ravel()
-    mix = np.sum(weights * np.exp(k * math.log(a) * w) * f_w(w, a, alpha))
+    mix = np.sum(weights * np.exp(k * math.log(a) * w) * f_w(w))
     return float(gamma(1.0 - alpha + k) / (gamma(1.0 - alpha) * beta**k) * mix)

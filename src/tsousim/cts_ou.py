@@ -1,21 +1,15 @@
 """Exact transition sampling for OU processes with a CTS stationary law.
 
-For a mean-reversion rate b and step dt, write a = exp(-b*dt).  The
-transition increment of an OU process whose stationary law is
-CTS(alpha, beta, c) splits into two independent parts:
-
-* a CTS(alpha, beta, c*(1 - a^alpha)) draw, and
-* a compound Poisson sum with rate
-  lambda_a = c * Gamma(1-alpha) * beta^alpha / alpha * (1 - a^alpha)
-  whose jumps are gamma(1-alpha, beta*V) with the mixing rate factor V
-  drawn on [1, 1/a] by plain inverse transform.
-
-No acceptance-rejection loop appears anywhere in this step besides the
-one inside the CTS sampler itself.  At alpha = 0 (gamma stationary law,
-gamma-OU) the driving process is compound Poisson and there is no CTS
-part: N ~ Poisson(c*b*dt) exponential(beta) jumps, each decayed by
-exp(-b*dt*U) at a uniform arrival time U.  :func:`step_law` returns both
-as one :class:`CtsOuStepLaw`, whose ``sample`` draws the transition.
+With a = exp(-b*dt), the transition increment of an OU process whose
+stationary law is CTS(alpha, beta, c) is a CTS(alpha, beta, c*(1 - a^alpha))
+draw plus a compound Poisson sum of :class:`~tsousim.rand_core.StepLaw`'s
+gamma(1-alpha, beta*V) jumps at rate
+lambda_a = c * Gamma(1-alpha) * beta^alpha / alpha * (1 - a^alpha).
+V = a^-W on [1, 1/a] is drawn by plain inverse transform, so no rejection
+loop appears besides the one inside the CTS sampler.  At alpha = 0
+(gamma-OU) there is no CTS part: Poisson(c*b*dt) exponential(beta) jumps,
+each decayed by exp(-b*dt*U) at a uniform arrival time U.
+:func:`step_law` returns both as one :class:`CtsOuStepLaw`.
 """
 
 from __future__ import annotations
@@ -26,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _one_minus_pow, decay, gamma_mixture_moment, grid_steps
+from ._util import _one_minus_pow, decay, grid_steps
 from ._util import gamma as gamma_fn
-from .rand_core import CtsParams, RngStream, StepLaw, _check_cumulant_args, _gamma_shape_rate
-from .rand_core import path_states
+from .rand_core import CtsParams, RngStream, StepLaw, _check_cumulant_args, path_states
 
 __all__ = [
     "CtsOuProcess",
@@ -57,40 +50,36 @@ class CtsOuProcess:
 @dataclass(frozen=True)
 class CtsOuStepLaw(StepLaw):
     """Transition law over one step: scale a, CTS part ``x1_params`` (None
-    at alpha = 0), jump rate lambda_a, the stationary tempering ``beta``
-    and ``b_dt = b*dt``, which decays the alpha = 0 jumps."""
+    at alpha = 0), jump rate lambda_a, the stationary tempering ``jump_beta``
+    and ``b_dt = b*dt``.  W = log(V)/b_dt has density
+    theta e^(theta (w-1)) / (1 - e^-theta), theta = alpha b_dt."""
 
-    beta: float
+    jump_beta: float
     b_dt: float
 
+    def draw_v(self, stream: RngStream, m: int) -> np.ndarray:
+        return sample_v_ctsou(self.a, self.x1_params.alpha, stream, m)
+
+    def f_w(self, w):
+        theta = self.x1_params.alpha * self.b_dt
+        return theta * np.exp(theta * (w - 1.0)) / -np.expm1(-theta)
+
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
-        if self.x1_params is None:
-            # exponential(beta) jumps decayed over uniform arrival times; the
-            # uniform time trick replaces the ordered Poisson arrival times
-            factor = stream.gen.random(m)
-            factor *= -self.b_dt
-            np.exp(factor, out=factor)
-            x = stream.gen.standard_exponential(m)
-            x /= self.beta
-            x *= factor
-            return x
-        # gamma(1-alpha, beta*V) with V on [1, 1/a]
-        alpha = self.x1_params.alpha
-        v = sample_v_ctsou(self.a, alpha, stream, m)
-        v *= self.beta
-        return _gamma_shape_rate(stream, 1.0 - alpha, v, m)
+        if self.x1_params is not None:
+            return super().draw_jumps(stream, m)
+        # alpha = 0: uniform arrival times stand in for the ordered Poisson ones
+        factor = np.exp(stream.gen.random(m) * -self.b_dt)
+        x = stream.gen.standard_exponential(m)
+        x /= self.jump_beta
+        x *= factor
+        return x
 
     def jump_moment(self, k: int) -> float:
-        """k-th jump moment by quadrature over W = log(V)/b_dt on [0, 1], of density
-        theta e^(theta (w-1)) / (1 - e^-theta) with theta = alpha b_dt.  At
-        alpha = 0 the jump E exp(-b_dt U) / beta has the closed form
-        k! (1 - exp(-k b_dt)) / (k b_dt beta^k), finite also when a underflows."""
-        if self.x1_params is None:
-            kb = k * self.b_dt
-            return float(math.factorial(k) * -np.expm1(-kb) / (kb * self.beta**k))
-        theta = self.x1_params.alpha * self.b_dt
-        f_w = lambda w, *_: theta * np.exp(theta * (w - 1.0)) / -np.expm1(-theta)
-        return gamma_mixture_moment(self.a, self.x1_params.alpha, self.beta, k, f_w)
+        """The quadrature, or at alpha = 0 k! (1 - e^(-k b_dt)) / (k b_dt jump_beta^k)."""
+        if self.x1_params is not None:
+            return super().jump_moment(k)
+        kb = k * self.b_dt
+        return float(math.factorial(k) * -np.expm1(-kb) / (kb * self.jump_beta**k))
 
 
 def step_law(p: CtsOuProcess, dt: float) -> StepLaw:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import cts_ou, levy_core, ou_cts
 from ._util import gamma as gamma_fn
-from .rand_core import _CHUNK, CtsParams, RngStream, StepLaw, cts_cumulants, path_states
+from .rand_core import _CHUNK, CtsParams, RngStream, StepLaw, _check_key, cts_cumulants
+from .rand_core import path_states
 
 __all__ = [
     "BLOCK_SIZE",
@@ -117,7 +118,7 @@ class ExperimentConfig:
             raise ValueError(f"need at least one path, got {self.paths}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        RngStream(self.seed)  # seed-range check
+        _check_key(self.seed)
         if not (0.0 < self.b < math.inf):
             raise ValueError(f"b must be positive and finite, got {self.b}")
         if not (0.0 < self.T < math.inf):

@@ -4,16 +4,13 @@ With a = exp(-b*dt), the transition increment of an OU process whose
 driving noise is CTS(alpha, beta, c) is the sum of two independent parts:
 
 * a CTS(alpha, beta/a, c*(1 - a^alpha)/(T*alpha*b)) draw, and
-* a compound Poisson sum with rate
+* a compound Poisson sum, rate lambda_a = c * beta^alpha * Gamma(1-alpha)
+  * (1 - a^alpha + a^alpha * log a^alpha) / (T*b*alpha^2*a^alpha), of
+  :class:`~tsousim.rand_core.StepLaw`'s gamma(1-alpha, beta*V) jumps.
 
-      lambda_a = c * beta^alpha * Gamma(1-alpha) / (T*b*alpha^2*a^alpha)
-                 * (1 - a^alpha + a^alpha * log a^alpha)
-
-  whose jumps are gamma(1-alpha, beta*V) with the mixing factor V on
-  [1, 1/a] having density proportional to (v^alpha - 1)/v.
-
-The mixing density is not monotone, so V is generated through
-W = -log(V)/log(a), whose density f_W is increasing and convex on [0, 1].
+Only the law of V = a^-W on [1, 1/a] is this family's own.  Its density,
+proportional to (v^alpha - 1)/v, is not monotone, but the density f_W of W
+is increasing and convex on [0, 1].
 f_W is sampled by rejection from a piecewise-linear (chord) envelope whose
 total mass G_L is a trapezoidal overestimate of 1; doubling the number of
 chords drives G_L, and with it the expected number of rejection rounds,
@@ -34,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import _one_minus_pow, decay, gamma_mixture_moment, grid_steps
+from ._util import _one_minus_pow, decay, grid_steps
 from ._util import gamma as gamma_fn
 from .rand_core import (
     _CHUNK,
@@ -42,7 +39,6 @@ from .rand_core import (
     RngStream,
     StepLaw,
     _check_cumulant_args,
-    _gamma_shape_rate,
     _rejection_loop,
     path_states,
 )
@@ -179,9 +175,8 @@ def build_envelope(alpha: float, a: float, *, force_segments: int | None = None)
 @dataclass(frozen=True)
 class OuCtsStepLaw(StepLaw):
     """Transition law over one step: scale a, CTS part with retempered
-    rate beta/a, jump rate lambda_a and the jumps' tempering ``jump_beta``;
-    build it with :func:`step_law_oucts`.
-    """
+    rate beta/a, jump rate lambda_a, the jumps' tempering ``jump_beta`` and
+    W of density :func:`f_w_density`; build it with :func:`step_law_oucts`."""
 
     jump_beta: float
 
@@ -193,16 +188,11 @@ class OuCtsStepLaw(StepLaw):
         alpha = self.x1_params.alpha
         return None if alpha == 0.0 else build_envelope(alpha, self.a)
 
-    def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
-        # gamma(1-alpha, beta*V) with the mixing factor V on [1, 1/a]
-        v = sample_v_oucts(self, stream, m)
-        v *= self.jump_beta
-        return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, v, m)
+    def draw_v(self, stream: RngStream, m: int) -> np.ndarray:
+        return sample_v_oucts(self, stream, m)
 
-    def jump_moment(self, k: int) -> float:
-        """k-th jump moment by quadrature over the density :func:`f_w_density`
-        of W = -log(V)/log(a), whose alpha = 0 limit is 2w."""
-        return gamma_mixture_moment(self.a, self.x1_params.alpha, self.jump_beta, k, f_w_density)
+    def f_w(self, w):
+        return f_w_density(w, self.a, self.x1_params.alpha)
 
 
 def _lambda_a(p: OuCtsProcess, a: float) -> float:

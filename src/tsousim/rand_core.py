@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import gamma as gamma_fn
-from ._util import segment_sums
+from ._util import gamma_mixture_moment, segment_sums
 
 __all__ = [
     "RngStream",
@@ -58,6 +58,13 @@ _MAX_EXPECTED_JUMPS = 1 << 26
 _CHUNK = 8192
 
 
+def _check_key(seed: int, stream_id: int = 0) -> None:
+    """Refuse a Philox key word that is not an integer in [0, 2^64)."""
+    for name, value in (("seed", seed), ("stream id", stream_id)):
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < 1 << 64):
+            raise ValueError(f"{name} must be in [0, 2**64) and integral, got {value!r}")
+
+
 class RngStream:
     """Deterministic random stream addressed by ``(seed, stream_id)``.
 
@@ -71,9 +78,7 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_bitgen", "gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        for name, value in (("seed", seed), ("stream id", stream_id)):
-            if not (isinstance(value, (int, np.integer)) and 0 <= value < 1 << 64):
-                raise ValueError(f"{name} must be in [0, 2**64) and integral, got {value!r}")
+        _check_key(seed, stream_id)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -179,12 +184,14 @@ def _check_cumulant_args(k: int, x0=0.0, dt: float = 0.0) -> None:
 class StepLaw:
     """Transition law over one OU step, a = exp(-b*dt):
 
-        X(dt) = a*x0 + Z,  Z = CTS(x1_params) + Poisson(lambda_a) jumps from draw_jumps,
+        X(dt) = a*x0 + Z,  Z = CTS(x1_params) + Poisson(lambda_a) jumps,
 
     with no CTS part when ``x1_params`` is None and no jumps when ``lambda_a``
-    is 0; the process families differ only in :meth:`draw_jumps` and its
-    :meth:`jump_moment`.  Build one per step length; :meth:`increments` draws
-    Z, :func:`path_states` runs the steps and :meth:`cumulant` is the oracle.
+    is 0.  A jump is Gamma(1-alpha, jump_beta*V), V = a^-W on [1, 1/a]; the
+    families differ only in the law of W, which a subclass supplies as
+    ``jump_beta``, ``draw_v(stream, m)`` (m fresh draws of V) and W's density
+    ``f_w(w)`` on [0, 1].  :meth:`increments` draws Z, :func:`path_states`
+    runs the steps and :meth:`cumulant` is the oracle.
     """
 
     a: float
@@ -199,13 +206,15 @@ class StepLaw:
             raise ValueError(f"jump rate must be nonnegative, got {self.lambda_a}")
 
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
-        """m independent jumps of the compound-Poisson part, in a fresh
-        array that the caller may overwrite."""
-        raise NotImplementedError(f"{type(self).__name__} defines no jump law")
+        """m independent jumps in a fresh array that the caller may overwrite;
+        the stream holds the m draws of V, then the gamma stage's draws."""
+        v = self.draw_v(stream, m)
+        v *= self.jump_beta
+        return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, v, m)
 
     def jump_moment(self, k: int) -> float:
-        """k-th moment of one jump drawn by :meth:`draw_jumps`."""
-        raise NotImplementedError(f"{type(self).__name__} defines no jump law")
+        """k-th moment of one jump drawn by :meth:`draw_jumps`, by quadrature over f_w."""
+        return gamma_mixture_moment(self.a, self.x1_params.alpha, self.jump_beta, k, self.f_w)
 
     def cumulant(self, k: int, x0: float = 0.0) -> float:
         """k-th cumulant of X(dt) given X(0) = x0: the CTS part's cumulant,
@@ -384,15 +393,24 @@ def sample_cts(params: CtsParams, stream: RngStream, size: int = 1, method: str 
 
 
 def _cts_scale(params: CtsParams) -> float:
-    """sigma in CTS(alpha, beta, c) = sigma * (stable tilted by beta*sigma); inf raises."""
-    a, c = params.alpha, params.c
+    """sigma in CTS(alpha, beta, c) = sigma * (stable tilted by lam = beta*sigma).
+    Raises where no route can draw: sigma = inf, or gamma = lam^alpha alpha (1-alpha)
+    above about alpha^2 2^106 (lam = inf too), where double rejection's z divides by 0."""
+    a, b, c = params.alpha, params.beta, params.c
     with np.errstate(over="ignore"):
         sigma = (c * gamma_fn(1.0 - a) / a) ** (1.0 / a)
+        lam = b * sigma
+    gamma_ = lam**a * a * (1.0 - a)
     if math.isinf(sigma):
         # both routes would reject every proposal until the round cap
         raise ValueError(
             f"CTS scale (c*Gamma(1-alpha)/alpha)^(1/alpha) overflows for alpha = {a!r}, "
             f"c = {c!r}; alpha is too small for this c"
+        )
+    if gamma_ > 0.0 and 1.0 + a / math.sqrt(gamma_) == 1.0:  # gamma = 0: sigma underflowed
+        raise ValueError(
+            f"CTS tilt beta*sigma = {lam:.4g} is too heavy for double rejection at "
+            f"alpha = {a!r} (gamma = {gamma_:.4g} > alpha^2 * 2^106)"
         )
     return sigma
 

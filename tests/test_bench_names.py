@@ -77,3 +77,41 @@ def test_tracer_route_is_the_route_sample_cts_takes(params, route, monkeypatch):
     result = rand_core.sample_cts(*args)
     assert taken == [route]
     assert tracing._cts_route(args, {}, result)[1] == route
+
+
+@pytest.fixture
+def tracer():
+    # install rebinds names in every traced module; put each one back
+    saved = [(m, dict(vars(m))) for m in tracing.MODULES]
+    t = tracing.Tracer()
+    t.install()
+    try:
+        yield t
+    finally:
+        for module, names in saved:
+            for name, value in names.items():
+                setattr(module, name, value)
+
+
+@pytest.mark.parametrize("law,span", [
+    (cts_ou.step_law(cts_ou.CtsOuProcess(CtsParams(0.5, 1.4, 0.8), 10.0), 30.0 / 365.0),
+     "cts_ou.sample_v_ctsou"),
+    (ou_cts.step_law_oucts(ou_cts.OuCtsProcess(CtsParams(0.5, 1.4, 0.8), 10.0), 30.0 / 365.0),
+     "ou_cts.sample_v_oucts"),
+], ids=["ctsou", "oucts"])
+def test_tracer_counts_the_v_draws_of_the_jump_law(law, span, tracer, monkeypatch):
+    # the jump law looks its V sampler up by module name at call time, so
+    # the tracer's rebinding counts every V the step draws
+    jumps = []
+    draw = rand_core.StepLaw.draw_jumps
+
+    def counted(law, stream, m):
+        jumps.append(m)
+        return draw(law, stream, m)
+
+    monkeypatch.setattr(rand_core.StepLaw, "draw_jumps", counted)
+    law.sample(0.0, RngStream(3), 64)
+    assert len(jumps) == 1 and jumps[0] > 0
+    v_spans = [s for s in tracer.spans if s[tracing.NAME].endswith(".sample_v_ctsou")
+               or s[tracing.NAME].endswith(".sample_v_oucts")]
+    assert [(s[tracing.NAME], s[tracing.INFO]) for s in v_spans] == [(span, jumps[0])]

@@ -65,6 +65,17 @@ def test_non_finite_parameter_rejected(tmp_path, monkeypatch, flag, value):
     assert not out.exists()
 
 
+def test_tilt_too_heavy_for_double_rejection_is_a_configuration_error(tmp_path):
+    # every estimate used to print as 0 (k1 is about 3.8e-43)
+    out = tmp_path / "table.csv"
+    argv = ["cumulants", "--process", "ou-cts", "--method", "x1-only", "--alpha", "0.5",
+            "--beta", "1e80", "--c", "0.8", "--b", "10", "--dt", "0.00274", "--paths", "1000",
+            "--batches", "10", "--seed", "1", "--out", str(out)]
+    with pytest.raises(SystemExit, match="^invalid configuration: CTS tilt .* too heavy"):
+        main(argv)
+    assert not out.exists()
+
+
 def test_validate_report(tmp_path, capsys):
     out = tmp_path / "report.txt"
     rc = main(["validate", "--out", str(out)])

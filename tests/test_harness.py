@@ -212,6 +212,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="seed must be in .* and integral"):
             make_cfg(seed=1.5).validate()
 
+    @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
+    def test_seed_check_builds_no_generator(self, process, method, monkeypatch):
+        # validate_suite's additivity check validates 16 configurations;
+        # a Philox stream per seed check was most of each validate()
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate() built a Philox bit generator")
+
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        make_cfg(process=process, method=method).validate()
+
     @pytest.mark.parametrize(
         "field,value", [("paths", 2000.0), ("steps", 1.5), ("batches", 10.0), ("workers", 2.0)]
     )

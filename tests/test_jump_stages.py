@@ -14,15 +14,29 @@ a block boundary, and for every segment-index width of the envelope:
   variates in the same stream order, so the stage leaves the stream where
   it does, each jump lies within 4 ulp of it (two roundings on each
   side), and at shape >= 1, with no boost, the two are bit for bit equal.
+
+``StepLaw``'s jump law, Gamma(1-alpha, jump_beta*V) with V = a^-W, is
+checked on its own through a toy law that supplies only W (uniform).
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsousim._util import gamma as gamma_fn
 from tsousim.ou_cts import build_envelope, f_w_density, sample_w
-from tsousim.rand_core import _CHUNK, RngStream, _gamma_shape_rate, _rejection_loop
+from tsousim.rand_core import (
+    _CHUNK,
+    CtsParams,
+    RngStream,
+    StepLaw,
+    _gamma_shape_rate,
+    _rejection_loop,
+)
 
 SIZES = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17)
 A, ALPHA = float(np.exp(-3.0)), 0.9  # the coarse OU-CTS step, b dt = 3
@@ -140,3 +154,55 @@ COARSE_ENVELOPE = build_envelope(ALPHA, A)
 def test_jump_stages_match_references_at_any_size(n, shape, seed):
     assert_gamma_matches(shape, n, seed)
     assert_w_matches(COARSE_ENVELOPE, n, seed)
+
+
+@dataclass(frozen=True)
+class UniformWLaw(StepLaw):
+    """A law that supplies only its W: uniform on [0, 1], so V = a^-U."""
+
+    jump_beta: float
+
+    def draw_v(self, stream, m):
+        v = stream.gen.random(m)
+        v *= -math.log(self.a)
+        return np.exp(v, out=v)
+
+    def f_w(self, w):
+        return np.ones_like(w)
+
+
+def uniform_w_law(alpha, b_dt):
+    return UniformWLaw(math.exp(-b_dt), CtsParams(alpha, 1.4, 0.8), 1.0, 1.4)
+
+
+LAWS = [(0.3, 0.5), (0.5, 3.0), (0.9, 30.0)]  # (alpha, b dt): one to six quadrature intervals
+
+
+@pytest.mark.parametrize("alpha,b_dt", LAWS)
+@pytest.mark.parametrize("n", [1, 3 * _CHUNK + 17])
+def test_jumps_match_whole_array_reference(alpha, b_dt, n):
+    law = uniform_w_law(alpha, b_dt)
+    s_lib, s_ref = RngStream(62, 1), RngStream(62, 1)
+    got = law.draw_jumps(s_lib, n)
+    v = np.exp(s_ref.gen.random(n) * -math.log(law.a))
+    want = gamma_reference(s_ref, 1.0 - alpha, law.jump_beta * v, n)
+    assert got.tobytes() == want.tobytes()
+    assert _tail(s_lib).tobytes() == _tail(s_ref).tobytes()
+
+
+@pytest.mark.parametrize("alpha,b_dt", LAWS)
+def test_jump_moment_matches_closed_form(alpha, b_dt):
+    # int_0^1 a^(k w) dw = (1 - a^k) / (-k log a)
+    law = uniform_w_law(alpha, b_dt)
+    for k in (1, 2, 3, 4):
+        mix = -math.expm1(-k * b_dt) / (k * b_dt)
+        want = gamma_fn(1.0 - alpha + k) / (gamma_fn(1.0 - alpha) * law.jump_beta**k) * mix
+        assert law.jump_moment(k) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha,b_dt", LAWS)
+def test_jump_mean_within_4_se_of_the_first_moment(alpha, b_dt):
+    law = uniform_w_law(alpha, b_dt)
+    x = law.draw_jumps(RngStream(62, 2), 10**5)
+    se = x.std(ddof=1) / math.sqrt(x.size)
+    assert abs(x.mean() - law.jump_moment(1)) < 4.0 * se

@@ -242,6 +242,39 @@ class TestCts:
         with pytest.raises(ValueError, match=r"alpha = 0\.002, c = 0\.8"):
             sample_cts(CtsParams(0.002, 1.4, 0.8), RngStream(5, 10), size=4, method=method)
 
+    @staticmethod
+    def tilted(alpha, share):
+        # CtsParams whose gamma = lam^alpha alpha (1-alpha) is ``share`` of
+        # alpha^2 2^106, above which 1 + alpha/sqrt(gamma) rounds to 1
+        c = 0.8
+        sigma = (c * gamma_fn(1.0 - alpha) / alpha) ** (1.0 / alpha)
+        lam = (share * alpha**2 * 2.0**106 / (alpha * (1.0 - alpha))) ** (1.0 / alpha)
+        return CtsParams(alpha, lam / sigma, c)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_heaviest_tilt_below_the_bound_draws(self, alpha):
+        p = self.tilted(alpha, 0.9)
+        x = sample_cts(p, RngStream(5, 11), size=2000)
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+        # the law is concentrated at its mean: k2 / k1^2 is below 1e-32
+        assert x.mean() == pytest.approx(rand_core.cts_cumulants(p, 1), rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["auto", "tilting", "double-rejection"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_tilt_above_the_bound_is_refused_before_any_draw(self, alpha, method, monkeypatch):
+        # double rejection would return exact zeros; tilting would spin
+        monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
+        stream = RngStream(5, 12)
+        with pytest.raises(ValueError, match="too heavy for double rejection"):
+            sample_cts(self.tilted(alpha, 1.1), stream, size=4, method=method)
+        assert stream.gen.random(4).tobytes() == RngStream(5, 12).gen.random(4).tobytes()
+
+    def test_infinite_tilt_is_refused(self, monkeypatch):
+        # sigma is finite (about 1e300) but beta*sigma overflows to inf
+        monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
+        with pytest.raises(ValueError, match=r"beta\*sigma = inf"):
+            sample_cts(CtsParams(0.016, 1e10, 1e3), RngStream(5, 13), size=4)
+
 
 class TestSinc:
     @pytest.mark.parametrize(
