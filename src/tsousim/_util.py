@@ -103,23 +103,20 @@ def gammainc(s: float, x: float) -> float:
     return math.exp(s * math.log(x) - x) / _gamma(s + 1.0) * total
 
 
-def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum ``values`` into ``len(counts)`` consecutive groups of the given sizes.
-
-    Empty groups contribute 0.  ``values.size`` must equal ``counts.sum()``.
-    ``values`` is consumed: its prefix sums are written into it.  Each
-    occupied group's sum is the difference of the prefix sums at its last
-    element and at the last element of the occupied group before it.
+def segment_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over the consecutive nonempty segments that end
+    (exclusive) at the strictly increasing offsets ``ends``; the last end
+    must be ``values.size``.  ``values`` is consumed: its prefix sums are
+    written into it.  Each segment's sum is the difference of the prefix
+    sums at its last element and at the last element of the one before it.
     """
-    if values.size != counts.sum():
-        raise ValueError(f"need counts.sum() == values.size, got {counts.sum()} and {values.size}")
-    occupied = np.flatnonzero(counts)
-    ends = np.cumsum(counts[occupied])
-    ends -= 1
-    np.cumsum(values, out=values)
-    out = np.zeros(counts.size)
-    out[occupied] = values[ends]
-    out[occupied[1:]] -= values[ends[:-1]]
+    total = int(ends[-1]) if ends.size else 0
+    if total != values.size:
+        raise ValueError(f"need ends[-1] == values.size, got {total} and {values.size}")
+    values.cumsum(out=values)
+    last = ends - 1
+    out = values[last]
+    out[1:] -= values[last[:-1]]
     return out
 
 

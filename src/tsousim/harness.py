@@ -188,30 +188,32 @@ class ErrTable:
                 )
 
 
-def _power_sums(x: np.ndarray, centre: float, buf: np.ndarray):
-    """Sums of d*d, (d*d)*d and (d*d)*(d*d) over the contiguous 1-D run
-    ``x``, where d = x - centre, added in the order ``np.add.reduce`` adds
-    those arrays.  numpy's pairwise summation (Higham 1993) splits a run of
-    n > 128 values at h = n//2 - (n//2) % 8; a run longer than
-    ``rand_core._CHUNK`` is split by that rule, and each shorter run, a
-    node of numpy's tree, is formed in the two rows of ``buf`` and reduced
-    whole.  Products, not ``pow``: numpy's float pow takes a scalar path
-    for negative bases that is some 30 times slower than a multiply."""
-    n = x.size
+def _power_sums(x: np.ndarray, centre, buf: np.ndarray):
+    """Sums of d*d, (d*d)*d and (d*d)*(d*d) along the last axis of ``x``,
+    a run of values or a block of whole rows, where d = x - centre (a
+    scalar, or one centre per row), added in the order ``np.add.reduce``
+    adds each row.  numpy's pairwise summation (Higham 1993) splits a run
+    of n > 128 values at h = n//2 - (n//2) % 8; rows longer than
+    ``rand_core._CHUNK`` are split by that rule, and a block of shorter
+    rows, each a node of numpy's tree, is formed in the two rows of
+    ``buf`` and reduced row by row at once.  Products, not ``pow``:
+    numpy's float pow takes a scalar path for negative bases that is some
+    30 times slower than a multiply."""
+    n = x.shape[-1]
     if n > _CHUNK:
         h = n // 2
         h -= h % 8
-        lo = _power_sums(x[:h], centre, buf)
-        hi = _power_sums(x[h:], centre, buf)
+        lo = _power_sums(x[..., :h], centre, buf)
+        hi = _power_sums(x[..., h:], centre, buf)
         return tuple(a + b for a, b in zip(lo, hi))
-    d, p = buf[0, :n], buf[1, :n]
+    d, p = buf[0, : x.size].reshape(x.shape), buf[1, : x.size].reshape(x.shape)
     np.subtract(x, centre, out=d)
     np.multiply(d, d, out=p)  # d**2
-    s2 = np.add.reduce(p)
+    s2 = np.add.reduce(p, axis=-1)
     d *= p  # d**3
-    s3 = np.add.reduce(d)
+    s3 = np.add.reduce(d, axis=-1)
     p *= p  # d**4
-    return s2, s3, np.add.reduce(p)
+    return s2, s3, np.add.reduce(p, axis=-1)
 
 
 def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
@@ -221,7 +223,8 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
     its own cumulant estimates, and the SE of each order is the batch
     spread over sqrt(batches).  The central moments are the bits of
     ``np.mean`` over d**2, d**3 and d**4 held whole, but are formed one run
-    of at most ``rand_core._CHUNK`` values at a time (see
+    of at most ``rand_core._CHUNK`` values at a time, a batch row longer
+    than that split and shorter rows taken in blocks of whole rows (see
     :func:`_power_sums`), so beyond the sample the estimator holds two
     such runs; ``samples`` is never written to.
     """
@@ -235,13 +238,19 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
     flat = samples[: per * batches]
     buf = np.empty((2, min(_CHUNK, flat.size)))
 
-    def cumulants(x, m, count):
+    def central(x, m, count):  # k2, k3, k4 about the mean(s) m
         m2, m3, m4 = (s / count for s in _power_sums(x, m, buf))
-        return m, m2, m3, m4 - 3.0 * m2 * m2
+        return m2, m3, m4 - 3.0 * m2 * m2
 
-    full = cumulants(flat, np.mean(flat), flat.size)
+    mean = np.mean(flat)
+    full = (mean, *central(flat, mean, flat.size))
     rows = flat.reshape(batches, per)
-    bk = zip(*(cumulants(x, m, per) for x, m in zip(rows, np.mean(rows, axis=1))))
+    bk = np.empty((4, batches))  # one column of k1..k4 per batch
+    bk[0] = np.mean(rows, axis=1)
+    step = max(1, _CHUNK // per)
+    for lo in range(0, batches, step):
+        block = slice(lo, lo + step)
+        bk[1:, block] = central(rows[block], bk[0, block, None], per)
     ses = tuple(float(np.std(col, ddof=1) / np.sqrt(batches)) for col in bk)
     return CumulantVector(*(float(v) for v in full), *ses)
 

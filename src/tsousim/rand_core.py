@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +45,14 @@ TILTING_ACCEPTANCE_FLOOR = 0.1
 
 _MAX_REJECTION_ROUNDS = 10**6
 
-# Largest expected jump count lambda_a * size of one StepLaw.increments call:
-# 2^26 jumps are about 0.9 GiB at the jump stages' peak.  A call that
-# expects more is refused before it draws, not left to exhaust memory.
+# Largest expected jump count lambda_a * size of one StepLaw.increments call;
+# it bounds the work of one call.  A call that expects more is refused
+# before it draws.
 _MAX_EXPECTED_JUMPS = 1 << 26
+
+# Most jumps one draw_jumps call of StepLaw.increments draws (2 MiB of
+# float64), so a step's memory does not grow with lambda_a.
+_JUMP_CHUNK = 1 << 18
 
 # Elements per block of a stage that draws or computes one block at a
 # time (64 KiB of float64), the gamma stage's gammas and uniforms among
@@ -117,6 +122,16 @@ class CtsParams:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not (0.0 < self.c < math.inf):
             raise ValueError(f"c must be positive and finite, got {self.c}")
+
+    # alpha > 0 only.  Each is computed on first use and kept; a law that
+    # _cts_scale refuses keeps nothing, so it raises on every use.
+    @cached_property
+    def _sigma(self) -> float:
+        return _cts_scale(self)
+
+    @cached_property
+    def _acceptance(self) -> float:
+        return cts_tilting_acceptance(self)
 
 
 def cts_cumulants(p: CtsParams, k: int) -> float:
@@ -237,18 +252,32 @@ class StepLaw:
                 "use fewer paths per call or a shorter step"
             )
         if self.x1_params is not None and self.x1_params.alpha > 0.0:
-            _cts_scale(self.x1_params)
+            self.x1_params._sigma  # raises where _cts_scale refuses
 
     def increments(self, stream: RngStream, size: int) -> np.ndarray:
         """``size`` independent increments Z, shape (size,).  The stream holds
-        the CTS part, the Poisson counts, then ``draw_jumps(total)``: every
-        jump at once, summed per path in place."""
+        the CTS part, the Poisson counts, then the jumps in path order, one
+        ``draw_jumps(m)`` per chunk of m <= ``_JUMP_CHUNK`` of them.  Each
+        chunk is summed per path in place over the paths it covers, the two
+        edge paths counting only their jumps inside it; a call of at most
+        one chunk sums all its jumps as one array."""
         size = operator.index(size)
         self.check_size(size)
         z = np.zeros(size) if self.x1_params is None else sample_cts(self.x1_params, stream, size)
         counts = sample_poisson(self.lambda_a, stream, size)
-        if total := int(counts.sum()):
-            z += segment_sums(self.draw_jumps(stream, total), counts)
+        paths = counts.nonzero()[0]
+        ends = counts[paths].cumsum()  # jumps up to and including each path with any
+        del counts
+        total = int(ends[-1]) if ends.size else 0
+        for lo in range(0, total, _JUMP_CHUNK):
+            hi = min(lo + _JUMP_CHUNK, total)
+            # the paths whose jumps meet [lo, hi), searched for except at the
+            # call's two ends, and where their jumps end in it
+            first = ends.searchsorted(lo, "right") if lo else 0
+            last = ends.size - 1 if hi == total else ends.searchsorted(hi - 1, "right")
+            cut = ends[first : last + 1] - lo
+            cut[-1] = hi - lo
+            z[paths[first : last + 1]] += segment_sums(self.draw_jumps(stream, hi - lo), cut)
         return z
 
     def sample(self, x0, stream: RngStream, size: int = 1):
@@ -381,11 +410,10 @@ def sample_cts(params: CtsParams, stream: RngStream, size: int = 1, method: str 
     if a == 0.0:
         return _gamma_shape_rate(stream, c, b, size)
 
-    sigma = _cts_scale(params)
+    sigma = params._sigma
     lam = b * sigma
     if method == "auto":
-        accept = cts_tilting_acceptance(params)
-        method = "tilting" if accept >= TILTING_ACCEPTANCE_FLOOR else "double-rejection"
+        method = "tilting" if params._acceptance >= TILTING_ACCEPTANCE_FLOOR else "double-rejection"
 
     if method == "tilting":
         return _cts_tilting(a, b, sigma, stream, size)
@@ -601,8 +629,9 @@ def sample_inverse_gaussian(mu: float, lambda_ig: float, stream: RngStream, size
     g = stream.gen
     nrm = g.standard_normal(size)
     y = nrm * nrm
-    x = mu + mu * mu * y / (2.0 * lambda_ig) - mu / (2.0 * lambda_ig) * np.sqrt(
-        4.0 * mu * lambda_ig * y + (mu * y) ** 2
-    )
+    # the smaller root mu (1 + r - sqrt(r (r + 2))), r = mu y / (2 lambda), in
+    # the equal form mu / (1 + r + sqrt(r (r + 2))), which has no cancellation
+    r = mu * y / (2.0 * lambda_ig)
+    x = mu / (1.0 + r + np.sqrt(r * (r + 2.0)))
     u = g.random(size)
     return np.where(u <= mu / (mu + x), x, mu * mu / x)

@@ -20,6 +20,16 @@ from tsousim.ou_cts import sample_w
 from tsousim.rand_core import CtsParams
 
 
+def two_array_segment_sums(values, counts):
+    """Reference group sums: differences of one prefix-sum array with a
+    leading 0, taken at the group offsets; 0 for an empty group."""
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    prefix = np.empty(values.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(values, out=prefix[1:])
+    return prefix[offsets[1:]] - prefix[offsets[:-1]]
+
+
 def z_score(samples, truth: float, order: int, batches: int = 100) -> float:
     """(estimate - truth) / batch SE for the cumulant of the given order."""
     cv = estimate_cumulants(np.asarray(samples, dtype=float), batches)

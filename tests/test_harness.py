@@ -163,6 +163,26 @@ class TestSummationTree:
         expected = [np.add.reduce(d * d), np.add.reduce((d * d) * d), np.add.reduce((d * d) * (d * d))]
         assert [float(s).hex() for s in sums] == [float(s).hex() for s in expected]
 
+    @pytest.mark.parametrize(
+        "n,batches", [(4000, 20), (27, 13), (8192 * 5, 5), (8191 * 4 + 3, 4), (8193 * 3, 3)]
+    )
+    def test_batch_estimates_are_per_row_reduces(self, n, batches):
+        # rows of at most 8192 values are reduced in blocks of whole rows;
+        # each row's moments must still be np.add.reduce over that row
+        x = self._values(n, 4)
+        per = n // batches
+        cols = []
+        for row in x[: per * batches].reshape(batches, per):
+            m = np.mean(row)
+            d = row - m
+            m2 = np.add.reduce(d * d) / per
+            m3 = np.add.reduce((d * d) * d) / per
+            m4 = np.add.reduce((d * d) * (d * d)) / per
+            cols.append((m, m2, m3, m4 - 3.0 * m2 * m2))
+        want = [float(np.std(c, ddof=1) / np.sqrt(batches)).hex() for c in zip(*cols)]
+        cv = estimate_cumulants(x, batches)
+        assert [float(cv.se(k)).hex() for k in (1, 2, 3, 4)] == want
+
 
 class TestRunExperiment:
     def test_smoke_small(self):

@@ -17,6 +17,13 @@ a block boundary, and for every segment-index width of the envelope:
 
 ``StepLaw``'s jump law, Gamma(1-alpha, jump_beta*V) with V = a^-W, is
 checked on its own through a toy law that supplies only W (uniform).
+
+``StepLaw.increments`` draws a call's jumps in chunks of at most
+``rand_core._JUMP_CHUNK``.  A call of at most one chunk gives the bytes of
+the whole-array reference, which draws every jump at once; a longer call
+gives those of a reference that draws chunk by chunk and sums each chunk
+per path over the jumps it holds.  On the two heavy coarse steps the
+chunked increments and the whole-array ones pass a two-sample KS test.
 """
 
 import math
@@ -26,11 +33,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from _helpers import two_array_segment_sums
+from tsousim import rand_core
 from tsousim._util import gamma as gamma_fn
-from tsousim.ou_cts import build_envelope, f_w_density, sample_w
+from tsousim.cts_ou import CtsOuProcess, step_law
+from tsousim.ou_cts import OuCtsProcess, build_envelope, f_w_density, sample_w, step_law_oucts
 from tsousim.rand_core import (
     _CHUNK,
+    _JUMP_CHUNK,
     CtsParams,
     RngStream,
     StepLaw,
@@ -206,3 +218,78 @@ def test_jump_mean_within_4_se_of_the_first_moment(alpha, b_dt):
     x = law.draw_jumps(RngStream(62, 2), 10**5)
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - law.jump_moment(1)) < 4.0 * se
+
+
+def whole_array_increments(law, stream, size):
+    # the CTS part, the Poisson counts, then every jump of the call at once
+    z = rand_core.sample_cts(law.x1_params, stream, size)
+    counts = rand_core.sample_poisson(law.lambda_a, stream, size)
+    if total := int(counts.sum()):
+        z += two_array_segment_sums(law.draw_jumps(stream, total), counts)
+    return z
+
+
+def chunked_increments(law, stream, size):
+    # the jumps drawn in chunks of _JUMP_CHUNK in path order, each chunk
+    # summed over every path (0 where it holds none of its jumps) and added
+    z = rand_core.sample_cts(law.x1_params, stream, size)
+    owner = np.repeat(np.arange(size), rand_core.sample_poisson(law.lambda_a, stream, size))
+    for lo in range(0, owner.size, _JUMP_CHUNK):
+        held = np.bincount(owner[lo : lo + _JUMP_CHUNK], minlength=size)
+        z += two_array_segment_sums(law.draw_jumps(stream, int(held.sum())), held)
+    return z
+
+
+def poisson_layout(total):
+    # Poisson(13) counts over 20 000 paths and a last path that brings the
+    # sum to ``total``; above 2^18 that path holds the chunk edge
+    counts = RngStream(63, 3).gen.poisson(13.0, 20_000)
+    return np.append(counts, total - counts.sum())
+
+
+C = _JUMP_CHUNK
+LAYOUTS = {
+    "one-short": poisson_layout(C - 1),
+    "one-chunk": poisson_layout(C),
+    "one-over": poisson_layout(C + 1),
+    "edge-at-a-path-end": np.array([0, 0, C - 5, 5, 0, 0, 7, 0]),
+    "edge-splits-a-path": np.array([3, 0, C - 1, 9, 0, 4]),
+    "path-over-three-chunks": np.array([1, 2 * C + 10, 0, 2]),
+}
+
+
+@pytest.mark.parametrize("counts", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_increments_match_references_at_chunk_edges(counts, monkeypatch):
+    monkeypatch.setattr(rand_core, "sample_poisson", lambda mean, stream, size: counts.copy())
+    law = uniform_w_law(0.5, 3.0)
+    total = int(counts.sum())
+    if total == C + 1:
+        assert counts[-1] >= 2  # the edge splits the last path's jumps
+    reference = whole_array_increments if total <= C else chunked_increments
+    s_lib, s_ref = RngStream(64, 1), RngStream(64, 1)
+    got = law.increments(s_lib, counts.size)
+    assert got.tobytes() == reference(law, s_ref, counts.size).tobytes()
+    assert _tail(s_lib).tobytes() == _tail(s_ref).tobytes()
+
+
+def test_one_path_over_several_chunks_matches_chunked_reference():
+    law = UniformWLaw(math.exp(-3.0), CtsParams(0.5, 1.4, 0.8), 2.5 * C, 1.4)
+    s_lib, s_ref = RngStream(64, 2), RngStream(64, 2)
+    got = law.increments(s_lib, 1)
+    assert got.tobytes() == chunked_increments(law, s_ref, 1).tobytes()
+    assert _tail(s_lib).tobytes() == _tail(s_ref).tobytes()
+
+
+HEAVY_STEPS = {  # the two cumulant-coarse cells whose 65 536-path calls hold several chunks
+    "oucts-alpha-0.9-bdt-3": step_law_oucts(OuCtsProcess(CtsParams(0.9, 1.4, 0.8), 10.0), 0.3),
+    "ctsou-alpha-0.9-dt-30/365": step_law(CtsOuProcess(CtsParams(0.9, 1.4, 0.8), 10.0), 30 / 365),
+}
+
+
+@pytest.mark.parametrize("law", HEAVY_STEPS.values(), ids=HEAVY_STEPS.keys())
+def test_chunked_increments_have_the_whole_array_law(law):
+    n = 1 << 16
+    assert law.lambda_a * n > 1.4 * C
+    chunked = np.concatenate([law.increments(RngStream(65, i), n) for i in range(4)])
+    whole = np.concatenate([whole_array_increments(law, RngStream(66, i), n) for i in range(4)])
+    assert stats.ks_2samp(chunked, whole).pvalue > 0.01

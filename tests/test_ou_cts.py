@@ -210,22 +210,29 @@ class TestSampleW:
 class TestMemory:
     """Peak traced memory of the jump pipeline, in float64 arrays of its
     jump count, and of the cumulant estimator and a whole cumulant cell,
-    in arrays of its sample size.  The W sampler holds its proposals whole
-    and keeps only a small-integer segment index per proposal; the gamma
-    stage writes the jumps into the mixing factors' array; both run the
-    rest one block of ``rand_core._CHUNK`` elements at a time.
-    ``segment_sums`` writes the prefix sums into the jump values and
-    indexes only the paths that have jumps.  Measured peaks (numpy
-    2.4.6), with earlier figures in brackets:
+    in arrays of its sample size.  A step draws its jumps in chunks of at
+    most ``rand_core._JUMP_CHUNK``, so its peak does not grow with
+    lambda_a.  The W sampler holds its proposals whole and keeps only a
+    small-integer segment index per proposal; the gamma stage writes the
+    jumps into the mixing factors' array; both run the rest one block of
+    ``rand_core._CHUNK`` elements at a time.  ``segment_sums`` writes the
+    prefix sums into the jump values and sees only the paths that have
+    jumps.  Measured peaks (numpy 2.4.6), with earlier figures in brackets:
 
     * OU-CTS step at alpha 0.9, b dt = 3 (about 14 jumps per transition,
-      932 557 for one 65 536-path block): 1.59 arrays [2.45 with the
-      segment uniforms and the gammas held whole, 5.24 before blocking];
+      932 557 for one 65 536-path block, four chunks): 0.82 arrays, set by
+      the double-rejection temporaries of its 65 536 CTS draws [1.59 with
+      every jump in one array, 2.45 with the segment uniforms and the
+      gammas held whole, 5.24 before blocking];
     * CTS-OU step at alpha 0.9, dt = 30/365 (about 6 jumps per transition,
-      392 082 for 65 536 paths): 2.17 arrays, set by the double-rejection
-      temporaries of its 65 536 CTS draws [2.38 with the gammas held
-      whole, 2.84 with a separate prefix array and five path-length index
-      arrays in ``segment_sums``, 3.33 before blocking];
+      392 082 for 65 536 paths, two chunks): 1.73 arrays, set by double
+      rejection too [2.17 with every jump in one array, 2.38 with the
+      gammas held whole, 2.84 with a separate prefix array and five
+      path-length index arrays in ``segment_sums``, 3.33 before blocking];
+    * OU-CTS step at alpha 0.9, b dt = 10 (lambda_a about 1.03e4, some
+      2.6e6 jumps for 256 paths, ten chunks): 1.60 arrays of one chunk,
+      3.35 MB, its W sampler's peak on one chunk [27.1 MB with every jump
+      in one array];
     * ``sample_w`` alone, 2**18 draws: 1.60 arrays [2.44 with the segment
       uniforms held whole, 5.00 before blocking];
     * ``estimate_cumulants`` on 10**6 values: 0.022, 0.019 and 0.020
@@ -239,9 +246,9 @@ class TestMemory:
       2.01 at seed 3, with a list of block arrays joined by
       ``np.concatenate`` and the estimator's scratch];
     * ``run_experiment`` on the 2**18-path OU-CTS cell at alpha 0.9,
-      dt = 0.3, seed 5, the benchmark's coarse peak cell: 6.56 arrays of
-      its sample, most of it one 65 536-path block's jumps [9.63 with the
-      segment uniforms and the gammas held whole];
+      dt = 0.3, seed 5, the benchmark's coarse peak cell: 3.56 arrays of
+      its sample [6.31 with one 65 536-path block's jumps in one array,
+      9.63 with the segment uniforms and the gammas held whole];
     * ``export_trajectories`` of 2**17 paths and no steps (one row): 1.73
       tables of its (steps + 1) x (paths + 1) values, and 1.28 at 8 steps,
       each CSV line written in slices of ``rand_core._CHUNK`` fields [12.6
@@ -263,12 +270,9 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize(
-        "law, n_jumps, bound",
-        [(OUCTS, 932557, 1.75), (CTSOU, 392082, 2.3)],
-        ids=["oucts", "ctsou"],
-    )
-    def test_step_peak_in_jump_arrays(self, law, n_jumps, bound, monkeypatch):
+    @staticmethod
+    def _chunks(law, monkeypatch):
+        # the m of every draw_jumps call the law makes
         jumps = []
         cls = type(law)
         draw = cls.draw_jumps
@@ -278,10 +282,27 @@ class TestMemory:
             return draw(law, stream, m)
 
         monkeypatch.setattr(cls, "draw_jumps", counted)
+        return jumps
+
+    @pytest.mark.parametrize(
+        "law, n_jumps, bound",
+        [(OUCTS, 932557, 1.0), (CTSOU, 392082, 2.0)],
+        ids=["oucts", "ctsou"],
+    )
+    def test_step_peak_in_jump_arrays(self, law, n_jumps, bound, monkeypatch):
+        jumps = self._chunks(law, monkeypatch)
         assert self.OUCTS.envelope is not None  # built before tracing starts
         peak = self._traced_peak(lambda: law.sample(0.0, RngStream(5, 0), 1 << 16))
-        assert jumps == [n_jumps]
+        assert sum(jumps) == n_jumps and max(jumps) <= rand_core._JUMP_CHUNK
         assert peak <= bound * 8 * n_jumps
+
+    def test_step_peak_does_not_grow_with_the_jump_rate(self, monkeypatch):
+        law = step_law_oucts(OuCtsProcess(CtsParams(0.9, BETA, C), B), 1.0)
+        assert law.lambda_a > 1e4 and law.envelope is not None
+        jumps = self._chunks(law, monkeypatch)
+        peak = self._traced_peak(lambda: law.sample(0.0, RngStream(5, 3), 256))
+        assert sum(jumps) > 9 * rand_core._JUMP_CHUNK
+        assert peak <= 1.75 * 8 * rand_core._JUMP_CHUNK
 
     def test_w_sampler_peaks_below_1_75_arrays(self):
         env, n = self.OUCTS.envelope, 1 << 18
@@ -303,11 +324,11 @@ class TestMemory:
         peak = self._traced_peak(lambda: run_experiment(cfg))
         assert peak <= 1.5 * 8 * paths
 
-    def test_coarse_cumulant_cell_peaks_below_7_5_sample_arrays(self):
+    def test_coarse_cumulant_cell_peaks_below_4_sample_arrays(self):
         paths = 1 << 18
         cfg = ExperimentConfig("ou-cts", 0.9, BETA, C, B, 0.3, paths=paths, seed=5)
         peak = self._traced_peak(lambda: run_experiment(cfg))
-        assert peak <= 7.5 * 8 * paths
+        assert peak <= 4 * 8 * paths
 
     def test_wide_export_peaks_below_three_tables(self, tmp_path):
         paths = 1 << 17

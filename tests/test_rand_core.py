@@ -2,12 +2,14 @@
 closed-form laws, equivalence of the two CTS sampling routes and the
 proposal cost of the double-rejection route."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import erfc, gamma as gamma_fn
 
-from _helpers import z_score
+from _helpers import two_array_segment_sums, z_score
 from tsousim import cts_ou, ou_cts, rand_core
 from tsousim._util import segment_sums
 from tsousim.rand_core import (
@@ -118,14 +120,13 @@ class TestPoisson:
             sample_poisson(-1.0, RngStream(3, 4))
 
 
-def two_array_segment_sums(values, counts):
-    """Reference: differences of one prefix-sum array with a leading 0,
-    taken at the group offsets."""
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    prefix = np.empty(values.size + 1)
-    prefix[0] = 0.0
-    np.cumsum(values, out=prefix[1:])
-    return prefix[offsets[1:]] - prefix[offsets[:-1]]
+def scattered_segment_sums(values, counts):
+    """``segment_sums`` over the nonempty groups, as ``StepLaw.increments``
+    calls it, with 0 for each empty group."""
+    occupied = np.flatnonzero(counts)
+    out = np.zeros(counts.size)
+    out[occupied] = segment_sums(values, np.cumsum(counts[occupied]))
+    return out
 
 
 class TestSegmentSums:
@@ -141,7 +142,7 @@ class TestSegmentSums:
         counts = np.array(counts, dtype=np.int64)
         values = RngStream(8, 1).gen.standard_normal(int(counts.sum()))
         want = two_array_segment_sums(values, counts)
-        assert segment_sums(values.copy(), counts).tobytes() == want.tobytes()
+        assert scattered_segment_sums(values.copy(), counts).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rate", [0.046, 14.0])
     def test_poisson_counts(self, rate):
@@ -149,12 +150,12 @@ class TestSegmentSums:
         counts = sample_poisson(rate, stream, size=1 << 16)
         values = stream.gen.standard_normal(int(counts.sum()))
         want = two_array_segment_sums(values, counts)
-        assert segment_sums(values.copy(), counts).tobytes() == want.tobytes()
+        assert scattered_segment_sums(values.copy(), counts).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("size", [4, 6])
     def test_size_mismatch_rejected(self, size):
-        with pytest.raises(ValueError, match="counts.sum"):
-            segment_sums(np.ones(size), np.array([2, 0, 3]))
+        with pytest.raises(ValueError, match=r"ends\[-1\] == values.size"):
+            segment_sums(np.ones(size), np.array([2, 5]))
 
 
 class TestStableSubordinator:
@@ -398,6 +399,14 @@ class TestInverseGaussian:
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
             sample_inverse_gaussian(-1.0, 1.0, RngStream(6, 4))
+
+    def test_small_shape_draws_are_positive_and_silent(self):
+        # mu y / lambda up to about 5e10: the smaller root written as a
+        # difference cancelled to zero or below on four draws in ten
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = sample_inverse_gaussian(1.0, 1e-9, RngStream(1, 0), 10**6)
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
 
 
 class TestReproducibility:
