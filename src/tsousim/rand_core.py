@@ -8,10 +8,16 @@ and distinct stream ids derived from one seed give statistically
 independent streams.  This is what makes block-parallel path generation
 deterministic: each worker owns its own stream id.
 
-The tempered-stable sampler offers two exact routes: exponential-tilting
-rejection of a scaled positive stable draw (cheap when the tilt is mild),
-and the double-rejection method of Devroye for heavy tilts, where plain
-tilting would reject almost everything.
+The tempered-stable sampler has two exact kernels: exponential-tilting
+rejection of a scaled positive stable draw, which accepts with probability
+p = ``cts_tilting_acceptance``, and the double-rejection method of Devroye,
+whose cost is bounded in the tilt.  Its automatic choice takes one of
+three routes.  A mild tilt (-ln p < 1.5) is one tilting draw.  A moderate
+tilt (p >= ``TILTING_ACCEPTANCE_FLOOR`` = 0.05) is, by infinite
+divisibility, the sum of n = round(-ln p) tilted draws of CTS(alpha, beta,
+c/n), each accepted with probability p^(1/n), so a draw costs about
+n p^(-1/n) proposals instead of 1/p (Hofert 2011).  A heavy tilt below
+the floor goes to double rejection.
 """
 
 from __future__ import annotations
@@ -39,9 +45,17 @@ __all__ = [
     "path_states",
 ]
 
-# Tilting is used while its analytic acceptance probability stays above
-# this threshold; below it the double-rejection route takes over.
-TILTING_ACCEPTANCE_FLOOR = 0.1
+# Automatic CTS draws tilt, in round(-ln p) summands, while the analytic
+# tilting acceptance p is at least this floor, and use double rejection
+# below it.  On 65 536 draws (2-vCPU Xeon, numpy 2.4.6) the summands beat
+# double rejection by 1.75-2.7x at p = 0.05 for alpha 0.3-0.9, by 1.1-1.8x
+# at p = 0.02, and lost at p = 0.0025.
+TILTING_ACCEPTANCE_FLOOR = 0.05
+
+# Most tilting proposals, size / p, that a forced method="tilting" call may
+# expect; a call that expects more is refused before it draws.  At the cap
+# such a call would run for about ten minutes.
+_MAX_EXPECTED_PROPOSALS = 1 << 32
 
 _MAX_REJECTION_ROUNDS = 10**6
 
@@ -132,6 +146,12 @@ class CtsParams:
     @cached_property
     def _acceptance(self) -> float:
         return cts_tilting_acceptance(self)
+
+    @cached_property
+    def _summands(self) -> int:
+        # n of the automatic n-fold tilting: the nearest integer to -ln p,
+        # near the n that minimises the expected proposals n p^(-1/n)
+        return max(1, round(-math.log(self._acceptance)))
 
 
 def cts_cumulants(p: CtsParams, k: int) -> float:
@@ -394,11 +414,17 @@ def cts_tilting_acceptance(params: CtsParams) -> float:
 def sample_cts(params: CtsParams, stream: RngStream, size: int = 1, method: str = "auto"):
     """``size`` exact draws from a one-sided CTS law.
 
-    ``method`` selects the sampling route for ``alpha > 0``:
+    ``method`` selects the sampling route for ``alpha > 0``, where p is the
+    tilting acceptance ``cts_tilting_acceptance(params)``:
 
-    * ``"auto"`` - exponential tilting while its acceptance probability is
-      at least ``TILTING_ACCEPTANCE_FLOOR``, double rejection below that;
-    * ``"tilting"`` - force the tilting-rejection route;
+    * ``"auto"`` - while p >= ``TILTING_ACCEPTANCE_FLOOR`` (0.05), the sum of
+      n = max(1, round(-ln p)) independent tilting draws of CTS(alpha, beta,
+      c/n), each at scale sigma n^(-1/alpha) and acceptance p^(1/n), drawn
+      one after the other and added into the first; n = 1 (-ln p < 1.5) is
+      exactly one ``"tilting"`` draw.  Below the floor, double rejection;
+    * ``"tilting"`` - force one tilting draw per variate (n = 1); a call
+      that expects more than ``_MAX_EXPECTED_PROPOSALS`` proposals
+      (size / p) raises ValueError before it draws;
     * ``"double-rejection"`` - force Devroye's double-rejection route.
 
     ``alpha == 0`` is the gamma special case and ignores ``method``.
@@ -411,13 +437,22 @@ def sample_cts(params: CtsParams, stream: RngStream, size: int = 1, method: str 
         return _gamma_shape_rate(stream, c, b, size)
 
     sigma = params._sigma
-    lam = b * sigma
-    if method == "auto":
-        method = "tilting" if params._acceptance >= TILTING_ACCEPTANCE_FLOOR else "double-rejection"
-
-    if method == "tilting":
-        return _cts_tilting(a, b, sigma, stream, size)
-    return sigma * _tilted_stable_double_rejection(a, lam, stream, size)
+    if method == "auto" and params._acceptance < TILTING_ACCEPTANCE_FLOOR:
+        method = "double-rejection"
+    if method == "double-rejection":
+        return sigma * _tilted_stable_double_rejection(a, b * sigma, stream, size)
+    if method == "tilting" and size > _MAX_EXPECTED_PROPOSALS * params._acceptance:
+        raise ValueError(
+            f"forced tilting expects size / p = {size} / {params._acceptance:.4g} proposals, "
+            f"more than the cap of {_MAX_EXPECTED_PROPOSALS}; use method='auto' or "
+            "'double-rejection'"
+        )
+    n = params._summands if method == "auto" else 1
+    scale = sigma * n ** (-1.0 / a)
+    x = _cts_tilting(a, b, scale, stream, size)
+    for _ in range(n - 1):
+        x += _cts_tilting(a, b, scale, stream, size)
+    return x
 
 
 def _cts_scale(params: CtsParams) -> float:

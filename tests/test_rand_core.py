@@ -1,6 +1,7 @@
 """Base sampler tests: determinism, exactness against analytic moments and
-closed-form laws, equivalence of the two CTS sampling routes and the
-proposal cost of the double-rejection route."""
+closed-form laws, equivalence of the CTS sampling routes, the automatic
+route's n-fold tilting, the forced-tilting work cap and the proposal cost
+of the double-rejection route."""
 
 import warnings
 
@@ -275,6 +276,115 @@ class TestCts:
         monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
         with pytest.raises(ValueError, match=r"beta\*sigma = inf"):
             sample_cts(CtsParams(0.016, 1e10, 1e3), RngStream(5, 13), size=4)
+
+
+def law_at(alpha, p, beta=1.4):
+    """CtsParams(alpha, beta, c) whose tilting acceptance is p."""
+    return CtsParams(alpha, beta, -np.log(p) * alpha / (gamma_fn(1.0 - alpha) * beta**alpha))
+
+
+def laplace(params, u):
+    """E exp(-u X) = exp(c Gamma(-alpha) ((beta + u)^alpha - beta^alpha))."""
+    a, b, c = params.alpha, params.beta, params.c
+    return np.exp(c * gamma_fn(-a) * ((b + u) ** a - b**a))
+
+
+def laplace_z(x, params):
+    """z-scores of the sample mean of exp(-u x) at u in {0.1, 0.5, 1, 2, 5}/k1,
+    each divided by its exact SE sqrt((L(2u) - L(u)^2) / n)."""
+    u = np.array([0.1, 0.5, 1.0, 2.0, 5.0]) / rand_core.cts_cumulants(params, 1)
+    mean = np.exp(-np.outer(u, x)).mean(axis=1)
+    truth = laplace(params, u)
+    return (mean - truth) / np.sqrt((laplace(params, 2.0 * u) - truth**2) / x.size)
+
+
+MODERATE = [(alpha, p) for p in (0.2, 0.1, 0.05) for alpha in (0.3, 0.5, 0.9)]
+
+
+class TestNFoldTilting:
+    """``sample_cts(method="auto")`` on moderate tilts, p = acceptance in
+    [0.05, 0.223), draws n = round(-ln p) tilted summands: n = 2 at p 0.2 and
+    0.1, n = 3 at p 0.05.  The referees run at seeds fixed before their
+    first run, and each law is checked by two tests:
+
+    * the closed-form Laplace transform at five u, z-scored with the exact
+      variance of exp(-uX); 45 |z| < 4 gates, a family-wise false-alarm
+      rate of at most 45 x 6.3e-5 = 0.3% (Bonferroni).  Measured on 10^5
+      draws a law (numpy 2.4.6): over 10 other seeds the largest |z| of any
+      law was 2.97; summands at the full scale sigma gave a largest |z| of
+      279-3032, and draws of the law with c 2% high 7.6-47;
+    * a two-sample KS test against forced double rejection at p > 0.01, a
+      family-wise false-alarm rate of at most 9%, fixed by the seeds.
+    """
+
+    @pytest.mark.parametrize(
+        "p,n",
+        [(0.99, 1), (0.25, 1), (np.exp(-1.49), 1), (np.exp(-1.51), 2), (0.2, 2), (0.1, 2),
+         (0.06, 3), (0.05, 3)],
+    )
+    def test_summand_count(self, p, n, monkeypatch):
+        calls = []
+        tilting = rand_core._cts_tilting
+
+        def spy(alpha, beta, sigma, stream, size):
+            calls.append(sigma)
+            return tilting(alpha, beta, sigma, stream, size)
+
+        monkeypatch.setattr(rand_core, "_cts_tilting", spy)
+        params = law_at(0.5, p)
+        sample_cts(params, RngStream(5, 14), size=4)
+        assert params._summands == n
+        assert calls == [params._sigma * n ** -2.0] * n  # sigma n^(-1/alpha)
+
+    @pytest.mark.parametrize("p", [0.0499, 0.01])
+    def test_below_the_floor_is_double_rejection(self, p, monkeypatch):
+        monkeypatch.setattr(rand_core, "_cts_tilting", None)  # any tilting call fails
+        x = sample_cts(law_at(0.5, p), RngStream(5, 15), size=4)
+        assert np.all(x > 0.0)
+
+    @pytest.mark.parametrize("alpha,p", MODERATE)
+    def test_laplace_transform(self, alpha, p):
+        params = law_at(alpha, p)
+        x = sample_cts(params, RngStream(31, MODERATE.index((alpha, p))), size=10**5)
+        assert np.abs(laplace_z(x, params)).max() < 4.0
+
+    @pytest.mark.parametrize("alpha,p", MODERATE)
+    def test_matches_double_rejection(self, alpha, p):
+        params = law_at(alpha, p)
+        i = MODERATE.index((alpha, p))
+        x = sample_cts(params, RngStream(32, i), size=5 * 10**4)
+        y = sample_cts(params, RngStream(33, i), size=5 * 10**4, method="double-rejection")
+        assert stats.ks_2samp(x, y).pvalue > 0.01
+
+    @pytest.mark.parametrize("p", [0.9, 0.5, 0.25])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_one_summand_is_forced_tilting_bit_for_bit(self, alpha, p):
+        params = law_at(alpha, p)
+        assert params._summands == 1
+        s1, s2 = RngStream(34, 1), RngStream(34, 1)
+        x = sample_cts(params, s1, size=1000)
+        y = sample_cts(params, s2, size=1000, method="tilting")
+        assert x.tobytes() == y.tobytes()
+        assert s1.gen.random(4).tobytes() == s2.gen.random(4).tobytes()
+
+    def test_forced_tilting_work_cap(self):
+        # 10^6 draws at p = 2.3e-5 expect 4.3e10 proposals, some minutes of work
+        params = law_at(0.9, 2.3e-5)
+        stream = RngStream(5, 16)
+        with pytest.raises(ValueError, match="forced tilting expects"):
+            sample_cts(params, stream, size=10**6, method="tilting")
+        assert stream.gen.random(4).tobytes() == RngStream(5, 16).gen.random(4).tobytes()
+        # auto and double rejection are not capped: they take the same law by DR
+        assert sample_cts(params, stream, size=4).shape == (4,)
+
+    def test_forced_tilting_work_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(rand_core, "_MAX_EXPECTED_PROPOSALS", 1000)
+        params = law_at(0.5, 0.5)
+        assert sample_cts(params, RngStream(5, 17), size=499, method="tilting").shape == (499,)
+        with pytest.raises(ValueError, match="forced tilting expects"):
+            sample_cts(params, RngStream(5, 17), size=501, method="tilting")
+        # the cap bounds forced tilting only
+        assert sample_cts(params, RngStream(5, 17), size=501).shape == (501,)
 
 
 class TestSinc:
