@@ -18,6 +18,13 @@ alpha * (1 - alpha) below 1 and one above, so both proposal mixtures of
 the first stage run, followed by the next 16 uniforms of the same
 stream, so how many draws each round consumes is pinned too.
 
+The ``cts-nfold-alpha0.5`` case pins the automatic route's n-fold
+tilting: 10^4 ``sample_cts`` draws of the CTS part of the OU-CTS alpha
+0.5, b dt = 3 step (tilting acceptance 0.097, two summands), and
+``cts-tilting-alpha0.5`` pins the single-summand tilting kernel on the
+same law with ``method="tilting"``; each is followed by the next 16
+uniforms of the same stream.
+
 The ``chunked-*`` cases pin stages that draw or compute in blocks of
 8192 elements by drawing far more than one block in one call: one
 2**14-path OU-CTS step at alpha 0.9, b dt = 3 (about 230 000 jumps), one
@@ -117,6 +124,17 @@ def _cts_dr(alpha, c, seed, heavy):
         assert (gamma_ >= 1.0) == heavy
         stream = RngStream(seed, 3)
         x = sample_cts(params, stream, size=10**4, method="double-rejection")
+        return np.concatenate([x, stream.gen.random(16)]).tobytes()
+
+    return run
+
+
+def _cts_oucts_wide(method, seed):
+    def run(tmp_path):
+        params = step_law_oucts(OuCtsProcess(CtsParams(0.5, 1.4, 0.8), 10.0), 0.3).x1_params
+        assert params._summands == 2
+        stream = RngStream(seed, 3)
+        x = sample_cts(params, stream, size=10**4, method=method)
         return np.concatenate([x, stream.gen.random(16)]).tobytes()
 
     return run
@@ -230,6 +248,14 @@ CASES = {
     "cts-dr-alpha0.9-heavy": (
         _cts_dr(0.9, 3.0, 37, heavy=True),
         "f9738eecf4bd4fed6a31237b0fc9e250c9d4d425b55c95403716c94bd29ab7e7",
+    ),
+    "cts-nfold-alpha0.5": (
+        _cts_oucts_wide("auto", 38),
+        "79987f8415b5d35ca5abf2205783d1f73bdcc7800105a33d4827c425cdc6b0ed",
+    ),
+    "cts-tilting-alpha0.5": (
+        _cts_oucts_wide("tilting", 39),
+        "ee76b3023b7ebf991f74532c8744594ee88fa6c5320367fb9f56d18ae67795a8",
     ),
     "chunked-ctsou-step": (
         _chunked("ctsou-step", 40),
