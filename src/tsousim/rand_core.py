@@ -47,14 +47,14 @@ __all__ = [
 
 # Automatic CTS draws tilt, in round(-ln p) summands, while the analytic
 # tilting acceptance p is at least this floor, and use double rejection
-# below it.  On 65 536 draws (2-vCPU Xeon, numpy 2.4.6) the summands beat
-# double rejection by 1.75-2.7x at p = 0.05 for alpha 0.3-0.9, by 1.1-1.8x
-# at p = 0.02, and lost at p = 0.0025.
+# below it.  On 65 536 draws at alpha 0.3-0.9 (2-vCPU Xeon, numpy 2.4.6)
+# the summands took 1/2.1-1/1.7 of double rejection's time at p = 0.05,
+# 1/1.6-1/1.4 at p = 0.02, and 1.0-2.0 times it at p = 0.0025.
 TILTING_ACCEPTANCE_FLOOR = 0.05
 
 # Most tilting proposals, size / p, that a forced method="tilting" call may
-# expect; a call that expects more is refused before it draws.  At the cap
-# such a call would run for about ten minutes.
+# expect; a call that expects more is refused before it draws.  At about
+# 100 ns a proposal, a call at the cap runs some seven minutes.
 _MAX_EXPECTED_PROPOSALS = 1 << 32
 
 _MAX_REJECTION_ROUNDS = 10**6
@@ -149,9 +149,13 @@ class CtsParams:
 
     @cached_property
     def _summands(self) -> int:
-        # n of the automatic n-fold tilting: the nearest integer to -ln p,
-        # near the n that minimises the expected proposals n p^(-1/n)
-        return max(1, round(-math.log(self._acceptance)))
+        # tilting draws per variate of the automatic route: the nearest
+        # integer to -ln p, near the n that minimises the expected proposals
+        # n p^(-1/n), while p >= TILTING_ACCEPTANCE_FLOOR; 0 below the floor,
+        # where the route is double rejection.  It reads p itself, so the
+        # automatic route of a fresh law computes one cached value.
+        p = cts_tilting_acceptance(self)
+        return max(1, round(-math.log(p))) if p >= TILTING_ACCEPTANCE_FLOOR else 0
 
 
 def cts_cumulants(p: CtsParams, k: int) -> float:
@@ -437,17 +441,20 @@ def sample_cts(params: CtsParams, stream: RngStream, size: int = 1, method: str 
         return _gamma_shape_rate(stream, c, b, size)
 
     sigma = params._sigma
-    if method == "auto" and params._acceptance < TILTING_ACCEPTANCE_FLOOR:
-        method = "double-rejection"
-    if method == "double-rejection":
+    if method == "auto":
+        n = params._summands
+    elif method == "tilting":
+        if size > _MAX_EXPECTED_PROPOSALS * params._acceptance:
+            raise ValueError(
+                f"forced tilting expects size / p = {size} / {params._acceptance:.4g} "
+                f"proposals, more than the cap of {_MAX_EXPECTED_PROPOSALS}; use "
+                "method='auto' or 'double-rejection'"
+            )
+        n = 1
+    else:
+        n = 0
+    if n == 0:
         return sigma * _tilted_stable_double_rejection(a, b * sigma, stream, size)
-    if method == "tilting" and size > _MAX_EXPECTED_PROPOSALS * params._acceptance:
-        raise ValueError(
-            f"forced tilting expects size / p = {size} / {params._acceptance:.4g} proposals, "
-            f"more than the cap of {_MAX_EXPECTED_PROPOSALS}; use method='auto' or "
-            "'double-rejection'"
-        )
-    n = params._summands if method == "auto" else 1
     scale = sigma * n ** (-1.0 / a)
     x = _cts_tilting(a, b, scale, stream, size)
     for _ in range(n - 1):

@@ -339,8 +339,9 @@ class TestNFoldTilting:
     @pytest.mark.parametrize("p", [0.0499, 0.01])
     def test_below_the_floor_is_double_rejection(self, p, monkeypatch):
         monkeypatch.setattr(rand_core, "_cts_tilting", None)  # any tilting call fails
-        x = sample_cts(law_at(0.5, p), RngStream(5, 15), size=4)
-        assert np.all(x > 0.0)
+        params = law_at(0.5, p)
+        x = sample_cts(params, RngStream(5, 15), size=4)
+        assert np.all(x > 0.0) and params._summands == 0
 
     @pytest.mark.parametrize("alpha,p", MODERATE)
     def test_laplace_transform(self, alpha, p):
