@@ -1,12 +1,12 @@
 """Shared test utilities: batch z-scores, fake streams, goodness-of-fit,
-the Levy-Khintchine quadrature oracle's pinned values."""
+single CTS kernels, the Levy-Khintchine quadrature oracle's pinned values."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import stats
 
-from tsousim import ou_cts
+from tsousim import ou_cts, rand_core
 from tsousim.harness import estimate_cumulants
 from tsousim.levy_core import (
     GeneralTsLaw,
@@ -46,6 +46,20 @@ class FixedStream:
     def random(self, size):
         reps = int(np.ceil(size / self._values.size))
         return np.tile(self._values, reps)[:size]
+
+
+def cts_kernel(params, stream, size: int, route: str) -> np.ndarray:
+    """``size`` draws of CTS(alpha > 0) by one kernel, whatever route
+    ``sample_cts`` would take: ``"double-rejection"``, or ``"tilting"``,
+    one tilted proposal per variate at the full scale sigma, accepted
+    with probability p.  The arithmetic is ``sample_cts``'s own on that
+    route, so where the law takes it the draws agree bit for bit."""
+    a, b, sigma = params.alpha, params.beta, params._sigma
+    if route == "double-rejection":
+        return sigma * rand_core._tilted_stable_double_rejection(a, b * sigma, stream, size)
+    if route == "tilting":
+        return rand_core._cts_tilting(a, b, sigma, stream, size)
+    raise ValueError(f"unknown CTS kernel {route!r}")
 
 
 def force_single_chord(monkeypatch) -> None:

@@ -61,12 +61,15 @@ def step_cts(alpha, dt):
     return cts_ou.step_law(proc, dt).x1_params
 
 
-@pytest.mark.parametrize("params,route", [
-    (CtsParams(0.0, 1.4, 0.8), "gamma"),
-    (step_cts(0.5, 1.0 / 365.0), "tilting"),
-    (step_cts(0.9, 30.0 / 365.0), "double-rejection"),  # cumulant-coarse's CTS-OU DR cell
-])
-def test_tracer_route_is_the_route_sample_cts_takes(params, route, monkeypatch):
+@pytest.mark.parametrize("params,kernels", [
+    (CtsParams(0.0, 1.4, 0.8), ["gamma"]),
+    (step_cts(0.5, 1.0 / 365.0), ["tilting"]),
+    (step_cts(0.9, 30.0 / 365.0), ["double-rejection"]),  # cumulant-coarse's CTS-OU DR cell
+    # cumulant-coarse's OU-CTS alpha 0.5 cell, b dt = 3: p = 0.097, two summands
+    (ou_cts.step_law_oucts(ou_cts.OuCtsProcess(CtsParams(0.5, 1.4, 0.8), 10.0), 0.3).x1_params,
+     ["tilting", "tilting"]),
+], ids=["gamma", "tilting", "double-rejection", "two-summand-tilting"])
+def test_tracer_route_is_the_route_sample_cts_takes(params, kernels, monkeypatch):
     taken = []
     for name, label in ROUTES.items():
         def spy(*args, _fn=getattr(rand_core, name), _label=label, **kwargs):
@@ -75,8 +78,8 @@ def test_tracer_route_is_the_route_sample_cts_takes(params, route, monkeypatch):
         monkeypatch.setattr(rand_core, name, spy)
     args = (params, RngStream(1), 4)
     result = rand_core.sample_cts(*args)
-    assert taken == [route]
-    assert tracing._cts_route(args, {}, result)[1] == route
+    assert taken == kernels
+    assert tracing._cts_route(args, {}, result)[1] == kernels[0]
 
 
 @pytest.fixture

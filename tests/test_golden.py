@@ -12,18 +12,19 @@ acceptance values come from the proposal counter of the envelope
 sampler.
 
 The ``cts-dr-*`` cases pin Devroye's double-rejection kernel on its own:
-10^4 draws of ``sample_cts(..., method="double-rejection")`` at alpha
+10^4 draws of ``cts_kernel(..., "double-rejection")`` at alpha
 0.3, 0.5, 0.7 and 0.9, each at one tilt with gamma = lam^alpha *
 alpha * (1 - alpha) below 1 and one above, so both proposal mixtures of
 the first stage run, followed by the next 16 uniforms of the same
 stream, so how many draws each round consumes is pinned too.
 
-The ``cts-nfold-alpha0.5`` case pins the automatic route's n-fold
+The ``cts-nfold-alpha0.5`` case pins ``sample_cts``'s n-fold
 tilting: 10^4 ``sample_cts`` draws of the CTS part of the OU-CTS alpha
 0.5, b dt = 3 step (tilting acceptance 0.097, two summands), and
 ``cts-tilting-alpha0.5`` pins the single-summand tilting kernel on the
-same law with ``method="tilting"``; each is followed by the next 16
-uniforms of the same stream.
+same law with ``cts_kernel(..., "tilting")``; each is followed by the
+next 16 uniforms of the same stream.  ``cts_kernel`` (in ``_helpers``)
+calls one kernel with the arithmetic ``sample_cts`` uses on its route.
 
 The ``chunked-*`` cases pin stages that draw or compute in blocks of
 8192 elements by drawing far more than one block in one call: one
@@ -69,7 +70,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from _helpers import levy_core_oracle_values
+from _helpers import cts_kernel, levy_core_oracle_values
 from tsousim.cli import main
 from tsousim.cts_ou import CtsOuProcess, simulate_skeleton_ctsou, step_law
 from tsousim.harness import estimate_cumulants
@@ -123,18 +124,21 @@ def _cts_dr(alpha, c, seed, heavy):
         gamma_ = params.beta**alpha * c * gamma_fn(1.0 - alpha) * (1.0 - alpha)
         assert (gamma_ >= 1.0) == heavy
         stream = RngStream(seed, 3)
-        x = sample_cts(params, stream, size=10**4, method="double-rejection")
+        x = cts_kernel(params, stream, 10**4, "double-rejection")
         return np.concatenate([x, stream.gen.random(16)]).tobytes()
 
     return run
 
 
-def _cts_oucts_wide(method, seed):
+def _cts_oucts_wide(route, seed):
     def run(tmp_path):
         params = step_law_oucts(OuCtsProcess(CtsParams(0.5, 1.4, 0.8), 10.0), 0.3).x1_params
         assert params._summands == 2
         stream = RngStream(seed, 3)
-        x = sample_cts(params, stream, size=10**4, method=method)
+        if route is None:  # the law's own route: two tilted summands
+            x = sample_cts(params, stream, size=10**4)
+        else:
+            x = cts_kernel(params, stream, 10**4, route)
         return np.concatenate([x, stream.gen.random(16)]).tobytes()
 
     return run
@@ -250,7 +254,7 @@ CASES = {
         "f9738eecf4bd4fed6a31237b0fc9e250c9d4d425b55c95403716c94bd29ab7e7",
     ),
     "cts-nfold-alpha0.5": (
-        _cts_oucts_wide("auto", 38),
+        _cts_oucts_wide(None, 38),
         "79987f8415b5d35ca5abf2205783d1f73bdcc7800105a33d4827c425cdc6b0ed",
     ),
     "cts-tilting-alpha0.5": (

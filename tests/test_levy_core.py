@@ -357,9 +357,22 @@ class TestCumulants:
             )
             assert additive == pytest.approx(generic, rel=1e-8)
 
-    def test_order_domain(self):
-        with pytest.raises(ValueError):
-            cts_cumulants(CTS_REF, 0)
+    @pytest.mark.parametrize("k", [0, 2.5])
+    @pytest.mark.parametrize(
+        "cumulant",
+        [
+            lambda k: cts_cumulants(CTS_REF, k),
+            lambda k: cts_ou.step_law(cts_ou.CtsOuProcess(CTS_REF, 10.0), 0.1).cumulant(k),
+            lambda k: cts_ou.cumulants_ctsou(cts_ou.CtsOuProcess(CTS_REF, 10.0), 0.0, 0.1, k),
+            lambda k: ou_cts.cumulants_oucts(ou_cts.OuCtsProcess(CTS_REF, 10.0), 0.0, 0.1, k),
+            lambda k: ou_cumulants_from_stationary(lambda j: 1.0, 0.0, 10.0, 0.1, k),
+        ],
+        ids=["cts", "step-law", "ctsou", "oucts", "from-stationary"],
+    )
+    def test_order_domain(self, cumulant, k):
+        # a non-integer order returned a value (0.3747 at k = 2.5 for CTS-OU)
+        with pytest.raises(ValueError, match="cumulant order"):
+            cumulant(k)
 
     @pytest.mark.parametrize("dt", [-1.0, -np.inf, np.nan])
     @pytest.mark.parametrize(

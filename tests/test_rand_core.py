@@ -1,7 +1,8 @@
 """Base sampler tests: determinism, exactness against analytic moments and
-closed-form laws, equivalence of the CTS sampling routes, the automatic
-route's n-fold tilting, the forced-tilting work cap and the proposal cost
-of the double-rejection route."""
+closed-form laws, equivalence of the CTS kernels (each called alone through
+``_helpers.cts_kernel``), the n-fold tilting route, the bounded proposal
+count of every route ``sample_cts`` takes, and the proposal cost of the
+double-rejection route."""
 
 import warnings
 
@@ -10,12 +11,13 @@ import pytest
 from scipy import stats
 from scipy.special import erfc, gamma as gamma_fn
 
-from _helpers import two_array_segment_sums, z_score
+from _helpers import cts_kernel, two_array_segment_sums, z_score
 from tsousim import cts_ou, ou_cts, rand_core
 from tsousim._util import segment_sums
 from tsousim.rand_core import (
     CtsParams,
     RngStream,
+    TILTING_ACCEPTANCE_FLOOR,
     cts_tilting_acceptance,
     sample_cts,
     sample_inverse_gaussian,
@@ -212,12 +214,12 @@ class TestCts:
     def test_tilting_matches_double_rejection(self, params):
         # overlapping range: tilting still terminates, double rejection active
         assert 0.02 < cts_tilting_acceptance(params) < 0.1
-        a = sample_cts(params, RngStream(5, 5), size=10**5, method="tilting")
-        b = sample_cts(params, RngStream(5, 6), size=10**5, method="double-rejection")
+        a = cts_kernel(params, RngStream(5, 5), 10**5, "tilting")
+        b = cts_kernel(params, RngStream(5, 6), 10**5, "double-rejection")
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
     def test_double_rejection_moments(self):
-        p = CtsParams(0.9, 1.4, 0.8)  # tilting acceptance ~1e-5: forced fallback
+        p = CtsParams(0.9, 1.4, 0.8)  # tilting acceptance ~1e-5: double rejection
         x = sample_cts(p, RngStream(5, 7), size=2 * 10**5)
         for k in (1, 2):
             truth = p.c * p.beta ** (p.alpha - k) * gamma_fn(k - p.alpha)
@@ -232,17 +234,12 @@ class TestCts:
         with pytest.raises(ValueError):
             CtsParams(alpha, beta, c)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            sample_cts(CtsParams(0.5, 1.0, 1.0), RngStream(5, 8), method="magic")
-
-    @pytest.mark.parametrize("method", ["tilting", "double-rejection"])
-    def test_overflowing_scale_rejected(self, method, monkeypatch):
+    def test_overflowing_scale_rejected(self, monkeypatch):
         # sigma = (c Gamma(1-alpha)/alpha)^(1/alpha) is inf: no proposal could be
         # accepted; a small round cap makes a missing check fail fast, not spin
         monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
         with pytest.raises(ValueError, match=r"alpha = 0\.002, c = 0\.8"):
-            sample_cts(CtsParams(0.002, 1.4, 0.8), RngStream(5, 10), size=4, method=method)
+            sample_cts(CtsParams(0.002, 1.4, 0.8), RngStream(5, 10), size=4)
 
     @staticmethod
     def tilted(alpha, share):
@@ -261,14 +258,13 @@ class TestCts:
         # the law is concentrated at its mean: k2 / k1^2 is below 1e-32
         assert x.mean() == pytest.approx(rand_core.cts_cumulants(p, 1), rel=1e-9)
 
-    @pytest.mark.parametrize("method", ["auto", "tilting", "double-rejection"])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
-    def test_tilt_above_the_bound_is_refused_before_any_draw(self, alpha, method, monkeypatch):
+    def test_tilt_above_the_bound_is_refused_before_any_draw(self, alpha, monkeypatch):
         # double rejection would return exact zeros; tilting would spin
         monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
         stream = RngStream(5, 12)
         with pytest.raises(ValueError, match="too heavy for double rejection"):
-            sample_cts(self.tilted(alpha, 1.1), stream, size=4, method=method)
+            sample_cts(self.tilted(alpha, 1.1), stream, size=4)
         assert stream.gen.random(4).tobytes() == RngStream(5, 12).gen.random(4).tobytes()
 
     def test_infinite_tilt_is_refused(self, monkeypatch):
@@ -302,7 +298,7 @@ MODERATE = [(alpha, p) for p in (0.2, 0.1, 0.05) for alpha in (0.3, 0.5, 0.9)]
 
 
 class TestNFoldTilting:
-    """``sample_cts(method="auto")`` on moderate tilts, p = acceptance in
+    """``sample_cts`` on moderate tilts, p = acceptance in
     [0.05, 0.223), draws n = round(-ln p) tilted summands: n = 2 at p 0.2 and
     0.1, n = 3 at p 0.05.  The referees run at seeds fixed before their
     first run, and each law is checked by two tests:
@@ -313,8 +309,9 @@ class TestNFoldTilting:
       draws a law (numpy 2.4.6): over 10 other seeds the largest |z| of any
       law was 2.97; summands at the full scale sigma gave a largest |z| of
       279-3032, and draws of the law with c 2% high 7.6-47;
-    * a two-sample KS test against forced double rejection at p > 0.01, a
-      family-wise false-alarm rate of at most 9%, fixed by the seeds.
+    * a two-sample KS test against the double-rejection kernel alone
+      (``cts_kernel``) at p > 0.01, a family-wise false-alarm rate of at
+      most 9%, fixed by the seeds.
     """
 
     @pytest.mark.parametrize(
@@ -354,38 +351,35 @@ class TestNFoldTilting:
         params = law_at(alpha, p)
         i = MODERATE.index((alpha, p))
         x = sample_cts(params, RngStream(32, i), size=5 * 10**4)
-        y = sample_cts(params, RngStream(33, i), size=5 * 10**4, method="double-rejection")
+        y = cts_kernel(params, RngStream(33, i), 5 * 10**4, "double-rejection")
         assert stats.ks_2samp(x, y).pvalue > 0.01
 
     @pytest.mark.parametrize("p", [0.9, 0.5, 0.25])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
-    def test_one_summand_is_forced_tilting_bit_for_bit(self, alpha, p):
+    def test_one_summand_is_the_tilting_kernel_bit_for_bit(self, alpha, p):
         params = law_at(alpha, p)
         assert params._summands == 1
         s1, s2 = RngStream(34, 1), RngStream(34, 1)
         x = sample_cts(params, s1, size=1000)
-        y = sample_cts(params, s2, size=1000, method="tilting")
+        y = cts_kernel(params, s2, 1000, "tilting")
         assert x.tobytes() == y.tobytes()
         assert s1.gen.random(4).tobytes() == s2.gen.random(4).tobytes()
 
-    def test_forced_tilting_work_cap(self):
-        # 10^6 draws at p = 2.3e-5 expect 4.3e10 proposals, some minutes of work
-        params = law_at(0.9, 2.3e-5)
-        stream = RngStream(5, 16)
-        with pytest.raises(ValueError, match="forced tilting expects"):
-            sample_cts(params, stream, size=10**6, method="tilting")
-        assert stream.gen.random(4).tobytes() == RngStream(5, 16).gen.random(4).tobytes()
-        # auto and double rejection are not capped: they take the same law by DR
-        assert sample_cts(params, stream, size=4).shape == (4,)
-
-    def test_forced_tilting_work_cap_boundary(self, monkeypatch):
-        monkeypatch.setattr(rand_core, "_MAX_EXPECTED_PROPOSALS", 1000)
-        params = law_at(0.5, 0.5)
-        assert sample_cts(params, RngStream(5, 17), size=499, method="tilting").shape == (499,)
-        with pytest.raises(ValueError, match="forced tilting expects"):
-            sample_cts(params, RngStream(5, 17), size=501, method="tilting")
-        # the cap bounds forced tilting only
-        assert sample_cts(params, RngStream(5, 17), size=501).shape == (501,)
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_every_automatic_route_bounds_its_proposals(self, alpha):
+        # no proposal cap is needed: from the floor up to p = 1 the route
+        # draws n in {1, 2, 3} summands at n p^(-1/n) <= 8.2 expected
+        # proposals a draw; below the floor it is double rejection, whose
+        # cost TestDoubleRejectionEfficiency bounds uniformly in the tilt
+        for p in np.geomspace(TILTING_ACCEPTANCE_FLOOR, 0.999, 400):
+            params = law_at(alpha, p)
+            p, n = cts_tilting_acceptance(params), params._summands
+            if p >= TILTING_ACCEPTANCE_FLOOR:
+                assert n in (1, 2, 3) and n * p ** (-1.0 / n) <= 8.2
+            else:
+                assert n == 0
+        for p in np.geomspace(1e-300, TILTING_ACCEPTANCE_FLOOR, 400, endpoint=False):
+            assert law_at(alpha, p)._summands == 0
 
 
 class TestSinc:
@@ -490,7 +484,7 @@ class TestRejectionLoop:
             rand_core._rejection_loop(never, 4, "never-accepting proposal")
         # tilting acceptance ~1e-5: four rounds of four proposals accept nothing
         with pytest.raises(RuntimeError, match="tilting rejection"):
-            sample_cts(CtsParams(0.9, 1.4, 0.8), RngStream(5, 9), size=4, method="tilting")
+            cts_kernel(CtsParams(0.9, 1.4, 0.8), RngStream(5, 9), 4, "tilting")
 
 
 class TestInverseGaussian:
@@ -507,9 +501,16 @@ class TestInverseGaussian:
         x = sample_inverse_gaussian(mu, 1e6 * mu, RngStream(6, 3), size=10**4)
         assert x.std() < 0.01 * mu
 
-    def test_parameter_domain(self):
-        with pytest.raises(ValueError):
-            sample_inverse_gaussian(-1.0, 1.0, RngStream(6, 4))
+    @pytest.mark.parametrize(
+        "mu,lam",
+        [(-1.0, 1.0), (np.inf, 1.0), (np.nan, 1.0), (1.0, 0.0), (1.0, np.inf), (1.0, np.nan)],
+    )
+    def test_parameter_domain(self, mu, lam):
+        # an infinite mean or shape returned NaN draws with a RuntimeWarning
+        stream = RngStream(6, 4)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_inverse_gaussian(mu, lam, stream, 3)
+        assert stream.gen.random(4).tobytes() == RngStream(6, 4).gen.random(4).tobytes()
 
     def test_small_shape_draws_are_positive_and_silent(self):
         # mu y / lambda up to about 5e10: the smaller root written as a

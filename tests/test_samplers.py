@@ -41,8 +41,8 @@ SAMPLERS = {
         lambda s, **kw: sample_stable_subordinator(0.5, s, **kw), False
     ),
     "sample_cts": (lambda s, **kw: sample_cts(LAW, s, **kw), False),
-    "sample_cts-double-rejection": (
-        lambda s, **kw: sample_cts(LAW, s, method="double-rejection", **kw), False
+    "sample_cts-double-rejection": (  # tilting acceptance 1e-5
+        lambda s, **kw: sample_cts(CtsParams(0.9, 1.4, 0.8), s, **kw), False
     ),
     "sample_cts-gamma": (lambda s, **kw: sample_cts(CtsParams(0.0, 1.4, 0.8), s, **kw), False),
     "sample_inverse_gaussian": (lambda s, **kw: sample_inverse_gaussian(1.0, 2.0, s, **kw), False),
