@@ -13,11 +13,12 @@ bit-identical for any worker count and any run.
 
 from __future__ import annotations
 
+import csv
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,9 +168,6 @@ class ErrTableRow:
     se: float
 
 
-_CSV_HEADER = "alpha,dt,method,k_order,true,estimated,err_pct,se"
-
-
 @dataclass
 class ErrTable:
     rows: list
@@ -180,12 +178,9 @@ class ErrTable:
 
     def to_csv(self, path: str) -> None:
         with _writing(path, "err table") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.alpha!r},{r.dt!r},{r.method},{r.k_order},"
-                    f"{r.true!r},{r.estimated!r},{r.err_pct!r},{r.se!r}\n"
-                )
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(f.name for f in fields(ErrTableRow))
+            writer.writerows(astuple(r) for r in self.rows)
 
 
 def _power_sums(x: np.ndarray, centre, buf: np.ndarray):
@@ -268,7 +263,8 @@ def _run_blocks(cfg: ExperimentConfig, law: StepLaw, job: Callable) -> None:
     """Run ``job(cols, states)`` for each block i of up to ``BLOCK_SIZE`` paths
     ``cols``: ``states`` is :func:`rand_core.path_states` over cfg.steps steps
     of ``law`` on stream i, ``BLOCK_SIZE`` draws per call.  Blocks run in parallel
-    when cfg.workers > 1; jobs write disjoint slices, and exceptions propagate."""
+    when cfg.workers > 1; jobs write disjoint slices, and the first exception
+    propagates once the running blocks end, the queued ones cancelled."""
 
     def run(i: int) -> None:
         lo = i * BLOCK_SIZE
@@ -282,8 +278,8 @@ def _run_blocks(cfg: ExperimentConfig, law: StepLaw, job: Callable) -> None:
             run(i)
         return
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        for f in [pool.submit(run, i) for i in blocks]:
-            f.result()
+        for _ in pool.map(run, blocks):
+            pass
 
 
 def simulate_terminal(cfg: ExperimentConfig, law: StepLaw) -> np.ndarray:
@@ -485,7 +481,8 @@ def _check_envelopes(report: ValidationReport) -> None:
     for alpha in _ALPHA_GRID:
         for a in a_cells:
             env = ou_cts.build_envelope(alpha, a)
-            gap = float(np.max(ou_cts.f_w_density(grid, a, alpha) - env.value(grid)))
+            g_l = np.interp(grid, env.breakpoints, env.f_values)
+            gap = float(np.max(ou_cts.f_w_density(grid, a, alpha) - g_l))
             w, made = ou_cts.sample_w(env, a, alpha, stream, _ENVELOPE_DRAWS)
             in_range = bool(np.all((w >= 0.0) & (w <= 1.0)))
             accept = _ENVELOPE_DRAWS / made

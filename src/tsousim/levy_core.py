@@ -259,10 +259,6 @@ class GeneralTsLaw:
         if abs(q0 - 1.0) > 1e-9:
             raise ValueError(f"tempering function must satisfy q(0)=1, got {q0}")
 
-    def nu(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.c * self.q(x) / x ** (1.0 + self.alpha)
-
 
 def _cts_nu(params: CtsParams) -> Callable:
     """Levy density c e^(-beta x) / x^(1+alpha) of a one-sided CTS law.
@@ -285,8 +281,9 @@ class LevyTriplet:
 
     ``nu`` is a callable density on the support; ``k_fn`` is the canonical
     density k(x) = |x| * nu(x), whose monotonicity characterises
-    self-decomposability.  Construction numerically checks
-    integrability of (1 ^ x^2) nu(x) on a fixed log grid and, when the law
+    self-decomposability.  Construction of every triplet, remainders
+    included, numerically checks that nu is finite away from 0 and that
+    (1 ^ x^2) nu(x) is integrable on a fixed log grid and, when the law
     is flagged self-decomposable, spot-checks that k is nonincreasing on
     the positive axis.
     """
@@ -299,7 +296,6 @@ class LevyTriplet:
         *,
         subordinator: bool = True,
         self_decomposable: bool = True,
-        validate: bool = True,
     ):
         self.gamma_drift = float(gamma_drift)
         self.sigma = float(sigma)
@@ -311,10 +307,6 @@ class LevyTriplet:
             raise ValueError("sigma must be nonnegative")
         if self.subordinator and self.sigma != 0.0:
             raise ValueError("a subordinator has no Gaussian part; flag it two-sided")
-        if validate:
-            self._validate()
-
-    def _validate(self):
         x = _INTEGRABILITY_GRID
         with np.errstate(all="ignore"):
             vals = np.asarray(self.nu(x), dtype=float)
@@ -372,7 +364,8 @@ def aremainder_triplet(t: LevyTriplet, a: float) -> LevyTriplet:
     k_a(x) = c (e^(-beta x) - e^(-beta x/a)) rises from 0) and is flagged
     so.  Raises :class:`NotSelfDecomposableError` if the input is not
     flagged self-decomposable (a remainder of a remainder, say) or if
-    nu_a comes out negative on the check grid.
+    nu_a comes out negative on the check grid.  The remainder passes its
+    construction check whenever ``t`` did, since nu_a <= nu where nu >= 0.
     """
     if not (0.0 < a < 1.0):
         raise ValueError(f"scale a must be in (0, 1), got {a}")
@@ -401,8 +394,7 @@ def aremainder_triplet(t: LevyTriplet, a: float) -> LevyTriplet:
     gamma_a = t.gamma_drift * (1.0 - a) - a * corr
     sigma_a = t.sigma * np.sqrt(1.0 - a * a)
     return LevyTriplet(
-        gamma_a, sigma_a, nu_a,
-        subordinator=t.subordinator, self_decomposable=False, validate=False,
+        gamma_a, sigma_a, nu_a, subordinator=t.subordinator, self_decomposable=False
     )
 
 

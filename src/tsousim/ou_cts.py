@@ -86,9 +86,10 @@ class Envelope:
     """Piecewise-linear dominating function for the mixing density f_W.
 
     Chords over ``segment_count`` intervals of [0, 1]; since f_W is convex,
-    every chord lies above it.  ``masses`` are the per-segment areas q_l,
-    ``total_mass`` is G_L = sum q_l >= 1 and 1/G_L is the acceptance rate
-    of the rejection sampler, which picks segments by ``cum_probabilities``.
+    every chord lies above it, and g_L(w) = ``np.interp(w, breakpoints,
+    f_values)``.  ``masses`` are the per-segment areas q_l, ``total_mass``
+    is G_L = sum q_l >= 1 and 1/G_L is the acceptance rate of the
+    rejection sampler, which picks segments by ``cum_probabilities``.
     """
 
     segment_count: int
@@ -99,16 +100,6 @@ class Envelope:
     cum_probabilities: np.ndarray = field(repr=False)
     total_mass: float
 
-    def value(self, w):
-        """Envelope value g_L(w) on [0, 1]."""
-        w = np.asarray(w, dtype=float)
-        seg = np.clip(
-            np.searchsorted(self.breakpoints, w, side="right") - 1,
-            0,
-            self.segment_count - 1,
-        )
-        return self.f_values[seg] + self.slopes[seg] * (w - self.breakpoints[seg])
-
 
 def _expm1_minus_x(x: float) -> float:
     """exp(x) - 1 - x, series below 1e-4 to dodge the x^2/2 cancellation."""
@@ -118,7 +109,12 @@ def _expm1_minus_x(x: float) -> float:
 
 
 def _theta(a: float, alpha: float) -> float:
-    # log(a^-alpha) > 0
+    # log(a^-alpha) >= 0; W's law is defined for a decay factor in (0, 1)
+    # and alpha in [0, 1), alpha = 0 being the limit that the jump moment uses
+    if not (0.0 < a < 1.0):
+        raise ValueError(f"a must be in (0, 1), got {a}")
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     return -alpha * float(np.log(a))
 
 

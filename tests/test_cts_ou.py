@@ -93,6 +93,18 @@ class TestMixingFactor:
         cdf = lambda x: (x**alpha - 1.0) / (a**-alpha - 1.0)
         assert chi2_pvalue(v, cdf, 1.0, 1.0 / a) > 0.05
 
+    @pytest.mark.parametrize(
+        "a, alpha, match",
+        [(0.0, 0.5, "a must be in"), (1.0, 0.5, "a must be in"), (np.nan, 0.5, "a must be in"),
+         (0.5, 0.0, "alpha must be in"), (0.5, 1.0, "alpha must be in"),
+         (0.5, np.nan, "alpha must be in")],
+    )
+    def test_refuses_a_or_alpha_outside_the_law(self, a, alpha, match):
+        stream = RngStream(21, 3)
+        with pytest.raises(ValueError, match=f"^{match} \\(0, 1\\)"):
+            sample_v_ctsou(a, alpha, stream, 4)
+        assert stream.gen.random() == RngStream(21, 3).gen.random()
+
     def test_consumes_exactly_one_uniform_per_draw(self):
         # pure inversion: no rejection loop in the mixing-factor stage
         s1 = RngStream(21, 2)

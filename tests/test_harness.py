@@ -2,6 +2,7 @@
 worker-count invariance and the validation report."""
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -251,6 +252,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             make_cfg(**{field: value}).validate()
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [("steps", -1, "steps must be nonnegative, got -1"),
+         ("batches", 1, "need at least 2 batches, got 1"),
+         ("workers", 0, "workers must be >= 1, got 0")],
+    )
+    def test_counts_out_of_range_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            make_cfg(**{field: value}).validate()
+
     def test_numpy_integer_counts_accepted(self):
         fields = dict(paths=np.int64(1000), steps=np.int64(2), batches=np.int64(10), workers=np.int64(1))
         make_cfg(**fields).validate()
@@ -361,6 +372,25 @@ class TestWorkers:
         monkeypatch.setattr(harness, "RngStream", failing)
         with pytest.raises(RuntimeError, match="block 2 failed"):
             terminal(make_cfg(paths=5000, workers=workers))
+
+    def test_failing_block_cancels_the_queued_ones(self, monkeypatch):
+        # block 0 fails at once while each other block takes 0.2 s, so only
+        # the blocks already running when the failure is seen may start
+        workers, blocks = 2, 16
+        monkeypatch.setattr(harness, "BLOCK_SIZE", 64)
+        path_states, started = harness.path_states, []
+
+        def recorded(runs, x0, stream, size, chunk):
+            started.append(stream.stream_id)
+            if stream.stream_id == 0:
+                raise RuntimeError("block 0 failed")
+            time.sleep(0.2)
+            return path_states(runs, x0, stream, size, chunk)
+
+        monkeypatch.setattr(harness, "path_states", recorded)
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            terminal(make_cfg(paths=64 * blocks, workers=workers))
+        assert 0 in started and len(started) <= workers + 1
 
 
 class TestTrajectories:

@@ -14,6 +14,7 @@ from tsousim import cts_ou, levy_core, ou_cts
 from tsousim.levy_core import (
     ABS_TOL,
     REL_TOL,
+    DecompositionError,
     GeneralTsLaw,
     LevyTriplet,
     NotSelfDecomposableError,
@@ -24,6 +25,7 @@ from tsousim.levy_core import (
     lk_log_chf,
     ou_cumulants_from_bdlp,
     ou_cumulants_from_stationary,
+    _cts_nu,
     stationary_density_from_bdlp,
     ts_remainder_decompose,
 )
@@ -107,8 +109,10 @@ class TestARemainderTriplet:
 
     def test_detects_negative_remainder_density(self):
         # bump density: k(x) = x nu(x) increases, so nu_a goes negative
+        # flagged after construction, which would refuse the rising k
         bump = lambda x: np.exp(-((x - 2.0) ** 2) / 0.02)
-        t = LevyTriplet(0.0, 0.0, bump, validate=False)
+        t = LevyTriplet(0.0, 0.0, bump, self_decomposable=False)
+        t.self_decomposable = True
         with pytest.raises(NotSelfDecomposableError):
             aremainder_triplet(t, 0.5)
 
@@ -119,6 +123,17 @@ class TestARemainderTriplet:
     def test_construction_rejects_non_integrable_density(self):
         with pytest.raises(ValueError):
             LevyTriplet(0.0, 0.0, lambda x: x**-4.0 * np.exp(-x))
+
+    @pytest.mark.parametrize(
+        "sigma, nu, subordinator, match",
+        [(-0.5, _cts_nu(CTS_REF), False, "sigma must be nonnegative"),
+         (0.5, _cts_nu(CTS_REF), True, "a subordinator has no Gaussian part"),
+         (0.0, lambda x: np.where(x > 5.0, np.inf, np.exp(-x) / x), True,
+          "must be finite away from the origin")],
+    )
+    def test_construction_refusals(self, sigma, nu, subordinator, match):
+        with pytest.raises(ValueError, match=match):
+            LevyTriplet(0.0, sigma, nu, subordinator=subordinator)
 
 
 class TestLkLogChf:
@@ -198,10 +213,29 @@ class TestTsRemainderDecompose:
             jump_density = lambda x: dec.nu2(x) / dec.lambda_a
             assert quad_positive(jump_density) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("a", [0.0, 1.0, 1.5, np.nan])
+    def test_scale_domain(self, a):
+        with pytest.raises(ValueError, match=r"scale a must be in \(0, 1\), got"):
+            ts_remainder_decompose(CTS_REF, a)
+
+    def test_rejects_tempering_not_decreasing_near_zero(self):
+        law = GeneralTsLaw(0.5, 1.0, lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        with pytest.raises(DecompositionError, match="not decreasing near 0"):
+            ts_remainder_decompose(law, 0.5)
+
+    @pytest.mark.parametrize(
+        "alpha, c, q, match",
+        [(1.0, 1.0, np.exp, "alpha must be in"), (-0.1, 1.0, np.exp, "alpha must be in"),
+         (np.nan, 1.0, np.exp, "alpha must be in"), (0.5, 0.0, np.exp, "c must be positive"),
+         (0.5, np.nan, np.exp, "c must be positive"),
+         (0.5, 1.0, lambda x: 2.0 * np.exp(-x), "must satisfy q\\(0\\)=1")],
+    )
+    def test_general_law_refusals(self, alpha, c, q, match):
+        with pytest.raises(ValueError, match=match):
+            GeneralTsLaw(alpha, c, q)
+
     def test_rejects_tempering_that_violates_small_x_hypothesis(self):
         # q(x) - q(x/a) ~ x^0.2 is not o(x^alpha) for alpha = 0.5
-        from tsousim.levy_core import DecompositionError
-
         law = GeneralTsLaw(0.5, 1.0, lambda x: np.exp(-np.asarray(x, dtype=float) ** 0.2))
         with pytest.raises(DecompositionError, match="not o"):
             ts_remainder_decompose(law, 0.5)

@@ -152,6 +152,24 @@ class TestMixingDensityW:
         assert np.all(np.isfinite(f))
         assert np.max(np.abs(f - 2.0 * w)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "a, alpha, match",
+        [(1.5, 0.5, "a must be in"), (1.0, 0.5, "a must be in"), (0.0, 0.5, "a must be in"),
+         (np.nan, 0.5, "a must be in"), (0.5, 1.5, "alpha must be in"),
+         (0.5, 1.2, "alpha must be in"), (0.5, -0.2, "alpha must be in"),
+         (0.5, np.nan, "alpha must be in")],
+    )
+    def test_refuses_a_or_alpha_outside_the_law(self, a, alpha, match):
+        # each used to return a value or, at alpha < 0, to double the chords
+        # to 2^21 before raising RuntimeError
+        for call in (
+            lambda: f_w_density(0.5, a, alpha),
+            lambda: single_chord_mass(a, alpha),
+            lambda: build_envelope(alpha, a),
+        ):
+            with pytest.raises(ValueError, match=f"^{match} "):
+                call()
+
 
 class TestEnvelope:
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -159,7 +177,8 @@ class TestEnvelope:
     def test_domination_and_probabilities(self, alpha, a):
         env = build_envelope(alpha, a)
         w = np.linspace(0.0, 1.0, 1001)
-        assert np.max(f_w_density(w, a, alpha) - env.value(w)) <= 0.0
+        g_l = np.interp(w, env.breakpoints, env.f_values)
+        assert np.max(f_w_density(w, a, alpha) - g_l) <= 0.0
         assert env.total_mass >= 1.0
         assert abs(np.sum(env.masses / env.total_mass) - 1.0) < 1e-12
         assert env.cum_probabilities[-1] == 1.0
@@ -382,6 +401,13 @@ class TestMixingFactorV:
         assert v.min() >= 1.0 and v.max() <= 1.0 / a
         cdf = lambda x: (np.log(x) / np.log(a)) ** 2
         assert chi2_pvalue(v, cdf, 1.0, 1.0 / a) > 0.05
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 1.5, np.nan])
+    def test_alpha0_refuses_a_outside_the_unit_interval(self, a):
+        stream = RngStream(32, 5)
+        with pytest.raises(ValueError, match="a must be in \\(0, 1\\)"):
+            sample_v_alpha0(a, stream, 4)
+        assert stream.gen.random() == RngStream(32, 5).gen.random()
 
     def test_alpha0_is_continuity_limit(self):
         dt = 30.0 / 365.0

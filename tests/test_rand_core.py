@@ -13,7 +13,7 @@ from scipy.special import erfc, gamma as gamma_fn
 
 from _helpers import cts_kernel, two_array_segment_sums, z_score
 from tsousim import cts_ou, ou_cts, rand_core
-from tsousim._util import segment_sums
+from tsousim._util import decay, segment_sums
 from tsousim.rand_core import (
     CtsParams,
     RngStream,
@@ -576,6 +576,23 @@ STEP_LAWS = {
     "oucts-alpha0.9": ou_cts.step_law_oucts(_OUCTS, 0.3),
     "x1-only": ou_cts.x1_only_law(_OUCTS, 0.3),
 }
+
+
+class TestStepLawRefusals:
+    @pytest.mark.parametrize("a", [1.0, -0.1, np.nan])
+    def test_scale_outside_unit_interval(self, a):
+        with pytest.raises(ValueError, match=r"scale a must be in \[0, 1\), got"):
+            rand_core.StepLaw(a, None, 0.0)
+
+    @pytest.mark.parametrize("lambda_a", [-1.0, np.nan])
+    def test_negative_or_nan_jump_rate(self, lambda_a):
+        with pytest.raises(ValueError, match="jump rate must be nonnegative, got"):
+            rand_core.StepLaw(0.5, None, lambda_a)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan])
+    def test_decay_needs_a_positive_step(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive, got"):
+            decay(10.0, dt)
 
 
 class TestPathDriver:
