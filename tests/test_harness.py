@@ -375,7 +375,9 @@ class TestWorkers:
 
     def test_failing_block_cancels_the_queued_ones(self, monkeypatch):
         # block 0 fails at once while each other block takes 0.2 s, so only
-        # the blocks already running when the failure is seen may start
+        # the blocks already running when the failure is seen may start:
+        # about workers + 1, where a pool that runs every queued block starts
+        # all of them; half the blocks leaves the failure 0.6 s to be seen
         workers, blocks = 2, 16
         monkeypatch.setattr(harness, "BLOCK_SIZE", 64)
         path_states, started = harness.path_states, []
@@ -390,7 +392,7 @@ class TestWorkers:
         monkeypatch.setattr(harness, "path_states", recorded)
         with pytest.raises(RuntimeError, match="block 0 failed"):
             terminal(make_cfg(paths=64 * blocks, workers=workers))
-        assert 0 in started and len(started) <= workers + 1
+        assert 0 in started and len(started) <= blocks // 2
 
 
 class TestTrajectories:

@@ -179,6 +179,9 @@ class TestEnvelope:
         w = np.linspace(0.0, 1.0, 1001)
         g_l = np.interp(w, env.breakpoints, env.f_values)
         assert np.max(f_w_density(w, a, alpha) - g_l) <= 0.0
+        # sample_w draws from the chords through slopes, so they must be these
+        chords = np.diff(env.f_values) / np.diff(env.breakpoints)
+        np.testing.assert_allclose(env.slopes, chords, rtol=1e-12, atol=0.0)
         assert env.total_mass >= 1.0
         assert abs(np.sum(env.masses / env.total_mass) - 1.0) < 1e-12
         assert env.cum_probabilities[-1] == 1.0
