@@ -128,9 +128,30 @@ def decay(b: float, dt: float) -> float:
 
 
 def _one_minus_pow(a: float, alpha: float) -> float:
-    # 1 - a**alpha without cancellation as a -> 1; a may underflow to 0
-    with np.errstate(divide="ignore"):
-        return float(-np.expm1(alpha * np.log(a)))
+    # 1 - a**alpha without cancellation as a -> 1; a may underflow to 0,
+    # where log(a) would be -inf and expm1 would give -1
+    if a == 0.0:
+        return 1.0
+    return -float(np.expm1(alpha * np.log(a)))
+
+
+class cached_attribute:
+    """``functools.cached_property`` without its lock (which Python 3.12
+    dropped): the first access computes the value and stores it in the
+    instance's ``__dict__``, which shadows this non-data descriptor from
+    then on.  A computation that raises stores nothing, so it raises on
+    every access."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def grid_steps(grid) -> np.ndarray:

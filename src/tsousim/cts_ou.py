@@ -94,7 +94,7 @@ def step_law(p: CtsOuProcess, dt: float) -> StepLaw:
     if a == 0.0:
         return StepLaw(0.0, p.stationary, 0.0)
     shrink = _one_minus_pow(a, alpha)
-    lam = c * gamma_fn(1.0 - alpha) * beta**alpha / alpha * shrink
+    lam = c * float(gamma_fn(1.0 - alpha)) * beta**alpha / alpha * shrink
     return CtsOuStepLaw(a, CtsParams(alpha, beta, c * shrink), lam, beta, p.b * dt)
 
 

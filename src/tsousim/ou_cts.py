@@ -25,13 +25,13 @@ because lambda_a = O(dt^2) here, and badly biased for coarse steps.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from ._util import _one_minus_pow, decay, grid_steps
+from ._util import _one_minus_pow, cached_attribute, decay, grid_steps
 from ._util import gamma as gamma_fn
 from .rand_core import (
     _CHUNK,
@@ -64,6 +64,9 @@ __all__ = [
 # envelope mass G_L that build_envelope doubles its chords down to; the
 # rejection sampler accepts a proposal with probability 1/G_L
 DEFAULT_TARGET_G = 1.01
+
+# log of the largest float: np.expm1(theta) is finite up to it and inf above
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -123,21 +126,34 @@ def f_w_density(w, a: float, alpha: float):
 
     f_W(w) = theta * (e^(theta w) - 1) / (e^theta - 1 - theta) with
     theta = log a^-alpha; increasing and convex, f_W(0) = 0.  A series is
-    used for theta < 1e-6 where the direct form loses all precision.
+    used for theta < 1e-6 where the direct form loses all precision, and
+    where e^theta overflows (theta > 709.78, a subnormal a) the same ratio
+    divided through by e^theta, theta e^(theta (w-1)) (1 - e^(-theta w))
+    / (1 - (1 + theta) e^(-theta)), which stays finite.
     """
     th = _theta(a, alpha)
     w = np.asarray(w, dtype=float)
     if th < 1e-6:
         out = 2.0 * w * (1.0 + th * (w / 2.0 - 1.0 / 3.0))
-    else:
+    elif th <= _LOG_MAX:
         out = th * np.expm1(th * w) / _expm1_minus_x(th)
+    else:
+        out = th * np.exp(th * (w - 1.0)) * -np.expm1(-th * w) / _scaled_expm1_minus_x(th)
     return out if out.ndim else float(out)
+
+
+def _scaled_expm1_minus_x(x: float) -> float:
+    """(e^x - 1 - x) e^-x = 1 - (1 + x) e^-x, finite where e^x overflows."""
+    return 1.0 - (1.0 + x) * math.exp(-x)
 
 
 def single_chord_mass(a: float, alpha: float) -> float:
     """Area of the one-chord envelope: log a^-alpha (a^-alpha - 1)
-    / (2 (a^-alpha - 1 - log a^-alpha))."""
+    / (2 (a^-alpha - 1 - log a^-alpha)), divided through by a^-alpha where
+    that overflows, as in :func:`f_w_density`."""
     th = _theta(a, alpha)
+    if th > _LOG_MAX:
+        return th * -math.expm1(-th) / (2.0 * _scaled_expm1_minus_x(th))
     return float(th * np.expm1(th) / (2.0 * _expm1_minus_x(th)))
 
 
@@ -176,7 +192,7 @@ class OuCtsStepLaw(StepLaw):
 
     jump_beta: float
 
-    @cached_property
+    @cached_attribute
     def envelope(self) -> Envelope | None:
         """The f_W chord envelope (None at alpha = 0, whose mixing law needs
         none), built on first use: a step whose Poisson total is 0 never
@@ -199,7 +215,7 @@ def _lambda_a(p: OuCtsProcess, a: float) -> float:
     return (
         c
         * beta**alpha
-        * gamma_fn(1.0 - alpha)
+        * float(gamma_fn(1.0 - alpha))
         / (p.T * p.b * alpha**2)
         * _expm1_minus_x(th)
     )
@@ -225,7 +241,7 @@ def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
     """CTS part of the increment: CTS(alpha, beta/a, c (1 - a^alpha) / (T alpha b)),
     whose alpha -> 0 limit is the gamma law with shape c dt / T and rate beta/a."""
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    if a == 0.0 or np.isinf(beta / a):
+    if a == 0.0 or math.isinf(beta / a):
         raise ValueError(
             f"b*dt = {p.b * dt!r} is too large: exp(-b*dt) underflows to {a!r}, "
             "so the CTS part's rate beta/a is infinite"

@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from ._util import cached_attribute, gamma_mixture_moment, segment_sums
 from ._util import gamma as gamma_fn
-from ._util import gamma_mixture_moment, segment_sums
 
 __all__ = [
     "RngStream",
@@ -134,17 +133,18 @@ class CtsParams:
             raise ValueError(f"c must be positive and finite, got {self.c}")
 
     # alpha > 0 only.  Each is computed on first use and kept; a law that
-    # _cts_scale refuses keeps nothing, so it raises on every use.
-    @cached_property
+    # _cts_scale refuses keeps nothing, so both raise on every use.
+    @cached_attribute
     def _sigma(self) -> float:
         return _cts_scale(self)
 
-    @cached_property
+    @cached_attribute
     def _summands(self) -> int:
         # tilting draws per variate of sample_cts: the nearest integer to
         # -ln p, near the n that minimises the expected proposals n p^(-1/n),
         # while p >= TILTING_ACCEPTANCE_FLOOR; 0 below the floor, where the
         # route is double rejection.
+        self._sigma  # raises where _cts_scale refuses
         p = cts_tilting_acceptance(self)
         return max(1, round(-math.log(p))) if p >= TILTING_ACCEPTANCE_FLOOR else 0
 
@@ -196,9 +196,18 @@ def sample_poisson(mean: float, stream: RngStream, size: int = 1):
 def _finite_start(x0) -> np.ndarray:
     """``x0`` as a float array; a NaN or infinite start is a ValueError."""
     x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(x0).all():
+    if np.count_nonzero(np.isfinite(x0)) < x0.size:
         raise ValueError(f"x0 must be finite, got {x0}")
     return x0
+
+
+def _start(x0, size: int) -> np.ndarray:
+    """``x0`` as a float array of shape () or (size,), checked before any
+    draw: a NaN or infinite start, or another shape, is a ValueError."""
+    x = _finite_start(x0)
+    if x.shape not in ((), (size,)):
+        raise ValueError(f"x0 of shape {x.shape} does not match size {size}")
+    return x
 
 
 def _check_cumulant_args(k: int, x0=0.0, dt: float = 0.0) -> None:
@@ -279,15 +288,18 @@ class StepLaw:
         ``draw_jumps(m)`` per chunk of m <= ``_JUMP_CHUNK`` of them.  Each
         chunk is summed per path in place over the paths it covers, the two
         edge paths counting only their jumps inside it; a call of at most
-        one chunk sums all its jumps as one array."""
+        one chunk sums all its jumps as one array, and a call whose Poisson
+        counts are all 0 returns its CTS part as drawn."""
         size = operator.index(size)
         self.check_size(size)
         z = np.zeros(size) if self.x1_params is None else sample_cts(self.x1_params, stream, size)
         counts = sample_poisson(self.lambda_a, stream, size)
         paths = counts.nonzero()[0]
+        if not paths.size:
+            return z
         ends = counts[paths].cumsum()  # jumps up to and including each path with any
         del counts
-        total = int(ends[-1]) if ends.size else 0
+        total = int(ends[-1])
         for lo in range(0, total, _JUMP_CHUNK):
             hi = min(lo + _JUMP_CHUNK, total)
             # the paths whose jumps meet [lo, hi), searched for except at the
@@ -301,8 +313,12 @@ class StepLaw:
 
     def sample(self, x0, stream: RngStream, size: int = 1):
         """``size`` exact draws of X(dt) given X(0) = x0 (a float or one start
-        per path), shape (size,): the one-step case of :func:`path_states`."""
-        return next(path_states(((self, 1),), x0, stream, size, size))
+        per path), shape (size,): ``a*x0 + increments(stream, size)``, the
+        one-step case of :func:`path_states` in its arithmetic and its draws,
+        with the same start check and no generator around it."""
+        size = operator.index(size)
+        x = _start(x0, size)
+        return self.a * x + self.increments(stream, size)
 
 
 def path_states(runs, x0, stream: RngStream, size: int, max_draws: int):
@@ -311,9 +327,7 @@ def path_states(runs, x0, stream: RngStream, size: int, max_draws: int):
     ``runs`` of ``(law, steps)`` pairs in turn.  Each :meth:`StepLaw.increments`
     call draws Z for ``max(1, max_draws // size)`` steps of a run."""
     size = operator.index(size)
-    x = _finite_start(x0)
-    if x.shape not in ((), (size,)):
-        raise ValueError(f"x0 of shape {x.shape} does not match size {size}")
+    x = _start(x0, size)
     per_call = max(1, max_draws // max(size, 1))
     for law, steps in runs:
         for start in range(0, steps, per_call):
@@ -329,12 +343,17 @@ def _rejection_loop(propose, n: int, what: str):
 
     Returns the draws and the total number of proposals made.  The first
     round proposes every slot, so its candidates are the output array and
-    only the rejected slots are proposed again; n = 0 proposes nothing.
+    only the rejected slots are proposed again; a first round that accepts
+    every slot returns at once, with n proposals and no index of pending
+    slots built; n = 0 proposes nothing.
     """
     if n == 0:
         return np.empty(0), 0
     out, accept = propose(n)
-    pending = np.flatnonzero(~accept)
+    # count_nonzero and nonzero skip the Python layers of all() and flatnonzero()
+    if np.count_nonzero(accept) == n:
+        return out, n
+    pending = (~accept).nonzero()[0]
     proposals, rounds = n, 1
     while pending.size:
         m = pending.size
@@ -407,7 +426,7 @@ def cts_tilting_acceptance(params: CtsParams) -> float:
     if params.alpha == 0.0:
         return 1.0
     a, b, c = params.alpha, params.beta, params.c
-    return float(np.exp(-c * gamma_fn(1.0 - a) * b**a / a))
+    return float(np.exp(-c * float(gamma_fn(1.0 - a)) * b**a / a))
 
 
 def sample_cts(params: CtsParams, stream: RngStream, size: int = 1):
@@ -443,10 +462,14 @@ def _cts_scale(params: CtsParams) -> float:
     """sigma in CTS(alpha, beta, c) = sigma * (stable tilted by lam = beta*sigma).
     Raises where no route can draw: sigma = inf, or gamma = lam^alpha alpha (1-alpha)
     above about alpha^2 2^106 (lam = inf too), where double rejection's z divides by 0."""
-    a, b, c = params.alpha, params.beta, params.c
-    with np.errstate(over="ignore"):
-        sigma = (c * gamma_fn(1.0 - a) / a) ** (1.0 / a)
-        lam = b * sigma
+    # Python floats round every step as numpy's scalars do; only ** reports
+    # an overflow, by raising where numpy returns inf
+    a, b, c = float(params.alpha), float(params.beta), float(params.c)
+    try:
+        sigma = (c * float(gamma_fn(1.0 - a)) / a) ** (1.0 / a)
+    except OverflowError:
+        sigma = math.inf
+    lam = b * sigma
     gamma_ = lam**a * a * (1.0 - a)
     if math.isinf(sigma):
         # both routes would reject every proposal until the round cap
@@ -459,15 +482,27 @@ def _cts_scale(params: CtsParams) -> float:
             f"CTS tilt beta*sigma = {lam:.4g} is too heavy for double rejection at "
             f"alpha = {a!r} (gamma = {gamma_:.4g} > alpha^2 * 2^106)"
         )
-    return sigma
+    # the draws multiply by sigma as the numpy scalar they always had: a
+    # Python float sigma, same bits, raised cumulant-coarse's peak RSS by
+    # about 0.5 MB through the heap layout of the double-rejection cells
+    return np.float64(sigma)
 
 
 def _cts_tilting(alpha: float, beta: float, sigma: float, stream: RngStream, n: int):
-    """Tilting rejection: scaled stable proposals accepted with prob exp(-beta*x)."""
+    """Tilting rejection: scaled stable proposals accepted with prob exp(-beta*x).
+
+    A round scales its stable draws in place and tilts and exponentiates
+    one copy of them in place, so it allocates one array of proposals and
+    one of acceptance probabilities besides its uniforms and its mask.
+    """
 
     def propose(m):
-        x = sigma * sample_stable_subordinator(alpha, stream, size=m)
-        return x, stream.gen.random(m) <= np.exp(-beta * x)
+        x = sample_stable_subordinator(alpha, stream, size=m)
+        x *= sigma
+        u = stream.gen.random(m)
+        t = np.multiply(x, -beta)
+        np.exp(t, out=t)
+        return x, u <= t
 
     return _rejection_loop(propose, n, "tilting rejection")[0]
 

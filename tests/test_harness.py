@@ -279,6 +279,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="x0 must be finite"):
             law.sample(x0, RngStream(510), size)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("dt", [1.0 / 365.0, 0.3], ids=["daily", "b-dt-3"])
+    @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
+    @pytest.mark.parametrize("x0", [0.0, np.linspace(0.1, 2.0, 16)], ids=["scalar", "array"])
+    def test_sample_leaves_the_stream_where_one_path_states_step_does(
+        self, alpha, dt, process, method, x0
+    ):
+        # the same draws in the same order: equal values and the same next 16 uniforms
+        cfg = make_cfg(process=process, method=method, alpha=alpha, dt=dt)
+        law = harness.STEP_LAWS[(process, method)](cfg.process_object(), cfg)
+        direct, driven = RngStream(511, 1), RngStream(511, 1)
+        x = law.sample(x0, direct, 16)
+        y = next(harness.path_states(((law, 1),), x0, driven, 16, 16))
+        assert x.tobytes() == y.tobytes()
+        assert direct.gen.random(16).tobytes() == driven.gen.random(16).tobytes()
+
     def test_largest_chunked_call_is_checked(self):
         # OU-CTS alpha 0.9, b dt = 10: about 1.03e4 jumps per path.  One step
         # of 100 paths expects 1.03e6 jumps, but 1000 steps are drawn 655 per

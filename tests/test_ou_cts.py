@@ -107,6 +107,10 @@ class TestStepLaw:
         assert "envelope" in vars(lazy)
         assert x.tobytes() == eager.sample(0.0, RngStream(41, 0), 64).tobytes()
 
+    def test_envelope_is_documented_on_the_class(self):
+        # class access returns the lazy attribute itself, so help() shows its docstring
+        assert OuCtsStepLaw.envelope.__doc__.startswith("The f_W chord envelope")
+
     def test_jump_count_beyond_the_cap_is_refused_before_any_draw(self):
         # alpha 0.9, b dt = 30: lambda_a is about 6.8e11 jumps per path,
         # terabytes of jump arrays for a single path
@@ -151,6 +155,50 @@ class TestMixingDensityW:
         f = f_w_density(w, np.exp(-1e-7), 0.5)  # theta = 5e-8 < 1e-6
         assert np.all(np.isfinite(f))
         assert np.max(np.abs(f - 2.0 * w)) < 1e-6
+
+    # theta = 0.999 log(1/5e-324) = 743.7 > 709.78, where e^theta overflows
+    HUGE_THETA = (5e-324, 0.999)
+
+    def test_envelope_builds_where_e_theta_overflows(self):
+        # it used to warn, double to 2^21 chords on NaN densities and raise
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            env = build_envelope(*self.HUGE_THETA[::-1])
+        assert 1.0 <= env.total_mass <= ou_cts.DEFAULT_TARGET_G
+        assert env.segment_count <= 2**13 and np.all(np.isfinite(env.f_values))
+
+    def test_normalisation_where_e_theta_overflows(self):
+        a, alpha = self.HUGE_THETA
+        th = -alpha * np.log(a)
+        assert th > ou_cts._LOG_MAX
+        # the mass lies within a few 1/theta of w = 1
+        cut = 1.0 - 60.0 / th
+        head, _ = integrate.quad(lambda w: f_w_density(w, a, alpha), 0.0, cut)
+        tail, _ = integrate.quad(lambda w: f_w_density(w, a, alpha), cut, 1.0)
+        assert head + tail == pytest.approx(1.0, abs=1e-10)
+        # the one chord's area is f_W(1) / 2 = theta (1 - e^-theta) / 2 (1 - (1 + theta) e^-theta)
+        assert single_chord_mass(a, alpha) == pytest.approx(th / 2.0, rel=1e-15)
+        assert f_w_density(1.0, a, alpha) == pytest.approx(th, rel=1e-15)
+
+    @staticmethod
+    def direct_f_w(w, th):
+        # f_W and the one-chord mass as written before the overflow branch
+        if th < 1e-6:
+            return 2.0 * w * (1.0 + th * (w / 2.0 - 1.0 / 3.0))
+        return th * np.expm1(th * w) / ou_cts._expm1_minus_x(th)
+
+    def test_same_bits_as_the_direct_form_up_to_theta_700(self):
+        w = np.concatenate(([0.0, 1.0], np.random.default_rng(2032).random(997)))
+        checked = []
+        for a in np.exp(-np.geomspace(1e-8, 744.0, 300)).tolist() + [1e-300, 5e-324]:
+            for alpha in (0.3, 0.9, 0.999):
+                th = ou_cts._theta(a, alpha)
+                if th > 700.0:
+                    continue
+                checked.append(th)
+                assert f_w_density(w, a, alpha).tobytes() == self.direct_f_w(w, th).tobytes()
+                mass = float(th * np.expm1(th) / (2.0 * ou_cts._expm1_minus_x(th)))
+                assert single_chord_mass(a, alpha) == mass
+        assert min(checked) < 1e-6 and max(checked) > 690.0
 
     @pytest.mark.parametrize(
         "a, alpha, match",

@@ -4,6 +4,7 @@ closed-form laws, equivalence of the CTS kernels (each called alone through
 count of every route ``sample_cts`` takes, and the proposal cost of the
 double-rejection route."""
 
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from scipy.special import erfc, gamma as gamma_fn
 
 from _helpers import cts_kernel, two_array_segment_sums, z_score
 from tsousim import cts_ou, ou_cts, rand_core
-from tsousim._util import decay, segment_sums
+from tsousim._util import _one_minus_pow, decay, segment_sums
+from tsousim._util import gamma as tsousim_gamma
 from tsousim.rand_core import (
     CtsParams,
     RngStream,
@@ -274,6 +276,82 @@ class TestCts:
             sample_cts(CtsParams(0.016, 1e10, 1e3), RngStream(5, 13), size=4)
 
 
+def numpy_scalar_cts_scale(params):
+    """``rand_core._cts_scale`` as it was written with numpy scalars under
+    ``np.errstate``, the referee of its Python-float form: sigma, or the
+    start of the refusal's message."""
+    a, b, c = params.alpha, params.beta, params.c
+    with np.errstate(over="ignore"):
+        sigma = (c * tsousim_gamma(1.0 - a) / a) ** (1.0 / a)
+        lam = b * sigma
+    gamma_ = lam**a * a * (1.0 - a)
+    if math.isinf(sigma):
+        return "CTS scale"
+    if gamma_ > 0.0 and 1.0 + a / math.sqrt(gamma_) == 1.0:
+        return "CTS tilt"
+    return sigma
+
+
+def _scale_laws():
+    # a fixed grid, the refusals' neighbourhoods (TestCts's laws) and 2000
+    # laws drawn log-uniformly in beta and c
+    laws = [CtsParams(a, b, c) for a in (0.002, 0.016, 0.035, 0.05, 0.3, 0.5, 0.9, 0.999)
+            for b in (1e-3, 1.4, 1e10, 1e100) for c in (1e-12, 0.8, 1e3, 1e100)]
+    laws += [TestCts.tilted(a, share) for a in (0.3, 0.5, 0.9) for share in (0.9, 1.1)]
+    laws += [CtsParams(0.002, 1.4, 0.8), CtsParams(0.016, 1e10, 1e3)]
+    rng = np.random.default_rng(2030)
+    laws += [CtsParams(a, 10.0**lb, 10.0**lc) for a, lb, lc in zip(
+        rng.uniform(0.001, 0.999, 2000), rng.uniform(-3, 100, 2000), rng.uniform(-12, 100, 2000))]
+    return laws
+
+
+class TestCtsScaleReferee:
+    def test_same_sigma_and_same_refusals_as_numpy_scalars(self):
+        kinds = set()
+        for params in _scale_laws():
+            want = numpy_scalar_cts_scale(params)
+            if isinstance(want, str):
+                kinds.add(want)
+                with pytest.raises(ValueError, match=f"^{want} "):
+                    rand_core._cts_scale(params)
+            else:
+                assert np.float64(rand_core._cts_scale(params)).tobytes() == want.tobytes()
+        assert kinds == {"CTS scale", "CTS tilt"}  # both refusals are refereed
+
+    def test_refusals_leave_the_stream_untouched(self, monkeypatch):
+        monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 10)
+        refused = [p for p in _scale_laws() if isinstance(numpy_scalar_cts_scale(p), str)]
+        assert len(refused) >= 10
+        for i, params in enumerate(refused):
+            stream = RngStream(5, 100 + i)
+            with pytest.raises(ValueError, match="^CTS "):
+                sample_cts(params, stream, size=4)
+            assert stream.gen.random(4).tobytes() == RngStream(5, 100 + i).gen.random(4).tobytes()
+
+    @pytest.mark.parametrize("params", [CtsParams(0.002, 1.4, 0.8), TestCts.tilted(0.5, 1.1)],
+                             ids=["scale-overflow", "tilt-too-heavy"])
+    def test_a_refused_law_raises_on_every_use(self, params):
+        for _ in range(3):
+            for name in ("_sigma", "_summands"):
+                with pytest.raises(ValueError, match="^CTS "):
+                    getattr(params, name)
+        assert "_sigma" not in vars(params) and "_summands" not in vars(params)
+
+
+class TestOneMinusPow:
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.5, 0.999])
+    def test_an_underflowed_scale_gives_one_without_a_warning(self, alpha):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert _one_minus_pow(0.0, alpha) == 1.0
+
+    def test_same_bits_as_expm1_of_alpha_log_a(self):
+        rng = np.random.default_rng(2031)
+        for a, alpha in zip(np.exp(-rng.exponential(30.0, 5000)), rng.uniform(0.0, 1.0, 5000)):
+            want = -np.expm1(alpha * np.log(a))
+            assert np.float64(_one_minus_pow(float(a), float(alpha))).tobytes() == want.tobytes()
+
+
 def law_at(alpha, p, beta=1.4):
     """CtsParams(alpha, beta, c) whose tilting acceptance is p."""
     return CtsParams(alpha, beta, -np.log(p) * alpha / (gamma_fn(1.0 - alpha) * beta**alpha))
@@ -463,16 +541,19 @@ class TestRejectionLoop:
         assert draws.shape == (0,) and proposals == 0 and sizes == []
         assert stream.gen.random() == before.gen.random()
 
-    def test_accepting_everything_takes_one_round(self):
-        sizes = []
+    @pytest.mark.parametrize("n", [1, 5, (1 << 16) + 3])
+    def test_accepting_everything_takes_one_round(self, n):
+        # the first round's candidates are returned as they are, with n proposals
+        rounds = []
 
         def propose(m):
-            sizes.append(m)
-            return np.arange(m, dtype=float), np.ones(m, dtype=bool)
+            rounds.append((m, np.arange(m, dtype=float)))
+            return rounds[-1][1], np.ones(m, dtype=bool)
 
-        draws, proposals = rand_core._rejection_loop(propose, 5, "accept-all")
-        assert sizes == [5] and proposals == 5
-        assert draws.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        draws, proposals = rand_core._rejection_loop(propose, n, "accept-all")
+        assert [m for m, _ in rounds] == [n] and proposals == n
+        assert draws is rounds[0][1]
+        assert draws.tolist() == list(range(n))
 
     def test_round_cap_raises(self, monkeypatch):
         monkeypatch.setattr(rand_core, "_MAX_REJECTION_ROUNDS", 3)
