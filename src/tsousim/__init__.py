@@ -6,6 +6,12 @@ one-sided classical tempered stable (CTS) distribution, and processes whose
 rescaled CTS draw plus a compound-Poisson sum of gamma-mixture jumps, which
 is what the samplers here implement, together with closed-form cumulant
 oracles and a Monte Carlo validation harness.
+
+The package re-exports the samplers, step laws, closed forms and harness.
+The Levy-triplet oracles (Levy-Khintchine quadrature, remainder
+decompositions, stationary/driving density maps) are imported from
+``tsousim.levy_core``: no sampling path uses them, so ``import tsousim``
+does not load that module; ``validate_suite`` loads it when it runs.
 """
 
 from .rand_core import (
@@ -18,22 +24,6 @@ from .rand_core import (
     sample_inverse_gaussian,
     sample_poisson,
     sample_stable_subordinator,
-)
-from .levy_core import (
-    DecompositionError,
-    GeneralTsLaw,
-    LevyTriplet,
-    NotSelfDecomposableError,
-    QuadratureError,
-    TsRemainderDecomposition,
-    aremainder_triplet,
-    bdlp_density_from_stationary,
-    cts_log_chf,
-    lk_log_chf,
-    ou_cumulants_from_bdlp,
-    ou_cumulants_from_stationary,
-    stationary_density_from_bdlp,
-    ts_remainder_decompose,
 )
 from .cts_ou import (
     CtsOuProcess,

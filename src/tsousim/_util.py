@@ -166,7 +166,11 @@ def grid_steps(grid) -> np.ndarray:
     return steps
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@functools.cache
+def _gauss_legendre_64():
+    # built on first use: numpy.polynomial and the eigen-solve are start-up
+    # cost that sampling never needs
+    return np.polynomial.legendre.leggauss(64)
 
 
 def gamma_mixture_moment(a: float, alpha: float, beta: float, k: int, f_w) -> float:
@@ -191,7 +195,8 @@ def gamma_mixture_moment(a: float, alpha: float, beta: float, k: int, f_w) -> fl
         t *= 2.0
     edges = np.append(edges, 1.0)
     half = 0.5 * np.diff(edges)
-    w = (np.outer(half, _GL_NODES) + (half + edges[:-1])[:, None]).ravel()
-    weights = np.outer(half, _GL_WEIGHTS).ravel()
+    nodes, node_weights = _gauss_legendre_64()
+    w = (np.outer(half, nodes) + (half + edges[:-1])[:, None]).ravel()
+    weights = np.outer(half, node_weights).ravel()
     mix = np.sum(weights * np.exp(k * math.log(a) * w) * f_w(w))
     return float(gamma(1.0 - alpha + k) / (gamma(1.0 - alpha) * beta**k) * mix)

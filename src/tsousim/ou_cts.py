@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import _one_minus_pow, cached_attribute, decay, grid_steps
+from ._util import cached_attribute, decay, grid_steps
 from ._util import gamma as gamma_fn
 from .rand_core import (
     _CHUNK,
@@ -207,9 +207,9 @@ class OuCtsStepLaw(StepLaw):
         return f_w_density(w, self.a, self.x1_params.alpha)
 
 
-def _lambda_a(p: OuCtsProcess, a: float) -> float:
+def _lambda_a(p: OuCtsProcess, th: float) -> float:
+    # the jump rate at theta = log a^-alpha (see _theta), alpha > 0
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    th = _theta(a, alpha)
     # c beta^alpha Gamma(1-alpha) / (T b alpha^2 a^alpha) * (1 - a^alpha + a^alpha log a^alpha)
     # rewritten with theta = log a^-alpha as K * (e^theta - 1 - theta)
     return (
@@ -229,17 +229,18 @@ def step_law_oucts(p: OuCtsProcess, dt: float) -> OuCtsStepLaw:
     compound part, V drawn by :func:`sample_v_alpha0` (no envelope).
     """
     a = decay(p.b, dt)
-    x1 = _x1_params(p, dt, a)
+    x1, th = _x1_params(p, dt, a)
     if p.bdlp.alpha == 0.0:
         rate = p.bdlp.c * np.log(a) ** 2 / (2.0 * p.T * p.b)
         return OuCtsStepLaw(a, x1, rate, p.bdlp.beta)
     # (beta/a)*a can differ from beta in the last bit; the golden hashes pin this form
-    return OuCtsStepLaw(a, x1, _lambda_a(p, a), x1.beta * a)
+    return OuCtsStepLaw(a, x1, _lambda_a(p, th), x1.beta * a)
 
 
-def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
-    """CTS part of the increment: CTS(alpha, beta/a, c (1 - a^alpha) / (T alpha b)),
-    whose alpha -> 0 limit is the gamma law with shape c dt / T and rate beta/a."""
+def _x1_params(p: OuCtsProcess, dt: float, a: float) -> tuple[CtsParams, float]:
+    """CTS part of the increment, CTS(alpha, beta/a, c (1 - a^alpha) / (T alpha b)),
+    whose alpha -> 0 limit is the gamma law with shape c dt / T and rate beta/a;
+    and theta = log a^-alpha, which the jump rate shares (0 at alpha = 0)."""
     alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
     if a == 0.0 or math.isinf(beta / a):
         raise ValueError(
@@ -247,8 +248,12 @@ def _x1_params(p: OuCtsProcess, dt: float, a: float) -> CtsParams:
             "so the CTS part's rate beta/a is infinite"
         )
     if alpha == 0.0:
-        return CtsParams(0.0, beta / a, c * dt / p.T)
-    return CtsParams(alpha, beta / a, c * _one_minus_pow(a, alpha) / (p.T * alpha * p.b))
+        return CtsParams(0.0, beta / a, c * dt / p.T), 0.0
+    th = -alpha * float(np.log(a))
+    # 1 - a^alpha = -expm1(-theta): the bits of -expm1(alpha log a), since
+    # negating theta's product rounds the same way
+    shrink = -float(np.expm1(-th))
+    return CtsParams(alpha, beta / a, c * shrink / (p.T * alpha * p.b)), th
 
 
 def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size: int = 1):
@@ -353,7 +358,7 @@ def cumulants_oucts(p: OuCtsProcess, x0: float, dt: float, k: int) -> float:
 def x1_only_law(p: OuCtsProcess, dt: float) -> StepLaw:
     """Approximate step law dropping the compound-Poisson part of the increment."""
     a = decay(p.b, dt)
-    return StepLaw(a, _x1_params(p, dt, a), 0.0)
+    return StepLaw(a, _x1_params(p, dt, a)[0], 0.0)
 
 
 def scaled_bdlp_law(p: OuCtsProcess, dt: float) -> StepLaw:
@@ -362,5 +367,5 @@ def scaled_bdlp_law(p: OuCtsProcess, dt: float) -> StepLaw:
     a * L(dt) ~ CTS(alpha, beta/a, c*a^alpha*dt/T)."""
     a = decay(p.b, dt)
     alpha, c = p.bdlp.alpha, p.bdlp.c
-    beta_a = _x1_params(p, dt, a).beta  # beta/a, raising once a underflows
+    beta_a = _x1_params(p, dt, a)[0].beta  # beta/a, raising once a underflows
     return StepLaw(a, CtsParams(alpha, beta_a, c * a**alpha * dt / p.T), 0.0)

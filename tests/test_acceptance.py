@@ -199,7 +199,8 @@ def test_criterion_7_alpha_zero_limits(report):
     proc = ou_cts.OuCtsProcess(CtsParams(1e-6, BETA, C), B)
     failures = []
     a = float(np.exp(-B * DTS[0]))
-    dev = abs(ou_cts._lambda_a(proc, a) / (C * np.log(a) ** 2 / (2.0 * proc.T * B)) - 1.0)
+    lam = ou_cts._lambda_a(proc, ou_cts._theta(a, proc.bdlp.alpha))
+    dev = abs(lam / (C * np.log(a) ** 2 / (2.0 * proc.T * B)) - 1.0)
     print(f"  dt={DTS[0]:.6f}: jump-rate relative deviation {dev:.2e}")
     if dev > 1e-4:
         failures.append(f"dt={DTS[0]:.6f}: rate deviation {dev:.2e} over 1e-4")

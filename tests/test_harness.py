@@ -3,6 +3,7 @@ worker-count invariance and the validation report."""
 
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,29 @@ class TestEstimateCumulants:
             estimate_cumulants(np.ones(100), 1)
         with pytest.raises(ValueError):
             estimate_cumulants(np.ones(5), 10)
+
+    @pytest.mark.parametrize("values", [
+        {3: np.nan}, {3: np.inf}, {3: -np.inf}, {3: np.inf, 700: -np.inf},
+        {1004: np.nan}, {1006: -np.inf},  # in the tail that batching truncates away
+    ], ids=["nan", "inf", "-inf", "both-infs", "nan-in-tail", "-inf-in-tail"])
+    def test_non_finite_sample_is_refused_without_a_warning(self, values):
+        x = RngStream(508).gen.standard_normal(1007)
+        for i, v in values.items():
+            x[i] = v
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="must be finite"):
+                estimate_cumulants(x, 10)
+        assert caught == []
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_sample_whose_sum_overflows_is_refused(self, sign):
+        x = np.full(1000, sign * 1e308)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="finite sum"):
+                estimate_cumulants(x, 10)
+        assert caught == []
 
     @pytest.mark.parametrize("batches", [10.0, "10", None])
     def test_non_integer_batches_rejected(self, batches):

@@ -63,7 +63,7 @@ class TestStepLaw:
     def test_alpha_limit_rate(self):
         a = np.exp(-B * 30.0 / 365.0)
         small = OuCtsProcess(CtsParams(1e-6, BETA, C), B)
-        lam = ou_cts._lambda_a(small, a)
+        lam = ou_cts._lambda_a(small, ou_cts._theta(a, small.bdlp.alpha))
         assert abs(lam / (C * np.log(a) ** 2 / (2.0 * small.T * B)) - 1.0) < 1e-4
 
     def test_rate_against_proof_route_quadrature(self):
@@ -83,6 +83,29 @@ class TestStepLaw:
             limit=200,
         )
         assert C / (PROC.T * B) * total == pytest.approx(law.lambda_a, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.3, 0.5, 0.7, 0.9, 0.999])
+    def test_one_log_gives_the_bits_of_two(self, alpha):
+        # the step law takes log(a) once and forms 1 - a^alpha as
+        # -expm1(-theta); a copy of the formulas that took it twice, once
+        # for 1 - a^alpha and once for theta, gives the same bits
+        from tsousim._util import gamma
+
+        for b, T in ((1.0, 1.0), (B, 0.5)):
+            p = OuCtsProcess(CtsParams(alpha, BETA, C), b, T)
+            for bdt in np.geomspace(1e-8, 700.0, 301):
+                dt = float(bdt) / b
+                a = float(np.exp(-b * dt))
+                c_old = C * -float(np.expm1(alpha * np.log(a))) / (T * alpha * b)
+                th = -alpha * float(np.log(a))
+                lam_old = (
+                    C * BETA**alpha * float(gamma(1.0 - alpha)) / (T * b * alpha**2)
+                    * ou_cts._expm1_minus_x(th)
+                )
+                law = step_law_oucts(p, dt)
+                assert law.x1_params.c.hex() == c_old.hex(), (b, dt)
+                assert law.x1_params.beta.hex() == (BETA / a).hex()
+                assert law.lambda_a.hex() == lam_old.hex(), (b, dt)
 
     def test_x1_parameters(self):
         dt = 30.0 / 365.0
