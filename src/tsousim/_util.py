@@ -121,10 +121,14 @@ def segment_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def decay(b: float, dt: float) -> float:
-    """OU scale a = exp(-b*dt) over a step; dt must be positive."""
+    """OU scale a = exp(-b*dt) over a step; dt must be positive, and b*dt at
+    least about 2^-54, below which a rounds to 1.0 and the step is lost."""
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    return float(np.exp(-b * dt))
+    a = float(np.exp(-b * dt))
+    if a == 1.0:
+        raise ValueError(f"b*dt = {b * dt!r} is too small: exp(-b*dt) rounds to 1.0")
+    return a
 
 
 def _one_minus_pow(a: float, alpha: float) -> float:

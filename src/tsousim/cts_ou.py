@@ -94,6 +94,8 @@ def step_law(p: CtsOuProcess, dt: float) -> StepLaw:
     if a == 0.0:
         return StepLaw(0.0, p.stationary, 0.0)
     shrink = _one_minus_pow(a, alpha)
+    if c * shrink == 0.0:
+        raise ValueError(f"the CTS part's intensity c*(1 - a^alpha) underflows to 0 at c = {c!r}")
     lam = c * float(gamma_fn(1.0 - alpha)) * beta**alpha / alpha * shrink
     return CtsOuStepLaw(a, CtsParams(alpha, beta, c * shrink), lam, beta, p.b * dt)
 
@@ -103,6 +105,9 @@ def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size: int = 1):
 
     Plain inverse transform of the CDF F(v) = (v^alpha - 1)/(a^-alpha - 1):
     V = (1 + (a^-alpha - 1) U)^(1/alpha), hitting 1 at U=0 and 1/a at U=1.
+    At a subnormal a, a V past the largest float is inf, so its jump is 0;
+    where a^-alpha itself overflows, V = U^(1/alpha)/a, the 1 being below
+    an ulp of U a^-alpha for every U > 0.  No warning is raised.
     """
     size = operator.index(size)
     if not (0.0 < a < 1.0):
@@ -110,9 +115,15 @@ def sample_v_ctsou(a: float, alpha: float, stream: RngStream, size: int = 1):
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     v = stream.gen.random(size)  # U, turned into V in place
-    v *= a ** -alpha - 1.0
-    v += 1.0
-    v **= 1.0 / alpha
+    with np.errstate(over="ignore"):
+        try:
+            v *= a ** -alpha - 1.0
+        except OverflowError:
+            v **= 1.0 / alpha
+            v /= a
+            return np.maximum(v, 1.0, out=v)  # U = 0 still gives V = 1
+        v += 1.0
+        v **= 1.0 / alpha
     return v
 
 

@@ -210,6 +210,7 @@ def _power_sums(x: np.ndarray, centre, buf: np.ndarray):
     return s2, s3, np.add.reduce(p, axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
     """Plug-in estimates of k1..k4 with batch standard errors.
 
@@ -223,9 +224,10 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
     such runs; ``samples`` is never written to.
 
     A sample with a NaN or an infinity, or whose sum overflows, raises
-    ValueError: the mean (under ``np.errstate``, so no warning escapes)
-    is finite exactly when the kept values are finite and so is their
-    sum, and the few values truncated away are checked on their own.
+    ValueError: the mean is finite exactly when the kept values are finite
+    and so is their sum, and the few values truncated away are checked on
+    their own.  So does a sample whose central moments or their batch
+    SEs overflow.  It runs under ``np.errstate``, so no warning escapes.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     _require_integer("batches", batches)
@@ -241,8 +243,7 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
         m2, m3, m4 = (s / count for s in _power_sums(x, m, buf))
         return m2, m3, m4 - 3.0 * m2 * m2
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.mean(flat)
+    mean = np.mean(flat)
     if not (math.isfinite(mean) and np.isfinite(samples[flat.size :]).all()):
         raise ValueError("samples must be finite, with a finite sum")
     full = (mean, *central(flat, mean, flat.size))
@@ -254,7 +255,10 @@ def estimate_cumulants(samples: np.ndarray, batches: int) -> CumulantVector:
         block = slice(lo, lo + step)
         bk[1:, block] = central(rows[block], bk[0, block, None], per)
     ses = tuple(float(np.std(col, ddof=1) / np.sqrt(batches)) for col in bk)
-    return CumulantVector(*(float(v) for v in full), *ses)
+    values = (*(float(v) for v in full), *ses)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("central moments of the samples, or their SEs, overflow; rescale them")
+    return CumulantVector(*values)
 
 
 def _check_writable(path: str, what: str) -> None:

@@ -248,12 +248,15 @@ def _x1_params(p: OuCtsProcess, dt: float, a: float) -> tuple[CtsParams, float]:
             "so the CTS part's rate beta/a is infinite"
         )
     if alpha == 0.0:
-        return CtsParams(0.0, beta / a, c * dt / p.T), 0.0
-    th = -alpha * float(np.log(a))
-    # 1 - a^alpha = -expm1(-theta): the bits of -expm1(alpha log a), since
-    # negating theta's product rounds the same way
-    shrink = -float(np.expm1(-th))
-    return CtsParams(alpha, beta / a, c * shrink / (p.T * alpha * p.b)), th
+        part_c, th = c * dt / p.T, 0.0
+    else:
+        th = -alpha * float(np.log(a))
+        # 1 - a^alpha = -expm1(-theta): the bits of -expm1(alpha log a), since
+        # negating theta's product rounds the same way
+        part_c = c * -float(np.expm1(-th)) / (p.T * alpha * p.b)
+    if not (0.0 < part_c < math.inf):
+        raise ValueError(f"the CTS part's intensity under- or overflows to {part_c!r} at c = {c!r}")
+    return CtsParams(alpha, beta / a, part_c), th
 
 
 def sample_w(envelope: Envelope, a: float, alpha: float, stream: RngStream, size: int = 1):

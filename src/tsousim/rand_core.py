@@ -87,23 +87,18 @@ class RngStream:
     must be owned by exactly one worker at a time.  Both parts are 64-bit
     key words: a value that is not an integer in [0, 2^64) raises
     ValueError rather than truncating or wrapping onto another stream.
+    ``copy.deepcopy(stream)`` is a stream at the same counter position,
+    which replays the draws that this one makes next.
     """
 
-    __slots__ = ("seed", "stream_id", "_bitgen", "gen")
+    __slots__ = ("seed", "stream_id", "gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
         _check_key(seed, stream_id)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
-        self.gen = np.random.Generator(self._bitgen)
-
-    def clone(self) -> "RngStream":
-        """Copy of this stream frozen at the current counter position."""
-        other = RngStream(self.seed, self.stream_id)
-        other._bitgen.state = self._bitgen.state
-        return other
+        self.gen = np.random.Generator(np.random.Philox(key=key))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -250,9 +245,11 @@ class StepLaw:
 
     def draw_jumps(self, stream: RngStream, m: int) -> np.ndarray:
         """m independent jumps in a fresh array that the caller may overwrite;
-        the stream holds the m draws of V, then the gamma stage's draws."""
+        the stream holds the m draws of V, then the gamma stage's draws.
+        A jump_beta*V past the largest float is inf, and its jump 0."""
         v = self.draw_v(stream, m)
-        v *= self.jump_beta
+        with np.errstate(over="ignore"):
+            v *= self.jump_beta
         return _gamma_shape_rate(stream, 1.0 - self.x1_params.alpha, v, m)
 
     def jump_moment(self, k: int) -> float:

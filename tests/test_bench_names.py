@@ -5,8 +5,11 @@ The tracer also classifies each ``sample_cts`` call into a CTS route from
 outside, with ``cts_tilting_acceptance`` and ``TILTING_ACCEPTANCE_FLOOR``.
 A refactor that renames or deletes one of them, or changes how
 ``sample_cts`` picks its route, breaks the benchmark only when it runs
-(the smoke test takes minutes); these checks fail at once.  They load
-the benchmark modules by path and change nothing in them."""
+(the smoke test takes minutes); these checks fail at once.  So does a
+new refusal of a configuration that a workload runs: every cumulant cell
+and warm-up, and small-batch's ``simulate`` command line, is validated
+here.  They load the benchmark modules by path and change nothing in
+them."""
 
 import importlib.util
 import sys
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsousim import cts_ou, ou_cts, rand_core
+from tsousim import cli, cts_ou, ou_cts, rand_core
 from tsousim.rand_core import CtsParams, RngStream
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -44,6 +47,22 @@ def test_small_batch_samplers_resolve_and_step(tmp_path):
     for _, proc, fn_name, module in work.processes:
         x = getattr(module, fn_name)(proc, np.zeros(2), 1.0 / 365.0, RngStream(1), size=2)
         assert x.shape == (2,) and np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("name", ["cumulant-fine", "cumulant-coarse"])
+def test_every_cumulant_workload_config_validates(name):
+    work = workloads.CumulantWorkload(name, seed=1, scale=0.01)
+    for cfg in (*work.configs, work.warmup_config):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("process", ["cts-ou", "ou-cts"])
+def test_small_batch_simulate_argv_validates(process, tmp_path):
+    work = workloads.SmallBatchWorkload(seed=1, scale=0.01, out_dir=str(tmp_path))
+    argv = work._simulate_argv(process, work.sim_steps, 1, str(tmp_path / "paths.csv"))
+    cfg = cli._build_config(cli.build_parser().parse_args(argv), {})
+    assert (cfg.process, cfg.steps) == (process, work.sim_steps)
+    cfg.validate()
 
 
 def test_envelope_extractor_reads_the_step_law():

@@ -2,6 +2,9 @@
 factor, exact transitions against closed-form cumulants, the alpha = 0
 compound-Poisson route, and skeleton generation."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -86,6 +89,13 @@ class TestMixingFactor:
         f_of_v = (v**alpha - 1.0) / (a**-alpha - 1.0)
         assert f_of_v == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.99], ids=["power-overflows", "span-overflows"])
+    def test_subnormal_a_gives_one_at_u0_and_inf_past_the_largest_float(self, alpha):
+        # a = exp(-744): (1 + (a^-alpha - 1) U)^(1/alpha) overflows at U = 0.5,
+        # and at alpha 0.99 so does a^-alpha; 0 * inf must not turn U = 0 into NaN
+        v = sample_v_ctsou(math.exp(-744.0), alpha, FixedStream([0.0, 2.0**-53, 0.5]), 3)
+        assert v[0] == 1.0 and 1.0 < v[1] < np.inf and v[2] == np.inf
+
     def test_density_chi2(self):
         a, alpha = 0.44, 0.7
         v = sample_v_ctsou(a, alpha, RngStream(21, 1), size=10**5)
@@ -111,12 +121,25 @@ class TestMixingFactor:
         sample_v_ctsou(0.5, 0.5, s1, size=1000)
         s2 = RngStream(21, 2)
         s2.gen.random(1000)
-        assert s1._bitgen.state["state"]["counter"].tolist() == (
-            s2._bitgen.state["state"]["counter"].tolist()
+        assert s1.gen.bit_generator.state["state"]["counter"].tolist() == (
+            s2.gen.bit_generator.state["state"]["counter"].tolist()
         )
 
 
 class TestTransition:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.96, 0.99])
+    @pytest.mark.parametrize("b_dt", [720.0, 744.0])
+    def test_subnormal_decay_draws_finite_values_without_a_warning(self, alpha, b_dt):
+        # a = exp(-b*dt) is subnormal: a^-alpha overflowed a Python float at
+        # alpha > 0.95 and V^(1/alpha) warned below it; a V or beta*V past
+        # the largest float is inf and its jump 0.  pyproject turns any
+        # warning into an error.
+        law = step_law(CtsOuProcess(CtsParams(alpha, BETA, C), B), b_dt / B)
+        assert 0.0 < law.a < np.finfo(float).tiny
+        x = law.sample(0.0, RngStream(22, 9), 10**4)
+        assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+        assert abs(z_score(x, law.cumulant(1), 1)) < 4.0
+
     def test_degenerate_intensity_returns_decayed_start(self):
         tiny = CtsOuProcess(CtsParams(0.5, BETA, 1e-300), B)
         x = sample_transition_ctsou(tiny, 2.0, 0.1, RngStream(22, 1))
@@ -238,8 +261,8 @@ class TestGammaOuStep:
 class TestSkeleton:
     def test_single_point_grid_equals_transition(self):
         base = RngStream(24, 1)
-        path = simulate_skeleton_ctsou(PROC, 1.0, [0.1], base.clone(), size=16)
-        direct = sample_transition_ctsou(PROC, 1.0, 0.1, base.clone(), size=16)
+        path = simulate_skeleton_ctsou(PROC, 1.0, [0.1], copy.deepcopy(base), size=16)
+        direct = sample_transition_ctsou(PROC, 1.0, 0.1, copy.deepcopy(base), size=16)
         assert np.array_equal(path[0], direct)
 
     def test_uniform_vs_nonuniform_grid(self):

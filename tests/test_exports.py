@@ -40,3 +40,19 @@ def test_no_public_size_defaults_to_none():
     }
     assert len(sized) >= 13  # the 12 public samplers and StepLaw.sample
     assert [name for name, default in sized.items() if default is None] == []
+
+
+# the modules whose ``__all__`` the package republishes, in import order
+PACKAGE_MODULES = ("rand_core", "cts_ou", "ou_cts", "harness")
+
+
+def test_package_publishes_exactly_its_modules_all():
+    lists = [importlib.import_module(f"tsousim.{m}").__all__ for m in PACKAGE_MODULES]
+    published = set().union(*lists)
+    assert len(published) == sum(map(len, lists))  # no name shadows another
+    public = {
+        name for name, value in vars(tsousim).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == published
+    assert public.isdisjoint(importlib.import_module("tsousim.levy_core").__all__)

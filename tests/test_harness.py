@@ -123,6 +123,17 @@ class TestEstimateCumulants:
                 estimate_cumulants(x, 10)
         assert caught == []
 
+    @pytest.mark.parametrize("x", [
+        np.tile([1e100, -1e100], 500),  # mean 0, but d**4 overflows
+        RngStream(509).gen.standard_normal(1000) * 1e60,  # k4 fits, the spread of k4 does not
+    ], ids=["moment", "batch-se"])
+    def test_sample_whose_central_moments_overflow_is_refused(self, x):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="overflow; rescale"):
+                estimate_cumulants(x, 10)
+        assert caught == []
+
     @pytest.mark.parametrize("batches", [10.0, "10", None])
     def test_non_integer_batches_rejected(self, batches):
         with pytest.raises(ValueError, match="batches must be an integer"):
@@ -302,6 +313,21 @@ class TestRunExperiment:
         law = harness.STEP_LAWS[(process, method)](cfg.process_object(), cfg)
         with pytest.raises(ValueError, match="x0 must be finite"):
             law.sample(x0, RngStream(510), size)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
+    def test_every_step_law_refuses_a_step_below_double_precision(self, alpha, process, method):
+        # b*dt = 1e-299 < 2^-54: exp(-b*dt) rounds to 1.0; the refusal used
+        # to name a CTS intensity of -0.0 or a scale a of 1.0
+        with pytest.raises(ValueError, match=r"^b\*dt = 1e-299 is too small"):
+            make_cfg(process=process, method=method, alpha=alpha, dt=1e-300).validate()
+
+    @pytest.mark.parametrize("process,method", list(harness.STEP_LAWS))
+    def test_every_step_law_refuses_an_intensity_that_underflows(self, process, method):
+        # c (1 - a^alpha) is below the smallest subnormal: CtsParams would
+        # refuse a c of 0.0 that the configuration never gave
+        with pytest.raises(ValueError, match="CTS part's intensity .*5e-324"):
+            make_cfg(process=process, method=method, c=5e-324).validate()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("dt", [1.0 / 365.0, 0.3], ids=["daily", "b-dt-3"])

@@ -4,6 +4,7 @@ closed-form laws, equivalence of the CTS kernels (each called alone through
 count of every route ``sample_cts`` takes, and the proposal cost of the
 double-rejection route."""
 
+import copy
 import math
 import warnings
 
@@ -608,7 +609,7 @@ class TestReproducibility:
         base.gen.random(17)  # advance the counter away from the origin
         draws = []
         for _ in range(2):
-            s = base.clone()
+            s = copy.deepcopy(base)
             draws.append(
                 (
                     s.gen.random(3),
@@ -684,8 +685,8 @@ class TestPathDriver:
         law = STEP_LAWS[name]
         base = RngStream(11, 4)
         base.gen.random(5)
-        got = law.sample(x0, base.clone(), 64)
-        want = law.a * np.asarray(x0) + law.increments(base.clone(), 64)
+        got = law.sample(x0, copy.deepcopy(base), 64)
+        want = law.a * np.asarray(x0) + law.increments(copy.deepcopy(base), 64)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
