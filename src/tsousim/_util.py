@@ -29,19 +29,12 @@ _MAXSTIR = 143.01608
 _SQRT_2PI = 2.50662827463100050242
 
 
-def _horner(x: float, coef) -> float:
-    acc = coef[0]
-    for c in coef[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def _gamma(x: float) -> float:
     if x > 33.0:
         if x >= _MAXGAM:
             return math.inf
         w = 1.0 / x
-        w = 1.0 + w * _horner(w, _STIRLING)
+        w = 1.0 + w * float(np.polyval(_STIRLING, w))
         y = math.exp(x)
         if x > _MAXSTIR:  # split the power so it does not overflow
             v = math.pow(x, 0.5 * x - 0.25)
@@ -61,7 +54,7 @@ def _gamma(x: float) -> float:
     if x == 2.0:
         return z
     x -= 2.0
-    return z * _horner(x, _GAMMA_P) / _horner(x, _GAMMA_Q)
+    return z * float(np.polyval(_GAMMA_P, x)) / float(np.polyval(_GAMMA_Q, x))
 
 
 @functools.lru_cache(maxsize=128)
@@ -139,32 +132,13 @@ def _one_minus_pow(a: float, alpha: float) -> float:
     return -float(np.expm1(alpha * np.log(a)))
 
 
-class cached_attribute:
-    """``functools.cached_property`` without its lock (which Python 3.12
-    dropped): the first access computes the value and stores it in the
-    instance's ``__dict__``, which shadows this non-data descriptor from
-    then on.  A computation that raises stores nothing, so it raises on
-    every access."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 def grid_steps(grid) -> np.ndarray:
     """Step lengths t_1, t_2 - t_1, ... of a skeleton from t = 0 over a
     nonempty, strictly increasing grid of positive times."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array of times")
-    steps = np.diff(np.concatenate(([0.0], grid)))
+    steps = np.diff(grid, prepend=0.0)
     if np.any(steps <= 0.0):
         raise ValueError("grid times must be strictly increasing and positive")
     return steps

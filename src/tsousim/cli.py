@@ -46,8 +46,9 @@ _CHOICES = {"process": PROCESS_KINDS, "method": METHODS}
 
 
 def load_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; unknown keys are an error."""
+    """Parse ``key = value`` lines; an unknown or repeated key is an error."""
     values: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -60,6 +61,11 @@ def load_config_file(path: str) -> dict:
                 key = key.replace("-", "_")
                 if key not in _FIELDS:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in set_on:
+                    raise ValueError(
+                        f"{path}:{lineno}: config key {key!r} is already set on line {set_on[key]}"
+                    )
+                set_on[key] = lineno
                 try:
                     values[key] = _TYPES[key](value)
                 except ValueError as exc:

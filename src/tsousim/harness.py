@@ -557,11 +557,10 @@ def _check_limits(report: ValidationReport) -> None:
         f"2 lambda T/(c G(1-a) b beta^a dt^2) - 1 = {dev2:.2e}",
     )
 
-    a = float(np.exp(-b * 30.0 / 365.0))
     po_small = ou_cts.OuCtsProcess(CtsParams(1e-6, beta, c), b)
-    lam = ou_cts._lambda_a(po_small, ou_cts._theta(a, po_small.bdlp.alpha))
-    lim = c * np.log(a) ** 2 / (2.0 * po_small.T * b)
-    dev3 = abs(lam / lim - 1.0)
+    law = ou_cts.step_law_oucts(po_small, 30.0 / 365.0)
+    lim = c * np.log(law.a) ** 2 / (2.0 * po_small.T * b)
+    dev3 = abs(law.lambda_a / lim - 1.0)
     report.add(
         "alpha -> 0 jump rate limit", dev3 < 1e-4, f"relative deviation = {dev3:.2e}"
     )

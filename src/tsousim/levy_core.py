@@ -514,6 +514,7 @@ def stationary_density_from_bdlp(nu_L: Callable, b: float, T: float, x: float) -
 
     nu_X(x) = U(x) / (T b |x|) with U the tail mass of nu_L beyond x.
     """
+    _check_rate_and_scale(b, T)
     if x == 0.0:
         raise ValueError("stationary density is undefined at x = 0")
     nu = nu_L if x > 0.0 else lambda y: nu_L(-y)
@@ -530,6 +531,7 @@ def bdlp_density_from_stationary(nu_X: Callable, b: float, T: float, x: float) -
     nu_L(x) = -T b (nu_X(x) + x * nu_X'(x)); the derivative is taken by
     central difference with step max(1e-6, 1e-4 |x|).
     """
+    _check_rate_and_scale(b, T)
     if x == 0.0:
         raise ValueError("density map is undefined at x = 0")
     h = max(1e-6, 1e-4 * abs(x))
@@ -545,13 +547,19 @@ def cts_log_chf(p: CtsParams, u: float) -> complex:
     return g * (p.beta**p.alpha - (p.beta - 1j * u) ** p.alpha)
 
 
+def _check_rate_and_scale(b: float, T: float) -> None:
+    """Refuse a reversion rate ``b`` or time scale ``T`` that is not positive
+    and finite: the check of both density maps and both cumulant maps."""
+    for name, value in (("b", b), ("T", T)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _cumulant_at(cumulants, k: int, x0: float, b: float, dt: float, T: float = 1.0) -> float:
     """The k-th of ``cumulants`` (a sequence, or a callable of k), once k,
     x0, b, dt and T pass the checks both OU maps below make."""
     _check_cumulant_args(k, x0, dt)
-    for name, value in (("b", b), ("T", T)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _check_rate_and_scale(b, T)
     if callable(cumulants):
         return float(cumulants(k))
     return float(cumulants[k - 1])

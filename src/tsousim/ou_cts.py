@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._util import cached_attribute, decay, grid_steps
+from ._util import decay, grid_steps
 from ._util import gamma as gamma_fn
 from .rand_core import (
     _CHUNK,
@@ -162,8 +163,12 @@ def build_envelope(alpha: float, a: float, *, force_segments: int | None = None)
     until the total mass G_L drops below ``DEFAULT_TARGET_G``.
 
     ``force_segments`` pins the segment count regardless of the target
-    (used for diagnostics).
+    (used for diagnostics); it must be an integer >= 1.
     """
+    if force_segments is not None and not (
+        isinstance(force_segments, (int, np.integer)) and force_segments >= 1
+    ):
+        raise ValueError(f"force_segments must be an integer >= 1, got {force_segments!r}")
     n_seg = force_segments if force_segments is not None else 4
     while True:
         w = np.linspace(0.0, 1.0, n_seg + 1)
@@ -192,7 +197,7 @@ class OuCtsStepLaw(StepLaw):
 
     jump_beta: float
 
-    @cached_attribute
+    @cached_property
     def envelope(self) -> Envelope | None:
         """The f_W chord envelope (None at alpha = 0, whose mixing law needs
         none), built on first use: a step whose Poisson total is 0 never
@@ -207,20 +212,6 @@ class OuCtsStepLaw(StepLaw):
         return f_w_density(w, self.a, self.x1_params.alpha)
 
 
-def _lambda_a(p: OuCtsProcess, th: float) -> float:
-    # the jump rate at theta = log a^-alpha (see _theta), alpha > 0
-    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
-    # c beta^alpha Gamma(1-alpha) / (T b alpha^2 a^alpha) * (1 - a^alpha + a^alpha log a^alpha)
-    # rewritten with theta = log a^-alpha as K * (e^theta - 1 - theta)
-    return (
-        c
-        * beta**alpha
-        * float(gamma_fn(1.0 - alpha))
-        / (p.T * p.b * alpha**2)
-        * _expm1_minus_x(th)
-    )
-
-
 def step_law_oucts(p: OuCtsProcess, dt: float) -> OuCtsStepLaw:
     """Transition law over a step of length ``dt``.
 
@@ -230,11 +221,14 @@ def step_law_oucts(p: OuCtsProcess, dt: float) -> OuCtsStepLaw:
     """
     a = decay(p.b, dt)
     x1, th = _x1_params(p, dt, a)
-    if p.bdlp.alpha == 0.0:
-        rate = p.bdlp.c * np.log(a) ** 2 / (2.0 * p.T * p.b)
-        return OuCtsStepLaw(a, x1, rate, p.bdlp.beta)
+    alpha, beta, c = p.bdlp.alpha, p.bdlp.beta, p.bdlp.c
+    if alpha == 0.0:
+        return OuCtsStepLaw(a, x1, c * np.log(a) ** 2 / (2.0 * p.T * p.b), beta)
+    # lambda_a = c beta^alpha Gamma(1-alpha) / (T b alpha^2 a^alpha) * (1 - a^alpha
+    # + a^alpha log a^alpha), rewritten with theta = log a^-alpha as K (e^theta - 1 - theta)
+    rate = c * beta**alpha * float(gamma_fn(1.0 - alpha)) / (p.T * p.b * alpha**2)
     # (beta/a)*a can differ from beta in the last bit; the golden hashes pin this form
-    return OuCtsStepLaw(a, x1, _lambda_a(p, th), x1.beta * a)
+    return OuCtsStepLaw(a, x1, rate * _expm1_minus_x(th), x1.beta * a)
 
 
 def _x1_params(p: OuCtsProcess, dt: float, a: float) -> tuple[CtsParams, float]:
@@ -247,10 +241,10 @@ def _x1_params(p: OuCtsProcess, dt: float, a: float) -> tuple[CtsParams, float]:
             f"b*dt = {p.b * dt!r} is too large: exp(-b*dt) underflows to {a!r}, "
             "so the CTS part's rate beta/a is infinite"
         )
+    th = _theta(a, alpha)
     if alpha == 0.0:
-        part_c, th = c * dt / p.T, 0.0
+        part_c = c * dt / p.T
     else:
-        th = -alpha * float(np.log(a))
         # 1 - a^alpha = -expm1(-theta): the bits of -expm1(alpha log a), since
         # negating theta's product rounds the same way
         part_c = c * -float(np.expm1(-th)) / (p.T * alpha * p.b)

@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._util import cached_attribute, gamma_mixture_moment, segment_sums
+from ._util import gamma_mixture_moment, segment_sums
 from ._util import gamma as gamma_fn
 
 __all__ = [
@@ -129,11 +130,11 @@ class CtsParams:
 
     # alpha > 0 only.  Each is computed on first use and kept; a law that
     # _cts_scale refuses keeps nothing, so both raise on every use.
-    @cached_attribute
+    @cached_property
     def _sigma(self) -> float:
         return _cts_scale(self)
 
-    @cached_attribute
+    @cached_property
     def _summands(self) -> int:
         # tilting draws per variate of sample_cts: the nearest integer to
         # -ln p, near the n that minimises the expected proposals n p^(-1/n),
@@ -181,11 +182,10 @@ def _gamma_shape_rate(stream: RngStream, shape: float, rate, n: int):
 
 
 def sample_poisson(mean: float, stream: RngStream, size: int = 1):
-    """``size`` Poisson draws; inversion for small means, rejection for large ones."""
-    size = operator.index(size)
-    if not (mean >= 0.0):
-        raise ValueError(f"Poisson mean must be nonnegative, got {mean}")
-    return stream.gen.poisson(mean, size=size)
+    """``size`` Poisson draws; inversion for small means, rejection for large ones.
+    A mean that is negative, NaN or infinite is a ValueError, raised before
+    anything is drawn."""
+    return stream.gen.poisson(mean, size=operator.index(size))
 
 
 def _finite_start(x0) -> np.ndarray:

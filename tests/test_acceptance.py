@@ -198,17 +198,15 @@ def test_criterion_7_alpha_zero_limits(report):
     # the dt = 30/365 rate cell is validate's "alpha -> 0 jump rate limit"
     proc = ou_cts.OuCtsProcess(CtsParams(1e-6, BETA, C), B)
     failures = []
-    a = float(np.exp(-B * DTS[0]))
-    lam = ou_cts._lambda_a(proc, ou_cts._theta(a, proc.bdlp.alpha))
-    dev = abs(lam / (C * np.log(a) ** 2 / (2.0 * proc.T * B)) - 1.0)
+    law = ou_cts.step_law_oucts(proc, DTS[0])
+    dev = abs(law.lambda_a / (C * np.log(law.a) ** 2 / (2.0 * proc.T * B)) - 1.0)
     print(f"  dt={DTS[0]:.6f}: jump-rate relative deviation {dev:.2e}")
     if dev > 1e-4:
         failures.append(f"dt={DTS[0]:.6f}: rate deviation {dev:.2e} over 1e-4")
 
-    a = float(np.exp(-B * DTS[1]))
     law = ou_cts.step_law_oucts(proc, DTS[1])
     v_small = ou_cts.sample_v_oucts(law, RngStream(SEED + 4000, 1), size=10**5)
-    v_zero = ou_cts.sample_v_alpha0(a, RngStream(SEED + 4000, 2), size=10**5)
+    v_zero = ou_cts.sample_v_alpha0(law.a, RngStream(SEED + 4000, 2), size=10**5)
     p = stats.ks_2samp(v_small, v_zero).pvalue
     print(f"  two-sample KS p-value alpha=1e-6 vs limit law: {p:.4f}")
     if p <= 0.01:

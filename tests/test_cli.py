@@ -136,6 +136,16 @@ def test_config_file_errors_name_the_file_and_line(line, what, tmp_path, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("second", ["seed = 2", "seed = 1", "seed=2  # again"])
+def test_config_file_refuses_a_repeated_key(second, tmp_path):
+    # the second line used to win silently
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"seed = 1\n# defaults\n{second}\n")
+    with pytest.raises(ValueError) as exc:
+        load_config_file(str(cfg))
+    assert str(exc.value) == f"{cfg}:3: config key 'seed' is already set on line 1"
+
+
 def test_byte_identical_csv_between_runs(tmp_path):
     outs = []
     for name in ("r1.csv", "r2.csv"):

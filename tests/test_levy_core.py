@@ -35,6 +35,11 @@ CTS_REF = CtsParams(0.5, 1.4, 0.8)
 GAMMA_REF = CtsParams(0.0, 1.0, 1.0)
 
 
+def _gamma_density(x):
+    # Levy density of GAMMA_REF
+    return np.exp(-x) / x
+
+
 def quad_positive(fn, hi=200.0):
     """Independent log-axis quadrature used as the test-side oracle."""
     breaks = [-280.0, -30.0, -4.0, 0.0, np.log(hi)]
@@ -431,11 +436,24 @@ class TestCumulants:
             lambda v: ou_cumulants_from_stationary([1.0, 2.0], 0.0, v, 1.0, 2),
             lambda v: ou_cumulants_from_bdlp([1.0, 2.0], 0.0, v, 1.0, 1.0, 2),
             lambda v: ou_cumulants_from_bdlp([1.0, 2.0], 0.0, 10.0, v, 1.0, 2),
+            lambda v: stationary_density_from_bdlp(_gamma_density, v, 1.0, 0.5),
+            lambda v: stationary_density_from_bdlp(_gamma_density, 10.0, v, 0.5),
+            lambda v: bdlp_density_from_stationary(_gamma_density, v, 1.0, 0.5),
+            lambda v: bdlp_density_from_stationary(_gamma_density, 10.0, v, 0.5),
         ],
-        ids=["from-stationary-b", "from-bdlp-b", "from-bdlp-T"],
+        ids=[
+            "from-stationary-b",
+            "from-bdlp-b",
+            "from-bdlp-T",
+            "stationary-density-b",
+            "stationary-density-T",
+            "bdlp-density-b",
+            "bdlp-density-T",
+        ],
     )
     def test_non_positive_rate_or_time_scale_is_refused(self, cumulant, value):
-        # b = -10 gave a variance of -9.7e8 from the stationary cumulants
+        # b = -10 gave a variance of -9.7e8 from the stationary cumulants, and
+        # a stationary density of -0.0078 from the driving one
         with pytest.raises(ValueError, match="must be positive and finite"):
             cumulant(value)
 

@@ -61,10 +61,9 @@ class TestStepLaw:
         assert abs(lam / second_order - 1.0) < 1e-3
 
     def test_alpha_limit_rate(self):
-        a = np.exp(-B * 30.0 / 365.0)
         small = OuCtsProcess(CtsParams(1e-6, BETA, C), B)
-        lam = ou_cts._lambda_a(small, ou_cts._theta(a, small.bdlp.alpha))
-        assert abs(lam / (C * np.log(a) ** 2 / (2.0 * small.T * B)) - 1.0) < 1e-4
+        law = step_law_oucts(small, 30.0 / 365.0)
+        assert abs(law.lambda_a / (C * np.log(law.a) ** 2 / (2.0 * small.T * B)) - 1.0) < 1e-4
 
     def test_rate_against_proof_route_quadrature(self):
         # outer w-integral of the compound density, inner integral in closed form
@@ -240,6 +239,14 @@ class TestMixingDensityW:
         ):
             with pytest.raises(ValueError, match=f"^{match} "):
                 call()
+
+    @pytest.mark.parametrize("segments", [0, -1, 2.5, "4", np.float64(4.0)])
+    def test_refuses_force_segments_that_is_not_a_positive_integer(self, segments, monkeypatch):
+        # 0 used to raise ZeroDivisionError, -1 IndexError and 2.5 a TypeError
+        # from np.linspace; the refusal comes before any chord is built
+        monkeypatch.setattr(ou_cts, "f_w_density", None)
+        with pytest.raises(ValueError, match="^force_segments must be an integer >= 1, got "):
+            build_envelope(0.5, 0.5, force_segments=segments)
 
 
 class TestEnvelope:

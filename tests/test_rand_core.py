@@ -121,9 +121,13 @@ class TestPoisson:
         n = sample_poisson(100.0, RngStream(3, 3), size=10**6)
         assert abs(z_score(n.astype(float), 100.0, 2)) < 4.0
 
-    def test_negative_mean_rejected(self):
+    @pytest.mark.parametrize("mean", [-1.0, np.nan, np.inf])
+    def test_negative_mean_rejected(self, mean):
+        # numpy's Generator.poisson refuses the mean before it draws
+        stream = RngStream(3, 4)
         with pytest.raises(ValueError):
-            sample_poisson(-1.0, RngStream(3, 4))
+            sample_poisson(mean, stream)
+        assert stream.gen.random(16).tobytes() == RngStream(3, 4).gen.random(16).tobytes()
 
 
 def scattered_segment_sums(values, counts):
