@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -124,12 +125,33 @@ def decay(b: float, dt: float) -> float:
     return a
 
 
-def _one_minus_pow(a: float, alpha: float) -> float:
-    # 1 - a**alpha without cancellation as a -> 1; a may underflow to 0,
-    # where log(a) would be -inf and expm1 would give -1
-    if a == 0.0:
-        return 1.0
-    return -float(np.expm1(alpha * np.log(a)))
+def _theta(a: float, alpha: float) -> float:
+    """theta = log a^-alpha >= 0, which indexes the mixing law of W; W's law is
+    defined for a decay factor a in (0, 1) and alpha in [0, 1), alpha = 0 being
+    the limit that the jump moment uses.  -theta is alpha log a bit for bit, so
+    1 - a^alpha = -expm1(-theta) without cancellation as a -> 1."""
+    if not (0.0 < a < 1.0):
+        raise ValueError(f"a must be in (0, 1), got {a}")
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    return -alpha * float(np.log(a))
+
+
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int; anything ``operator.index`` refuses is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_rate_and_scale(b: float, T: float = 1.0) -> None:
+    """Refuse a reversion rate ``b`` or time scale ``T`` that is not positive
+    and finite: the check of both process classes, a run's configuration and
+    the density and cumulant maps of ``levy_core``."""
+    for name, value in (("b", b), ("T", T)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def grid_steps(grid) -> np.ndarray:
@@ -139,7 +161,7 @@ def grid_steps(grid) -> np.ndarray:
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array of times")
     steps = np.diff(grid, prepend=0.0)
-    if np.any(steps <= 0.0):
+    if not np.all(steps > 0.0):  # NaN is refused too
         raise ValueError("grid times must be strictly increasing and positive")
     return steps
 

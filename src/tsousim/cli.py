@@ -113,14 +113,16 @@ def _build_config(args: argparse.Namespace, file_values: dict) -> ExperimentConf
 
 
 def main(argv: Optional[list] = None) -> int:
-    """Run one command; an OSError (its message names the file) or a
-    ValueError (an invalid configuration or a refused run) exits with a
-    one-line message."""
+    """Run one command; an OSError (its message names the file), a
+    MemoryError (an allocation the host cannot hold) or a ValueError (an
+    invalid configuration or a refused run) exits with a one-line message."""
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except OSError as exc:
         raise SystemExit(str(exc)) from exc
+    except MemoryError as exc:
+        raise SystemExit(f"cannot allocate: {exc}") from exc
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from exc
 
@@ -140,8 +142,6 @@ def _run(args: argparse.Namespace) -> int:
     config_path = os.environ.get(_CONFIG_ENV)
     cfg = _build_config(args, load_config_file(config_path) if config_path else {})
     if args.command == "simulate":
-        if not cfg.out:
-            raise SystemExit("simulate requires --out FILE")
         path = export_trajectories(cfg)
         print(f"wrote {cfg.paths} trajectories ({cfg.steps} steps) to {path}")
         return 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _one_minus_pow, decay, grid_steps
+from ._util import _check_rate_and_scale, _theta, decay, grid_steps
 from ._util import gamma as gamma_fn
 from .rand_core import CtsParams, RngStream, StepLaw, _check_cumulant_args, path_states
 
@@ -43,8 +43,7 @@ class CtsOuProcess:
     b: float
 
     def __post_init__(self):
-        if not (0.0 < self.b < math.inf):
-            raise ValueError(f"mean-reversion rate must be positive and finite, got {self.b}")
+        _check_rate_and_scale(self.b)
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def step_law(p: CtsOuProcess, dt: float) -> StepLaw:
         return CtsOuStepLaw(a, None, c * p.b * dt, beta, p.b * dt)
     if a == 0.0:
         return StepLaw(0.0, p.stationary, 0.0)
-    shrink = _one_minus_pow(a, alpha)
+    shrink = -float(np.expm1(-_theta(a, alpha)))  # 1 - a^alpha
     if c * shrink == 0.0:
         raise ValueError(f"the CTS part's intensity c*(1 - a^alpha) underflows to 0 at c = {c!r}")
     lam = c * float(gamma_fn(1.0 - alpha)) * beta**alpha / alpha * shrink

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Optional
@@ -23,9 +22,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cts_ou, ou_cts
+from ._util import _check_rate_and_scale, _require_integer
 from ._util import gamma as gamma_fn
-from .rand_core import _CHUNK, CtsParams, RngStream, StepLaw, _check_key, cts_cumulants
-from .rand_core import path_states
+from .rand_core import _CHUNK, CtsParams, RngStream, StepLaw, _check_key, _finite_start
+from .rand_core import cts_cumulants, path_states
 
 __all__ = [
     "BLOCK_SIZE",
@@ -54,13 +54,6 @@ STEP_LAWS = {
 }
 PROCESS_KINDS = tuple(dict.fromkeys(process for process, _ in STEP_LAWS))
 METHODS = tuple(dict.fromkeys(method for _, method in STEP_LAWS))
-
-
-def _require_integer(name: str, value) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @contextmanager
@@ -106,8 +99,7 @@ class ExperimentConfig:
             )
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
+        _finite_start(self.x0)
         for name in ("paths", "steps", "batches", "workers"):
             _require_integer(name, getattr(self, name))
         if self.steps < 0:
@@ -119,10 +111,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         _check_key(self.seed)
-        if not (0.0 < self.b < math.inf):
-            raise ValueError(f"b must be positive and finite, got {self.b}")
-        if not (0.0 < self.T < math.inf):
-            raise ValueError(f"T must be positive and finite, got {self.T}")
+        _check_rate_and_scale(self.b, self.T)
         law = STEP_LAWS[(self.process, self.method)](self.process_object(), self)
         n = min(self.paths, BLOCK_SIZE)  # the first block makes the largest calls
         law.check_size(n * min(self.steps, max(1, BLOCK_SIZE // n)))
@@ -302,6 +291,7 @@ def simulate_terminal(cfg: ExperimentConfig, law: StepLaw) -> np.ndarray:
     out = np.empty(cfg.paths)
 
     def job(cols: slice, states) -> None:
+        x = cfg.x0  # the t = 0 row when steps = 0
         for x in states:
             pass
         out[cols] = x
@@ -379,12 +369,12 @@ def export_trajectories(cfg: ExperimentConfig) -> str:
     time including t = 0.  Returns the output path.
     """
     if not cfg.out:
-        raise ValueError("config must set an output file for trajectories")
+        raise ValueError("trajectories need an output file: set --out FILE")
     law = cfg.validate()
-    _check_writable(cfg.out, "trajectories")
-
-    # one table, time column first; each block job fills its own path columns
+    # one table, time column first; each block job fills its own path columns.
+    # Allocated before the file is created, so a MemoryError leaves no file
     table = np.empty((cfg.steps + 1, cfg.paths + 1))
+    _check_writable(cfg.out, "trajectories")
     table[:, 0] = cfg.dt * np.arange(cfg.steps + 1)
     table[0, 1:] = cfg.x0
     paths = table[:, 1:]

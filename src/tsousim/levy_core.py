@@ -14,7 +14,7 @@ a Levy triplet (gamma, sigma, nu):
   background driving Levy process (``stationary_density_from_bdlp`` and
   ``bdlp_density_from_stationary``);
 * numeric evaluation of the Levy-Khintchine integral (``lk_log_chf``) and
-  closed-form cumulants used throughout the validation harness.
+  OU transition cumulants from stationary or driving-process cumulants.
 
 Quadrature follows one policy everywhere: QUADPACK's 21-point
 Gauss-Kronrod rule, applied adaptively (the subinterval with the largest
@@ -38,7 +38,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._util import _one_minus_pow, gammainc
+from ._util import _check_rate_and_scale, _theta, gammainc
 from ._util import gamma as gamma_fn
 from .rand_core import CtsParams, _check_cumulant_args
 
@@ -446,7 +446,8 @@ def ts_remainder_decompose(
         raise ValueError(f"scale a must be in (0, 1), got {a}")
     # the rescaled part's intensity c (1 - a^alpha) is 0 at alpha = 0 (or
     # when it underflows); the smallest normal float stands in for it
-    scaled_c = law.c * _one_minus_pow(a, law.alpha) or np.finfo(float).tiny
+    shrink = -float(np.expm1(-_theta(a, law.alpha)))  # 1 - a^alpha
+    scaled_c = law.c * shrink or np.finfo(float).tiny
 
     if isinstance(law, CtsParams):
         alpha, c = law.alpha, law.c
@@ -458,7 +459,7 @@ def ts_remainder_decompose(
             return c * a**alpha * diff / x ** (1.0 + alpha)
 
         if alpha > 0.0:
-            lam = c * gamma_fn(1.0 - alpha) * beta**alpha * _one_minus_pow(a, alpha) / alpha
+            lam = c * gamma_fn(1.0 - alpha) * beta**alpha * shrink / alpha
         else:
             lam = c * np.log(1.0 / a)
         scaled = CtsParams(alpha, beta, scaled_c)
@@ -545,14 +546,6 @@ def cts_log_chf(p: CtsParams, u: float) -> complex:
         return -p.c * np.log(1.0 - 1j * u / p.beta)
     g = p.c * gamma_fn(1.0 - p.alpha) / p.alpha
     return g * (p.beta**p.alpha - (p.beta - 1j * u) ** p.alpha)
-
-
-def _check_rate_and_scale(b: float, T: float) -> None:
-    """Refuse a reversion rate ``b`` or time scale ``T`` that is not positive
-    and finite: the check of both density maps and both cumulant maps."""
-    for name, value in (("b", b), ("T", T)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _cumulant_at(cumulants, k: int, x0: float, b: float, dt: float, T: float = 1.0) -> float:

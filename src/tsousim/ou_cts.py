@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import decay, grid_steps
+from ._util import _check_rate_and_scale, _theta, decay, grid_steps
 from ._util import gamma as gamma_fn
 from .rand_core import (
     _CHUNK,
@@ -79,10 +79,7 @@ class OuCtsProcess:
     T: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.b < np.inf):
-            raise ValueError(f"mean-reversion rate must be positive and finite, got {self.b}")
-        if not (0.0 < self.T < np.inf):
-            raise ValueError(f"time scale must be positive and finite, got {self.T}")
+        _check_rate_and_scale(self.b, self.T)
 
 
 @dataclass(frozen=True)
@@ -110,16 +107,6 @@ def _expm1_minus_x(x: float) -> float:
     if x < 1e-4:
         return x * x / 2.0 * (1.0 + x / 3.0 + x * x / 12.0 + x**3 / 60.0)
     return float(np.expm1(x) - x)
-
-
-def _theta(a: float, alpha: float) -> float:
-    # log(a^-alpha) >= 0; W's law is defined for a decay factor in (0, 1)
-    # and alpha in [0, 1), alpha = 0 being the limit that the jump moment uses
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a must be in (0, 1), got {a}")
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return -alpha * float(np.log(a))
 
 
 def f_w_density(w, a: float, alpha: float):
@@ -245,8 +232,7 @@ def _x1_params(p: OuCtsProcess, dt: float, a: float) -> tuple[CtsParams, float]:
     if alpha == 0.0:
         part_c = c * dt / p.T
     else:
-        # 1 - a^alpha = -expm1(-theta): the bits of -expm1(alpha log a), since
-        # negating theta's product rounds the same way
+        # 1 - a^alpha = -expm1(-theta), as _theta describes
         part_c = c * -float(np.expm1(-th)) / (p.T * alpha * p.b)
     if not (0.0 < part_c < math.inf):
         raise ValueError(f"the CTS part's intensity under- or overflows to {part_c!r} at c = {c!r}")

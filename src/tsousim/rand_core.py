@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import gamma_mixture_moment, segment_sums
+from ._util import _require_integer, gamma_mixture_moment, segment_sums
 from ._util import gamma as gamma_fn
 
 __all__ = [
@@ -207,10 +207,7 @@ def _start(x0, size: int) -> np.ndarray:
 
 def _check_cumulant_args(k: int, x0=0.0, dt: float = 0.0) -> None:
     """Every cumulant oracle's domain: integer k >= 1, finite x0, dt >= 0 (inf: stationary)."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"cumulant order must be an integer, got {k!r}") from None
+    k = _require_integer("cumulant order", k)
     if k < 1:
         raise ValueError(f"cumulant order must be >= 1, got {k}")
     _finite_start(x0)
@@ -340,17 +337,12 @@ def _rejection_loop(propose, n: int, what: str):
 
     Returns the draws and the total number of proposals made.  The first
     round proposes every slot, so its candidates are the output array and
-    only the rejected slots are proposed again; a first round that accepts
-    every slot returns at once, with n proposals and no index of pending
-    slots built; n = 0 proposes nothing.
+    only the rejected slots are proposed again; n = 0 proposes nothing.
     """
     if n == 0:
         return np.empty(0), 0
     out, accept = propose(n)
-    # count_nonzero and nonzero skip the Python layers of all() and flatnonzero()
-    if np.count_nonzero(accept) == n:
-        return out, n
-    pending = (~accept).nonzero()[0]
+    pending = (~accept).nonzero()[0]  # nonzero skips flatnonzero's Python layer
     proposals, rounds = n, 1
     while pending.size:
         m = pending.size

@@ -4,8 +4,9 @@ A change that re-rolls variates moves every fixed-seed cumulant estimate,
 so one seed cannot tell a biased sampler from a noisy gate.  This script
 runs ``harness.run_experiment`` on each cell (process, alpha, dt, paths)
 for every seed in a range, with the benchmark's parameters (beta 1.4,
-c 0.8, b 10, 100 batches, one worker), and prints per cell how many seeds
-failed the 4-SE gate (some |z| = |estimate - truth| / SE above 4, a
+c 0.8, b 10, 100 batches, the 4-SE gate, all read from
+``bench/workloads.py``; one worker), and prints per cell how many seeds
+failed the gate (some |z| = |estimate - truth| / SE above 4, a
 non-finite value, or a raised error) and the median over seeds of the
 largest |z| of k1..k4.  Run it on both sides of a change and compare.
 
@@ -26,19 +27,38 @@ this file.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from tsousim.harness import ExperimentConfig, run_experiment
 
-BETA, C, B, BATCHES, Z_GATE = 1.4, 0.8, 10.0, 100, 4.0
+
+def _load_workloads():
+    """bench/workloads.py, loaded by path as tests/test_bench_names.py loads it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+BETA, C, B, BATCHES, Z_GATE = (
+    workloads.BETA, workloads.C, workloads.B, workloads.BATCHES, workloads.Z_GATE
+)
 DEFAULT_CELLS = ("cts-ou,0.9,0.0821917808219178,262144", "ou-cts,0.9,0.3,262144")
-ALPHAS = (0.3, 0.5, 0.7, 0.9)
+# each benchmark workload's cells, read from the configurations it runs
 PRESETS = {
-    "fine": [(p, a, 1.0 / 365.0, 10**6) for p in ("cts-ou", "ou-cts") for a in ALPHAS],
-    "coarse": [(p, a, 30.0 / 365.0, 1 << 18) for p in ("cts-ou", "ou-cts") for a in ALPHAS]
-    + [("ou-cts", a, 0.3, 1 << 18) for a in (0.5, 0.9)],
+    key: [
+        (cfg.process, cfg.alpha, cfg.dt, cfg.paths)
+        for cfg in workloads.CumulantWorkload(f"cumulant-{key}", seed=0, scale=1.0).configs
+    ]
+    for key in ("fine", "coarse")
 }
 
 

@@ -42,8 +42,28 @@ def test_simulate_writes_trajectories(tmp_path):
 
 
 def test_simulate_requires_out():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit, match="set --out FILE"):
         main(["simulate", *BASE])
+
+
+def test_allocation_the_host_cannot_hold_ends_in_one_line(tmp_path, monkeypatch):
+    # np.empty refuses any array over 1e9 values, as numpy does on a host
+    # without the memory, so the test never asks for it
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    out = tmp_path / "x.csv"
+    argv = ["simulate", *BASE, "--steps", "100000000000", "--paths", "1000", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value)
+    assert message.startswith("cannot allocate: Unable to allocate") and "\n" not in message
+    assert not out.exists()
 
 
 def test_missing_required_parameter():

@@ -21,6 +21,7 @@ from tsousim.cts_ou import (
     step_law,
 )
 from tsousim.levy_core import ou_cumulants_from_stationary
+from tsousim.ou_cts import OuCtsProcess, simulate_skeleton_oucts
 from tsousim.rand_core import CtsParams, RngStream, cts_cumulants, sample_cts, sample_inverse_gaussian
 
 B, C, BETA = 10.0, 0.8, 1.4  # reference parameter set used throughout
@@ -294,6 +295,12 @@ class TestSkeleton:
         for grid in ([0.2, 0.1], [0.0, 0.1], []):
             with pytest.raises(ValueError):
                 simulate_skeleton_ctsou(PROC, 0.0, grid, RngStream(24, 6))
+        # a NaN time is refused by the grid check, not later by the step law
+        oucts = OuCtsProcess(CtsParams(0.5, BETA, C), B)
+        for grid in ([0.1, np.nan, 0.3], [np.nan]):
+            for skeleton, proc in ((simulate_skeleton_ctsou, PROC), (simulate_skeleton_oucts, oucts)):
+                with pytest.raises(ValueError, match="grid times must be strictly increasing"):
+                    skeleton(proc, 0.0, grid, RngStream(24, 6))
 
 
 class TestCumulants:

@@ -529,15 +529,16 @@ class TestTrajectories:
         assert len(built) == 1, built
 
 
+@pytest.mark.parametrize("steps", [5, 0])
 @pytest.mark.parametrize("process", ["cts-ou", "ou-cts"])
-def test_terminal_values_are_the_last_exported_row(process, tmp_path, monkeypatch):
+def test_terminal_values_are_the_last_exported_row(process, steps, tmp_path, monkeypatch):
     """simulate_terminal and export_trajectories run one driver: at x0 != 0,
     over 5 steps, with 64-path blocks and a short last block of 22 paths
     that draws 2 steps per call, the terminal values equal the CSV's last
-    row bit for bit (float repr round-trips)."""
+    row bit for bit (float repr round-trips); at 0 steps both are x0."""
     monkeypatch.setattr(harness, "BLOCK_SIZE", 64)
     cfg = make_cfg(
-        process=process, dt=30.0 / 365.0, steps=5, x0=0.7, paths=150, seed=20261020,
+        process=process, dt=30.0 / 365.0, steps=steps, x0=0.7, paths=150, seed=20261020,
         out=str(tmp_path / "t.csv"),
     )
     export_trajectories(cfg)

@@ -15,7 +15,7 @@ from scipy.special import erfc, gamma as gamma_fn
 
 from _helpers import cts_kernel, two_array_segment_sums, z_score
 from tsousim import cts_ou, ou_cts, rand_core
-from tsousim._util import _one_minus_pow, decay, segment_sums
+from tsousim._util import _theta, decay, segment_sums
 from tsousim._util import gamma as tsousim_gamma
 from tsousim.rand_core import (
     CtsParams,
@@ -344,17 +344,27 @@ class TestCtsScaleReferee:
 
 
 class TestOneMinusPow:
+    """1 - a^alpha is -expm1(-theta), theta = _util._theta(a, alpha), wherever
+    a step law or the remainder split forms it."""
+
     @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.5, 0.999])
     def test_an_underflowed_scale_gives_one_without_a_warning(self, alpha):
-        with warnings.catch_warnings(), np.errstate(all="raise"):
+        # b*dt = 800: a = exp(-800) underflows to 0, so the step law is the
+        # stationary one (alpha > 0) or gamma-OU's, and never forms 1 - a^alpha
+        p = cts_ou.CtsOuProcess(CtsParams(alpha, 1.4, 0.8), 800.0)
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _one_minus_pow(0.0, alpha) == 1.0
+            law = cts_ou.step_law(p, 1.0)
+        if alpha > 0.0:
+            assert law == rand_core.StepLaw(0.0, p.stationary, 0.0)
+        else:
+            assert law == cts_ou.CtsOuStepLaw(0.0, None, 0.8 * 800.0, 1.4, 800.0)
 
     def test_same_bits_as_expm1_of_alpha_log_a(self):
         rng = np.random.default_rng(2031)
         for a, alpha in zip(np.exp(-rng.exponential(30.0, 5000)), rng.uniform(0.0, 1.0, 5000)):
             want = -np.expm1(alpha * np.log(a))
-            assert np.float64(_one_minus_pow(float(a), float(alpha))).tobytes() == want.tobytes()
+            assert (-np.expm1(-_theta(float(a), float(alpha)))).tobytes() == want.tobytes()
 
 
 def law_at(alpha, p, beta=1.4):
